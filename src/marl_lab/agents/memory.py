@@ -23,6 +23,10 @@ class RecurrentState:
     def copy(self):
         return RecurrentState(self.hidden.copy(), self.cell.copy())
 
+    @classmethod
+    def stack(cls, states):
+        return cls(np.stack([s.hidden for s in states]), np.stack([s.cell for s in states]))
+
 
 @dataclass
 class AgentMemory:
@@ -44,3 +48,18 @@ class AgentMemory:
 
     def copy(self):
         return AgentMemory(v=self.v.copy(), u=self.u.copy(), episode_tag=self.episode_tag)
+
+    @classmethod
+    def stack(cls, memories):
+        """One memory whose states carry a leading worker axis, as the nets'
+        batched calls take it; its episode_tag is the tuple of the rows' tags."""
+        return cls(v=RecurrentState.stack([m.v for m in memories]),
+                   u=RecurrentState.stack([m.u for m in memories]),
+                   episode_tag=tuple(m.episode_tag for m in memories))
+
+    def unstack(self):
+        """Inverse of `stack`: one memory per row, each with its own tag."""
+        return [AgentMemory(v=RecurrentState(self.v.hidden[w], self.v.cell[w]),
+                            u=RecurrentState(self.u.hidden[w], self.u.cell[w]),
+                            episode_tag=tag)
+                for w, tag in enumerate(self.episode_tag)]

@@ -119,52 +119,77 @@ class AgentNets:
         return AgentMemory.zeros(self.sizes.lstm_units, episode_tag)
 
     # -- gradient-free paths (rollout / evaluation) -----------------------
+    #
+    # Each takes one window (V, V, C) with one memory, or a lockstep stack of
+    # W windows (W, V, V, C) with a stacked memory (AgentMemory.stack). Dense
+    # and LSTM inputs are shaped (..., 1, n), so each row of a stack goes
+    # through the same BLAS call as a lone window and gets the same bits.
 
     def encode(self, obs):
-        """Flattened shared-conv features phi(obs) for a single window."""
-        return self.conv.apply(np.asarray(obs, dtype=np.float64)[None]).reshape(-1)
+        """Flattened shared-conv features phi(obs): (q,) or (W, q)."""
+        obs = np.asarray(obs, dtype=np.float64)
+        lead = obs.shape[:-3]
+        feat = self.conv.apply(obs.reshape((-1,) + obs.shape[-3:]))
+        return feat.reshape(lead + (self.q,))
 
-    def act(self, obs, memory, rng, greedy=False):
-        """Sample an action; advances the actor-critic LSTM state only."""
-        feat = self.encode(obs)
-        h = self.ac_fc2.apply(self.ac_fc1.apply(feat[None]))
-        v_h, v_c = self.ac_lstm.apply(h, memory.v.hidden[None], memory.v.cell[None])
-        value = float(self.value_head.apply(v_h)[0, 0])
-        logits = self.policy_head.apply(v_h)[0]
+    def _actor_critic_state(self, feat, memory):
+        h = self.ac_fc2.apply(self.ac_fc1.apply(feat[..., None, :]))
+        return self.ac_lstm.apply(h, memory.v.hidden[..., None, :],
+                                  memory.v.cell[..., None, :])
+
+    def act(self, obs, memory, rng, greedy=False, feat=None):
+        """Sample an action; advances the actor-critic LSTM state only.
+
+        For a stack, `rng` holds one Generator per row and the PolicyOutput
+        fields are arrays over rows. `feat`, when given, is encode(obs),
+        computed once by the caller.
+        """
+        feat = self.encode(obs) if feat is None else feat
+        v_h, v_c = self._actor_critic_state(feat, memory)
+        value = self.value_head.apply(v_h)[..., 0, 0]
+        logits = self.policy_head.apply(v_h)[..., 0, :]
         if not np.isfinite(logits).all():
             raise FloatingPointError(f"non-finite policy logits for seed {self.seed}")
         probs = stable_softmax(logits)
-        action = int(np.argmax(probs)) if greedy else sample_from_probs(probs, rng)
-        new_mem = AgentMemory(v=RecurrentState(v_h[0], v_c[0]), u=memory.u.copy(),
-                              episode_tag=memory.episode_tag)
+        new_mem = AgentMemory(v=RecurrentState(v_h[..., 0, :], v_c[..., 0, :]),
+                              u=memory.u.copy(), episode_tag=memory.episode_tag)
+        if probs.ndim == 1:
+            action = int(np.argmax(probs)) if greedy else sample_from_probs(probs, rng)
+            return PolicyOutput(action=action, probs=probs, value=float(value)), new_mem
+        if greedy:
+            action = np.argmax(probs, axis=-1)
+        else:
+            action = np.array([sample_from_probs(p, r) for p, r in zip(probs, rng)])
         return PolicyOutput(action=action, probs=probs, value=value), new_mem
 
     def value_only(self, obs, memory):
         """Value estimate without sampling, state advance, or RNG use."""
-        feat = self.encode(obs)
-        h = self.ac_fc2.apply(self.ac_fc1.apply(feat[None]))
-        v_h, _ = self.ac_lstm.apply(h, memory.v.hidden[None], memory.v.cell[None])
-        return float(self.value_head.apply(v_h)[0, 0])
+        v_h, _ = self._actor_critic_state(self.encode(obs), memory)
+        value = self.value_head.apply(v_h)[..., 0, 0]
+        return float(value) if value.ndim == 0 else value
 
-    def moa_predict(self, obs, joint_action_onehot, memory):
+    def moa_predict(self, obs, joint_action_onehot, memory, feat=None):
         """Predict the other agents' next actions; advances the MOA LSTM.
 
         joint_action_onehot: flat (N*|A|,) one-hot stacking of the most
-        recent joint action. Returns ((N-1, |A|) probabilities, memory').
+        recent joint action, one per row for a stack. Returns
+        ((..., N-1, |A|) probabilities, memory'). `feat` is as in `act`.
         """
+        feat = self.encode(obs) if feat is None else feat
         joint = np.asarray(joint_action_onehot, dtype=np.float64)
         want = self.num_agents * self.num_actions
-        if joint.shape != (want,):
+        if joint.shape != feat.shape[:-1] + (want,):
             raise ValueError(f"joint action one-hot must have {want} entries, "
                              f"got {joint.shape}")
-        feat = self.encode(obs)
-        h = self.moa_fc2.apply(self.moa_fc1.apply(feat[None]))
-        x = np.concatenate([h, joint[None]], axis=-1)
-        u_h, u_c = self.moa_lstm.apply(x, memory.u.hidden[None], memory.u.cell[None])
-        logits = self.moa_head.apply(u_h)[0].reshape(self.num_agents - 1,
-                                                     self.num_actions)
+        h = self.moa_fc2.apply(self.moa_fc1.apply(feat[..., None, :]))
+        x = np.concatenate([h, joint[..., None, :]], axis=-1)
+        u_h, u_c = self.moa_lstm.apply(x, memory.u.hidden[..., None, :],
+                                       memory.u.cell[..., None, :])
+        logits = self.moa_head.apply(u_h)[..., 0, :].reshape(
+            joint.shape[:-1] + (self.num_agents - 1, self.num_actions))
         probs = stable_softmax(logits, axis=-1)
-        new_mem = AgentMemory(v=memory.v.copy(), u=RecurrentState(u_h[0], u_c[0]),
+        new_mem = AgentMemory(v=memory.v.copy(),
+                              u=RecurrentState(u_h[..., 0, :], u_c[..., 0, :]),
                               episode_tag=memory.episode_tag)
         return probs, new_mem
 
@@ -211,8 +236,10 @@ def moa_loss(predicted, actual):
 
 
 def joint_one_hot(actions, num_actions):
-    """Stack per-agent one-hot blocks into a flat (N*|A|,) vector."""
+    """Stack per-agent one-hot blocks: (..., N) action indices give flat
+    (..., N*|A|) vectors, one per leading index."""
     actions = np.asarray(actions, dtype=np.int64)
-    out = np.zeros(actions.shape[0] * num_actions)
-    out[np.arange(actions.shape[0]) * num_actions + actions] = 1.0
+    n = actions.shape[-1]
+    out = np.zeros(actions.shape[:-1] + (n * num_actions,))
+    np.put_along_axis(out, np.arange(n) * num_actions + actions, 1.0, axis=-1)
     return out

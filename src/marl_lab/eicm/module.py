@@ -21,15 +21,16 @@ def encode(nets, obs):
 
 
 def _forward_input(nets, phi_prev, u_prev, joint_onehot):
+    """Forward-model input rows [phi, u, joint] along the last axis."""
     phi_prev = np.asarray(phi_prev, dtype=np.float64)
     u_prev = np.asarray(u_prev, dtype=np.float64)
     joint = np.asarray(joint_onehot, dtype=np.float64)
     want = nets.num_agents * nets.num_actions
-    if joint.shape != (want,):
+    if joint.shape[-1:] != (want,):
         raise ValueError(f"joint action one-hot must have {want} entries, got {joint.shape}")
-    if phi_prev.shape != (nets.q,):
+    if phi_prev.shape[-1:] != (nets.q,):
         raise ValueError(f"feature vector must have {nets.q} entries, got {phi_prev.shape}")
-    return np.concatenate([phi_prev, u_prev, joint])
+    return np.concatenate([phi_prev, u_prev, joint], axis=-1)
 
 
 def forward_predict(nets, phi_prev, u_prev, joint_onehot):
@@ -59,7 +60,7 @@ def compute_raw_impact(nets, phi_prev, u_prev, joint_onehot, j):
 
 
 def normalize_impacts(raw):
-    """Min-max normalize a row of raw impacts into [0, 1].
+    """Min-max normalize each row (last axis) of raw impacts into [0, 1].
 
     Degenerate rows (all entries equal) map to all-ones, which makes the
     impact-scaled comparison collapse to plain inequity aversion.
@@ -69,26 +70,31 @@ def normalize_impacts(raw):
         return raw.copy()
     if np.any(raw < 0) or not np.isfinite(raw).all():
         raise ValueError("raw impacts must be finite and nonnegative")
-    lo, hi = raw.min(), raw.max()
-    if hi == lo:
-        return np.ones_like(raw)
-    return (raw - lo) / (hi - lo)
+    lo = raw.min(axis=-1, keepdims=True)
+    span = raw.max(axis=-1, keepdims=True) - lo
+    flat = span == 0.0
+    return np.where(flat, 1.0, (raw - lo) / np.where(flat, 1.0, span))
 
 
 def impact_row(nets, phi_prev, u_prev, joint_onehot, k):
     """Normalized impacts of every other agent in view of agent k, ordered by
-    ascending fellow index. The full prediction and all eliminations run as
-    one batched forward pass."""
+    ascending fellow index, plus the raw impacts.
+
+    Takes one sample, (q,) features, (U,) MOA state and (N*|A|,) joint action,
+    or a lockstep stack of W of each, and returns (N-1,) or (W, N-1) rows.
+    Per sample the full prediction and all eliminations run as one batched
+    forward pass of N rows, so a stack gets the bits of W lone calls.
+    """
     others = [j for j in range(nets.num_agents) if j != k]
     base = _forward_input(nets, phi_prev, u_prev, joint_onehot)
-    rows = np.tile(base, (1 + len(others), 1))
+    rows = np.repeat(base[..., None, :], 1 + len(others), axis=-2)
     a = nets.num_actions
     off = nets.q + np.asarray(u_prev).shape[-1]
     for pos, j in enumerate(others):
-        rows[1 + pos, off + j * a: off + (j + 1) * a] = 0.0
+        rows[..., 1 + pos, off + j * a: off + (j + 1) * a] = 0.0
     preds = nets.fwd_out.apply(nets.fwd_fc1.apply(rows))
-    diffs = preds[1:] - preds[0]
-    raw = 0.5 * np.einsum("ij,ij->i", diffs, diffs)
+    diffs = preds[..., 1:, :] - preds[..., :1, :]
+    raw = 0.5 * np.einsum("...ij,...ij->...i", diffs, diffs)
     return normalize_impacts(raw), raw
 
 

@@ -3,8 +3,14 @@
 Each layer owns its parameter Tensors (float64, seeded uniform fan-in init)
 and exposes two call paths: `forward` builds tape nodes for training, `apply`
 is a pure-numpy fast path for rollouts and other gradient-free evaluation.
-The two paths run the same float64 operations in the same order, so their
-outputs are bit-identical.
+The two paths run the same float64 operations in the same order, so on the
+same input shapes their outputs are bit-identical.
+
+`apply` takes leading axes. Its matmuls are `np.matmul` on stacked operands,
+which makes one BLAS call per leading index: a (W, 1, n) input runs W
+one-row calls, each bit-identical to a lone (1, n) input. A flat (W, n)
+input would run one W-row gemm instead, whose rows need not match the
+one-row results.
 """
 
 from __future__ import annotations
@@ -52,13 +58,15 @@ class Conv2d(Layer):
         return T.relu(T.conv2d(x, self.kernel, self.bias))
 
     def apply(self, x):
+        """x: (B, H, W, C). Each window's patches form one (Ho*Wo, 9C) gemm,
+        so a batch row gets the bits of the same window alone."""
         B, H, W, C = x.shape
         if C != self.in_channels or H < 3 or W < 3:
             raise ShapeError(f"conv input {x.shape} incompatible with "
                              f"{self.in_channels}-channel 3x3 kernel")
         Ho, Wo = H - 2, W - 2
         windows = np.lib.stride_tricks.sliding_window_view(x, (3, 3), axis=(1, 2))
-        patches = windows.transpose(0, 1, 2, 4, 5, 3).reshape(B * Ho * Wo, 9 * C)
+        patches = windows.transpose(0, 1, 2, 4, 5, 3).reshape(B, Ho * Wo, 9 * C)
         out = patches @ self.kernel.data.reshape(9 * C, self.filters) + self.bias.data
         out = out.reshape(B, Ho, Wo, self.filters)
         return np.where(out > 0.0, out, 0.0)
@@ -85,6 +93,7 @@ class Dense(Layer):
         return T.relu(y) if self.activation == "relu" else y
 
     def apply(self, x):
+        """x: (..., in_dim); see the module docstring for leading axes."""
         if x.shape[-1] != self.in_dim:
             raise ShapeError(f"dense {self.name}: input dim {x.shape[-1]} != {self.in_dim}")
         y = x @ self.weight.data + self.bias.data
@@ -121,6 +130,7 @@ class LSTMCell(Layer):
         return h_new, c_new
 
     def apply(self, x, h, c):
+        """x: (..., in_dim), h and c: (..., units), with matching leading axes."""
         if h.shape[-1] != self.units or c.shape[-1] != self.units:
             raise ShapeError(f"lstm {self.name}: state dims {h.shape[-1]}/{c.shape[-1]} "
                              f"!= {self.units} units")

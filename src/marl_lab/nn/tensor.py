@@ -5,6 +5,10 @@ back through the handful of operations the agent networks use: matmul,
 broadcast add, elementwise nonlinearities, concat/slice, reshape, reductions,
 3x3 valid convolution, gather, minimum and clip. Everything is float64 and
 every op is deterministic, so repeated forward passes are bit-identical.
+
+A vjp may return None for a parent that does not need a gradient; matmul
+and conv2d do, so backward spends nothing on gradients no one reads (the
+conv's col2im input gradient for observations, say).
 """
 
 from __future__ import annotations
@@ -172,7 +176,8 @@ def matmul(a, b):
     out = a.data @ b.data
 
     def vjp(g):
-        return (g @ b.data.T, a.data.T @ g)
+        return (g @ b.data.T if a.needs_grad else None,
+                a.data.T @ g if b.needs_grad else None)
 
     return _make(out, (a, b), vjp)
 
@@ -346,8 +351,10 @@ def conv2d(x, kernel, bias):
 
     def vjp(g):
         gmat = g.reshape(B * Ho * Wo, cout)
-        gk = (patches.T @ gmat).reshape(3, 3, C, cout)
-        gb = gmat.sum(axis=0)
+        gk = (patches.T @ gmat).reshape(3, 3, C, cout) if kernel.needs_grad else None
+        gb = gmat.sum(axis=0) if bias.needs_grad else None
+        if not x.needs_grad:    # observations: skip the col2im input gradient
+            return (None, gk, gb)
         gpatches = (gmat @ kmat.T).reshape(B, Ho, Wo, 3, 3, C)
         gx = np.zeros_like(x.data)
         for i in range(3):

@@ -52,15 +52,13 @@ class RolloutBuffer:
     def finalize_moa_targets(self):
         """Targets are the other agents' actions one step later; the final
         step of an episode (or of the buffer) has no target."""
-        W, S, N = self.workers, self.steps, self.num_agents
-        for w in range(W):
-            for t in range(S - 1):
-                if self.dones[w, t]:
-                    continue
-                nxt = self.actions[w, t + 1]
-                for k in range(N):
-                    self.moa_targets[w, t, k] = np.delete(nxt, k)
-                self.moa_valid[w, t] = True
+        N = self.num_agents
+        others = np.array([[j for j in range(N) if j != k] for k in range(N)],
+                          dtype=np.int64).reshape(N, N - 1)
+        valid = ~self.dones[:, :-1]
+        self.moa_valid[:, :-1] = valid
+        nxt = self.actions[:, 1:][:, :, others]         # (W, S-1, N, N-1)
+        self.moa_targets[:, :-1, :, :N - 1] = np.where(valid[..., None, None], nxt, 0)
 
     def flat(self, arr):
         """(W, S, ...) -> (W*S, ...) keeping worker-major order."""

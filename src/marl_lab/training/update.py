@@ -49,10 +49,6 @@ def minibatch_views(buffer, idx):
     }
 
 
-def _joint_onehots(actions, num_actions):
-    return np.stack([joint_one_hot(a, num_actions) for a in actions])
-
-
 def composite_loss(nets, k, view, adv, targets, cfg, mode, ppo=True):
     """Build the tape loss for agent k on one minibatch view.
 
@@ -89,7 +85,7 @@ def composite_loss(nets, k, view, adv, targets, cfg, mode, ppo=True):
              "moa_loss": 0.0, "forward_loss": 0.0, "inverse_loss": 0.0}
 
     if mode == "emurel":
-        joint = Tensor(_joint_onehots(view["actions"], nets.num_actions))
+        joint = Tensor(joint_one_hot(view["actions"], nets.num_actions))
         feat_next = nets.encode_tape(Tensor(view["next_obs"][:, k]))
         u_h = Tensor(view["u_h"][:, k])
         u_c = Tensor(view["u_c"][:, k])

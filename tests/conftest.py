@@ -7,6 +7,20 @@ def rng():
     return np.random.default_rng(0)
 
 
+# cleanup_mini with a third spawn point, so impact rows have two fellows and
+# their min-max normalization is not the degenerate all-ones row.
+THREE_AGENT_CLEANUP = [
+    "##########",
+    "#~~ ABBBA#",
+    "#~~ BBABB#",
+    "#~~P BABB#",
+    "#~~P BBAB#",
+    "#~~PBABBB#",
+    "#~~ ABBBA#",
+    "##########",
+]
+
+
 def conv_linear_response(x, kernel, bias):
     """Pre-ReLU conv output, for screening instances away from ReLU kinks."""
     B, H, W, C = x.shape

@@ -161,3 +161,32 @@ def test_minimum_and_clip_gradients(rng):
 def test_relative_error_uses_floor_denominator():
     assert relative_error(np.zeros(3), np.zeros(3)) == 0.0
     assert relative_error(np.array([1e-12]), np.array([0.0])) == pytest.approx(1e-4, rel=1e-6)
+
+
+def test_conv_on_constant_input_gives_the_same_parameter_gradients(rng):
+    # The conv skips its input gradient when the input needs none; the kernel
+    # and bias gradients must not move by a bit.
+    x = rng.normal(size=(3, 6, 6, 4))
+
+    def grads(needs_grad):
+        conv = Conv2d("c", 4, 5, np.random.default_rng(2))
+        inp = Tensor(x, needs_grad=needs_grad)
+        out = conv.forward(inp)
+        T.tsum(T.mul(out, out)).backward()
+        return inp, conv.kernel.grad, conv.bias.grad
+
+    const_in, gk, gb = grads(False)
+    var_in, gk_ref, gb_ref = grads(True)
+    assert gk.tobytes() == gk_ref.tobytes() and gb.tobytes() == gb_ref.tobytes()
+    assert const_in.grad is None
+    assert var_in.grad is not None
+
+
+def test_matmul_skips_gradients_of_constant_operands(rng):
+    a_data, b_data = rng.normal(size=(4, 3)), rng.normal(size=(3, 2))
+    a, b = Tensor(a_data), Tensor(b_data, needs_grad=True)
+    T.tsum(T.matmul(a, b)).backward()
+    a_ref, b_ref = Tensor(a_data, needs_grad=True), Tensor(b_data, needs_grad=True)
+    T.tsum(T.matmul(a_ref, b_ref)).backward()
+    assert a.grad is None
+    assert b.grad.tobytes() == b_ref.grad.tobytes()

@@ -4,17 +4,19 @@ mechanics, evaluation, and full-loop determinism."""
 import numpy as np
 import pytest
 
-from marl_lab.agents import NetSizes
+from marl_lab.agents import AgentNets, NetSizes, joint_one_hot
 from marl_lab.envs import EnvConfig, SSDEnv
 from marl_lab.nn import Tensor
 from marl_lab.nn import tensor as T
 from marl_lab.shaping import ShapingConfig
 from marl_lab.training import (
     RolloutBuffer, ScriptedPolicy, Trainer, TrainerConfig, UniformRandomPolicy,
-    collect_rollouts, composite_loss, compute_advantages, evaluate,
+    RolloutWorker, collect_rollouts, composite_loss, compute_advantages, evaluate,
     minibatch_views,
 )
 from marl_lab.training.update import agent_gradients
+
+from conftest import THREE_AGENT_CLEANUP
 
 SMALL = NetSizes(conv_filters=2, fc_units=8, lstm_units=8, eicm_hidden=8)
 
@@ -104,6 +106,97 @@ class TestCollectRollouts:
         np.testing.assert_array_equal(buffer.moa_targets[w, t, 0],
                                       buffer.actions[w, t + 1, 1:])
         assert not buffer.moa_valid[w, 19]   # episode-final step has no target
+
+
+class TestLockstepBatching:
+    """Workers stepped in lockstep with batched nets fill each worker's slice
+    with exactly the bytes that worker produces alone."""
+
+    ARRAYS = ("obs", "next_obs", "actions", "behavior_logp", "values", "v_h", "v_c",
+              "u_h", "u_c", "extrinsic", "intrinsic", "reshaped", "impact_rows",
+              "dones", "episode_starts", "moa_targets", "moa_valid",
+              "bootstrap_values")
+
+    def setup(self, mode):
+        # 3 agents, so impact rows are not all ones; 14 steps per worker per
+        # collection against 9-step episodes, so collections end mid-episode
+        # and the bootstrap values are exercised.
+        env = EnvConfig(kind="cleanup", map_rows=THREE_AGENT_CLEANUP, num_agents=3,
+                        episode_length=9, view_size=7, initial_waste_fraction=0.2)
+        shaping = ShapingConfig(mode=mode, alpha=0.0 if mode == "baseline" else 5.0,
+                                beta=0.05)
+        agents = [AgentNets(7, env.num_actions, 3, seed=[4, k], sizes=SMALL)
+                  for k in range(3)]
+        return env, shaping, agents
+
+    def collect(self, workers, agents, steps):
+        return collect_rollouts(workers, agents, steps * len(workers), 7,
+                                8, SMALL.lstm_units)
+
+    @pytest.mark.parametrize("mode", ["baseline", "ia", "emurel"])
+    def test_each_worker_slice_equals_its_lone_collection(self, mode):
+        env, shaping, agents = self.setup(mode)
+        steps, W = 14, 3
+        together = [RolloutWorker(env, shaping, 9, w) for w in range(W)]
+        alone = [RolloutWorker(env, shaping, 9, w) for w in range(W)]
+        for _ in range(2):      # the second collection resumes open episodes
+            batched = self.collect(together, agents, steps)
+            singles = [self.collect([worker], agents, steps) for worker in alone]
+            assert not batched.dones[:, -1].all()
+            for name in self.ARRAYS:
+                got = getattr(batched, name)
+                for w, single in enumerate(singles):
+                    want = getattr(single, name)[0]
+                    assert got[w].tobytes() == want.tobytes(), (name, w)
+            keys = [(s.worker, s.episode) for s in batched.episode_stats]
+            assert keys == sorted(keys)
+            lone_stats = [s for single in singles for s in single.episode_stats]
+            assert [(s.worker, s.episode, s.collective_reward, s.equality,
+                     s.per_agent_returns.tobytes()) for s in batched.episode_stats] == \
+                [(s.worker, s.episode, s.collective_reward, s.equality,
+                  s.per_agent_returns.tobytes()) for s in lone_stats]
+
+
+def joint_one_hot_per_sample(actions, num_actions):
+    """The per-sample form the batched joint_one_hot replaced."""
+    out = np.zeros(actions.shape[0] * num_actions)
+    out[np.arange(actions.shape[0]) * num_actions + actions] = 1.0
+    return out
+
+
+def moa_targets_per_sample(buffer):
+    """The W x S x N np.delete loop finalize_moa_targets replaced."""
+    W, S, N = buffer.workers, buffer.steps, buffer.num_agents
+    targets = np.zeros_like(buffer.moa_targets)
+    valid = np.zeros_like(buffer.moa_valid)
+    for w in range(W):
+        for t in range(S - 1):
+            if buffer.dones[w, t]:
+                continue
+            nxt = buffer.actions[w, t + 1]
+            for k in range(N):
+                targets[w, t, k] = np.delete(nxt, k)
+            valid[w, t] = True
+    return targets, valid
+
+
+class TestVectorisedIndexing:
+    def test_joint_one_hot_batch_matches_per_sample(self):
+        actions = np.random.default_rng(3).integers(0, 9, size=(50, 3))
+        want = np.stack([joint_one_hot_per_sample(a, 9) for a in actions])
+        assert joint_one_hot(actions, 9).tobytes() == want.tobytes()
+        assert joint_one_hot(actions[0], 9).tobytes() == want[0].tobytes()
+
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_finalize_moa_targets_matches_per_sample(self, N):
+        rng = np.random.default_rng(N)
+        buffer = RolloutBuffer(3, 17, N, 5, 8, 4)
+        buffer.actions[:] = rng.integers(0, 9, size=buffer.actions.shape)
+        buffer.dones[:] = rng.random(buffer.dones.shape) < 0.2
+        buffer.finalize_moa_targets()
+        targets, valid = moa_targets_per_sample(buffer)
+        assert buffer.moa_targets.tobytes() == targets.tobytes()
+        assert buffer.moa_valid.tobytes() == valid.tobytes()
 
 
 class TestComputeAdvantages:

@@ -1,11 +1,11 @@
 from .module import (
-    compute_raw_impact, encode, forward_loss, forward_loss_tape, forward_predict,
-    forward_predict_without, impact_row, inverse_loss, inverse_loss_tape,
-    inverse_predict, moa_loss_tape, normalize_impacts,
+    eliminate, forward_loss, forward_loss_tape, forward_predict, impact_row,
+    inverse_loss, inverse_loss_tape, inverse_predict, moa_loss_tape,
+    normalize_impacts,
 )
 
 __all__ = [
-    "compute_raw_impact", "encode", "forward_loss", "forward_loss_tape",
-    "forward_predict", "forward_predict_without", "impact_row", "inverse_loss",
-    "inverse_loss_tape", "inverse_predict", "moa_loss_tape", "normalize_impacts",
+    "eliminate", "forward_loss", "forward_loss_tape", "forward_predict",
+    "impact_row", "inverse_loss", "inverse_loss_tape", "inverse_predict",
+    "moa_loss_tape", "normalize_impacts",
 ]

@@ -15,11 +15,6 @@ import numpy as np
 from ..nn import tensor as T
 
 
-def encode(nets, obs):
-    """phi(obs): flattened shared-conv features."""
-    return nets.encode(obs)
-
-
 def _forward_input(nets, phi_prev, u_prev, joint_onehot):
     """Forward-model input rows [phi, u, joint] along the last axis."""
     phi_prev = np.asarray(phi_prev, dtype=np.float64)
@@ -34,29 +29,20 @@ def _forward_input(nets, phi_prev, u_prev, joint_onehot):
 
 
 def forward_predict(nets, phi_prev, u_prev, joint_onehot):
-    """Predicted phi of the next observation."""
+    """Predicted phi of the next observation, one per input row: (q,) for a
+    sample, (..., q) for rows stacked along leading axes."""
     x = _forward_input(nets, phi_prev, u_prev, joint_onehot)
-    return nets.fwd_out.apply(nets.fwd_fc1.apply(x[None]))[0]
+    return nets.fwd_out.apply(nets.fwd_fc1.apply(x))
 
 
-def forward_predict_without(nets, phi_prev, u_prev, joint_onehot, j):
-    """Same prediction with agent j's action block zeroed at the input."""
+def eliminate(nets, joint_onehot, j):
+    """A copy of the joint action(s) with agent j's one-hot block zeroed."""
     if not 0 <= j < nets.num_agents:
         raise ValueError(f"agent index {j} out of range for N={nets.num_agents}")
-    joint = np.asarray(joint_onehot, dtype=np.float64).copy()
+    joint = np.array(joint_onehot, dtype=np.float64)
     a = nets.num_actions
-    joint[j * a:(j + 1) * a] = 0.0
-    x = _forward_input(nets, phi_prev, u_prev, joint)
-    return nets.fwd_out.apply(nets.fwd_fc1.apply(x[None]))[0]
-
-
-def compute_raw_impact(nets, phi_prev, u_prev, joint_onehot, j):
-    """Half squared Euclidean distance between the with- and without-j
-    predictions; nonnegative by construction."""
-    full = forward_predict(nets, phi_prev, u_prev, joint_onehot)
-    without = forward_predict_without(nets, phi_prev, u_prev, joint_onehot, j)
-    diff = full - without
-    return 0.5 * float(diff @ diff)
+    joint[..., j * a:(j + 1) * a] = 0.0
+    return joint
 
 
 def normalize_impacts(raw):
@@ -85,14 +71,15 @@ def impact_row(nets, phi_prev, u_prev, joint_onehot, k):
     Per sample the full prediction and all eliminations run as one batched
     forward pass of N rows, so a stack gets the bits of W lone calls.
     """
-    others = [j for j in range(nets.num_agents) if j != k]
-    base = _forward_input(nets, phi_prev, u_prev, joint_onehot)
-    rows = np.repeat(base[..., None, :], 1 + len(others), axis=-2)
-    a = nets.num_actions
-    off = nets.q + np.asarray(u_prev).shape[-1]
-    for pos, j in enumerate(others):
-        rows[..., 1 + pos, off + j * a: off + (j + 1) * a] = 0.0
-    preds = nets.fwd_out.apply(nets.fwd_fc1.apply(rows))
+    if not 0 <= k < nets.num_agents:
+        raise ValueError(f"agent index {k} out of range for N={nets.num_agents}")
+    joint = np.asarray(joint_onehot, dtype=np.float64)
+    joints = np.stack([joint] + [eliminate(nets, joint, j)
+                                 for j in range(nets.num_agents) if j != k], axis=-2)
+    rows = joints.shape[:-1]
+    phi, u = (np.broadcast_to(np.asarray(v)[..., None, :], rows + np.shape(v)[-1:])
+              for v in (phi_prev, u_prev))
+    preds = forward_predict(nets, phi, u, joints)
     diffs = preds[..., 1:, :] - preds[..., :1, :]
     raw = 0.5 * np.einsum("...ij,...ij->...i", diffs, diffs)
     return normalize_impacts(raw), raw

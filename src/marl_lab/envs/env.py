@@ -8,7 +8,6 @@ Every random draw comes from the state's counter-based stream, so a fixed
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,9 +54,6 @@ class EnvState:
     rng: np.random.Generator
     t: int = 0
     beam_cells: set = field(default_factory=set)   # cells covered by beams last step
-
-    def clone(self):
-        return copy.deepcopy(self)
 
 
 def _rotate_cw(d):

@@ -1,15 +1,15 @@
-from .tensor import Tensor, ShapeError, GraphStateError
-from .layers import Conv2d, Dense, LSTMCell, conv2d_forward, dense_forward, lstm_step
-from .graph import ComputationGraph
-from .optim import Optimizer, OptimizerConfig, optimizer_step, clip_by_global_norm, global_norm
+from .tensor import Tensor, ShapeError
+from .layers import Conv2d, Dense, LSTMCell
+from .graph import ComputationGraph, gradients
+from .optim import Optimizer, OptimizerConfig, clip_by_global_norm, global_norm
 from .gradcheck import finite_difference_check, relative_error
 from .checkpoint import save_checkpoint, load_checkpoint, read_manifest, CheckpointError
 
 __all__ = [
-    "Tensor", "ShapeError", "GraphStateError",
-    "Conv2d", "Dense", "LSTMCell", "conv2d_forward", "dense_forward", "lstm_step",
-    "ComputationGraph",
-    "Optimizer", "OptimizerConfig", "optimizer_step", "clip_by_global_norm", "global_norm",
+    "Tensor", "ShapeError",
+    "Conv2d", "Dense", "LSTMCell",
+    "ComputationGraph", "gradients",
+    "Optimizer", "OptimizerConfig", "clip_by_global_norm", "global_norm",
     "finite_difference_check", "relative_error",
     "save_checkpoint", "load_checkpoint", "read_manifest", "CheckpointError",
 ]

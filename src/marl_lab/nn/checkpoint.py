@@ -41,21 +41,23 @@ def save_checkpoint(path, sections, meta=None):
             f.write(b)
 
 
+def _read_header(f, path):
+    """Check the magic and parse the manifest, leaving f at the first tensor."""
+    if f.read(8) != MAGIC:
+        raise CheckpointError(f"{path}: not a checkpoint file")
+    (mlen,) = struct.unpack("<Q", f.read(8))
+    return json.loads(f.read(mlen).decode("utf-8"))
+
+
 def read_manifest(path):
     with open(path, "rb") as f:
-        if f.read(8) != MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file")
-        (mlen,) = struct.unpack("<Q", f.read(8))
-        return json.loads(f.read(mlen).decode("utf-8"))
+        return _read_header(f, path)
 
 
 def load_checkpoint(path, sections):
     """Load parameters into existing graphs; shapes and names must match."""
     with open(path, "rb") as f:
-        if f.read(8) != MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file")
-        (mlen,) = struct.unpack("<Q", f.read(8))
-        manifest = json.loads(f.read(mlen).decode("utf-8"))
+        manifest = _read_header(f, path)
         by_name = {e["section"]: e for e in manifest["sections"]}
         if set(by_name) != set(sections):
             raise CheckpointError(f"{path}: sections {sorted(by_name)} != "

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .graph import gradients
+
 
 def relative_error(a, b):
     """|a - b| / max(|a|, |b|, 1e-8), elementwise max over arrays."""
@@ -20,7 +22,7 @@ def relative_error(a, b):
 
 
 def finite_difference_check(loss_fn, params, epsilon=1e-4):
-    """Max relative error between backprop and central differences.
+    """Max relative error between tape gradients and central differences.
 
     loss_fn: zero-argument callable re-running the forward pass and returning
         the scalar loss Tensor (a fresh tape each call).
@@ -29,12 +31,7 @@ def finite_difference_check(loss_fn, params, epsilon=1e-4):
     """
     if not (1e-6 <= epsilon <= 1e-3):
         raise ValueError(f"epsilon {epsilon} outside [1e-6, 1e-3]")
-    for _, p in params:
-        p.grad = None
-    loss = loss_fn()
-    loss.backward()
-    analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-                for name, p in params}
+    analytic = gradients(params, loss_fn())
 
     worst = 0.0
     for name, p in params:

@@ -1,17 +1,28 @@
-"""ComputationGraph: an ordered, named collection of layers.
+"""ComputationGraph: an ordered, named collection of layers, and `gradients`,
+which turns a scalar loss into one gradient array per parameter.
 
 The graph owns the parameter tensors in declaration order (which is also the
-checkpoint serialization order), records the most recent forward tape, and
-turns a scalar loss into one gradient array per parameter. A graph instance
-is single-writer: one trainer mutates parameters, readers only between
-update barriers.
+checkpoint serialization order). A graph instance is single-writer: one
+trainer mutates parameters, readers only between update barriers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import GraphStateError, Tensor
+
+def gradients(params, loss):
+    """Backprop `loss` once; {name: grad} over the (name, Tensor) pairs in
+    `params`, shape-identical to each parameter, with exact zeros where the
+    loss does not touch one. `.grad` is cleared before and after."""
+    for _, p in params:
+        p.grad = None
+    loss.backward()
+    grads = {}
+    for name, p in params:
+        grads[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
+        p.grad = None
+    return grads
 
 
 class ComputationGraph:
@@ -19,7 +30,6 @@ class ComputationGraph:
         self.name = name
         self.seed = seed
         self._layers = []       # (name, layer), declaration order
-        self._recorded = None   # last scalar loss Tensor
 
     def add(self, layer):
         self._layers.append((layer.name, layer))
@@ -46,34 +56,6 @@ class ComputationGraph:
             })
         return nodes
 
-    def record(self, loss):
-        """Register the scalar loss of a completed forward pass."""
-        if not isinstance(loss, Tensor) or loss.data.size != 1:
-            raise GraphStateError("record expects the scalar loss Tensor of a forward pass")
-        self._recorded = loss
-        return loss
-
-    def backprop(self, loss=None):
-        """Reverse-mode gradients for every parameter, as {name: array}.
-
-        Uses the recorded loss when none is passed. Gradients are always
-        returned shape-identical to their parameters; parameters the loss
-        does not touch get exact zeros.
-        """
-        if loss is None:
-            loss = self._recorded
-        if loss is None:
-            raise GraphStateError(f"{self.name}: backward requested before any forward pass")
-        params = self.parameters()
-        for _, p in params:
-            p.grad = None
-        loss.backward()
-        grads = {}
-        for name, p in params:
-            grads[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
-        self._recorded = None
-        return grads
-
     def set_parameters(self, arrays):
         """Load {name: array} into the graph, shape-checked."""
         for name, p in self.parameters():
@@ -85,7 +67,3 @@ class ComputationGraph:
                                  f"{arr.shape} != {p.data.shape}")
             p.data = arr.copy()
 
-    def check_finite(self):
-        for name, p in self.parameters():
-            if not np.isfinite(p.data).all():
-                raise FloatingPointError(f"{self.name}: non-finite values in {name}")

@@ -150,49 +150,3 @@ class LSTMCell(Layer):
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
-
-def conv2d_forward(x, kernel, bias):
-    """Functional form of the conv layer: ReLU(valid 3x3 cross-correlation + bias).
-
-    x: (H, W, C) single window or (B, H, W, C) batch; kernel (3, 3, C, F).
-    """
-    kernel = np.asarray(kernel, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    if kernel.ndim != 4 or kernel.shape[:2] != (3, 3):
-        raise ShapeError(f"kernel must be (3,3,C,F), got {kernel.shape}")
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 3
-    if single:
-        x = x[None]
-    lay = Conv2d.__new__(Conv2d)
-    lay.name, lay.in_channels, lay.filters = "conv", kernel.shape[2], kernel.shape[3]
-    lay.kernel, lay.bias = Tensor(kernel), Tensor(bias)
-    out = lay.apply(x)
-    return out[0] if single else out
-
-
-def dense_forward(x, weights, bias, activation="linear"):
-    """Functional dense: act(x @ W + b) with W of shape (n, m)."""
-    weights = np.asarray(weights, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if weights.ndim != 2 or weights.shape[0] != x.shape[-1] or weights.shape[1] != bias.shape[0]:
-        raise ShapeError(f"dense shapes disagree: x {x.shape}, W {weights.shape}, b {bias.shape}")
-    y = x @ weights + bias
-    if activation == "relu":
-        return np.where(y > 0.0, y, 0.0)
-    if activation == "linear":
-        return y
-    raise ValueError(f"unknown activation {activation!r}")
-
-
-def lstm_step(x, state, w_x, w_h, bias):
-    """Functional LSTM step on a single vector. state is (hidden, cell);
-    returns (output, (hidden', cell')) with output == hidden'."""
-    h, c = (np.asarray(state[0], dtype=np.float64), np.asarray(state[1], dtype=np.float64))
-    units = h.shape[-1]
-    lay = LSTMCell.__new__(LSTMCell)
-    lay.name, lay.in_dim, lay.units = "lstm", np.asarray(x).shape[-1], units
-    lay.w_x, lay.w_h, lay.bias = Tensor(w_x), Tensor(w_h), Tensor(bias)
-    h2, c2 = lay.apply(np.asarray(x, dtype=np.float64), h, c)
-    return h2, (h2, c2)

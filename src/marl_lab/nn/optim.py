@@ -44,8 +44,8 @@ class Optimizer:
     """Applies updates to a ComputationGraph's parameters.
 
     One instance per graph; Adam moment buffers are keyed by parameter name.
-    Non-finite gradients abort the run with a diagnostic, per the training
-    contract.
+    Non-finite or mis-shaped gradients abort the run with a diagnostic, per
+    the training contract.
     """
 
     def __init__(self, graph, config: OptimizerConfig):
@@ -62,11 +62,15 @@ class Optimizer:
             if not np.isfinite(g).all():
                 raise FloatingPointError(
                     f"non-finite gradient for {name} at optimizer step {self.step_count}")
-        norm = global_norm(grads)
-        if self.config.grad_clip_norm is not None:
-            grads, _ = clip_by_global_norm(grads, self.config.grad_clip_norm)
-        self.step_count += 1
+            if g.shape != params[name].data.shape:
+                raise ValueError(f"gradient/parameter shape mismatch for {name}: "
+                                 f"{g.shape} != {params[name].data.shape}")
         cfg = self.config
+        if cfg.grad_clip_norm is not None:
+            grads, norm = clip_by_global_norm(grads, cfg.grad_clip_norm)
+        else:
+            norm = global_norm(grads)
+        self.step_count += 1
         if cfg.kind == "sgd":
             for name, g in grads.items():
                 params[name].data -= cfg.learning_rate * g
@@ -89,33 +93,3 @@ class Optimizer:
                 params[name].data -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.epsilon)
         return norm
 
-
-def optimizer_step(params, grads, config: OptimizerConfig, state=None):
-    """Functional single update over {name: array} dicts; returns (params', state').
-
-    state carries (step_count, m, v) for Adam and may be threaded through calls.
-    """
-    for name, g in grads.items():
-        if not np.isfinite(np.asarray(g)).all():
-            raise FloatingPointError(f"non-finite gradient for {name}")
-        if np.asarray(g).shape != np.asarray(params[name]).shape:
-            raise ValueError(f"gradient/parameter shape mismatch for {name}")
-    garrs = {k: np.asarray(g, dtype=np.float64) for k, g in grads.items()}
-    if config.grad_clip_norm is not None:
-        garrs, _ = clip_by_global_norm(garrs, config.grad_clip_norm)
-    out = {k: np.asarray(v, dtype=np.float64).copy() for k, v in params.items()}
-    if config.kind == "sgd":
-        for name, g in garrs.items():
-            out[name] -= config.learning_rate * g
-        return out, state
-    step, m, v = state if state is not None else (0, {}, {})
-    step += 1
-    bc1 = 1.0 - config.beta1 ** step
-    bc2 = 1.0 - config.beta2 ** step
-    m = dict(m)
-    v = dict(v)
-    for name, g in garrs.items():
-        m[name] = config.beta1 * m.get(name, np.zeros_like(g)) + (1 - config.beta1) * g
-        v[name] = config.beta2 * v.get(name, np.zeros_like(g)) + (1 - config.beta2) * (g * g)
-        out[name] -= config.learning_rate * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + config.epsilon)
-    return out, (step, m, v)

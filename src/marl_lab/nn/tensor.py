@@ -20,10 +20,6 @@ class ShapeError(ValueError):
     """Raised when operand shapes are inconsistent with an operation."""
 
 
-class GraphStateError(RuntimeError):
-    """Raised when backward is requested without a recorded forward pass."""
-
-
 class Tensor:
     __slots__ = ("data", "grad", "needs_grad", "_parents", "_vjp")
 
@@ -131,10 +127,6 @@ def _make(data, parents, vjp):
 def constant(x):
     """Wrap an array as a non-differentiable tensor."""
     return Tensor(x, needs_grad=False)
-
-
-def stop_gradient(t):
-    return Tensor(t.data, needs_grad=False)
 
 
 def add(a, b):

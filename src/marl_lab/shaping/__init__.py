@@ -1,9 +1,9 @@
 from .rewards import (
-    MODES, RewardShaper, ShapingConfig, ShapingState, emurel_intrinsic,
-    gini_equality, ia_intrinsic, reshape_reward, update_smoothed,
+    MODES, RewardShaper, ShapingConfig, emurel_intrinsic, gini_equality,
+    ia_intrinsic, reshape_reward, update_smoothed,
 )
 
 __all__ = [
-    "MODES", "RewardShaper", "ShapingConfig", "ShapingState", "emurel_intrinsic",
-    "gini_equality", "ia_intrinsic", "reshape_reward", "update_smoothed",
+    "MODES", "RewardShaper", "ShapingConfig", "emurel_intrinsic", "gini_equality",
+    "ia_intrinsic", "reshape_reward", "update_smoothed",
 ]

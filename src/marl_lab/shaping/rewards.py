@@ -8,7 +8,7 @@ state is the smoothed-reward vector carried across a single episode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,19 +32,6 @@ class ShapingConfig:
             raise ValueError("smoothing lambda and gamma must lie in [0, 1]")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("aversion parameters must be nonnegative")
-
-
-@dataclass
-class ShapingState:
-    """Per-environment smoothed extrinsic rewards, zeroed at episode start."""
-    w: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    @classmethod
-    def zeros(cls, num_agents):
-        return cls(w=np.zeros(num_agents))
-
-    def reset(self):
-        self.w[:] = 0.0
 
 
 def update_smoothed(w, extrinsic, gamma, lam):
@@ -119,9 +106,10 @@ def gini_equality(returns):
 class RewardShaper:
     """Per-environment shaping pipeline: smooth, compare, combine.
 
-    Owns one ShapingState; `step` consumes the per-agent extrinsic rewards
-    and (in emurel mode) the per-agent normalized impact rows, returning the
-    per-agent (extrinsic, intrinsic, reshaped) triple for the step.
+    Owns `w`, the smoothed extrinsic rewards, zeroed at episode start; `step`
+    consumes the per-agent extrinsic rewards and (in emurel mode) the
+    per-agent normalized impact rows, returning the per-agent (extrinsic,
+    intrinsic, reshaped) triple for the step.
     """
 
     def __init__(self, config: ShapingConfig, num_agents):
@@ -129,28 +117,27 @@ class RewardShaper:
             raise ValueError("ia/emurel modes need at least two agents")
         self.config = config
         self.num_agents = num_agents
-        self.state = ShapingState.zeros(num_agents)
+        self.w = np.zeros(num_agents)
 
     def reset(self):
-        self.state.reset()
+        self.w[:] = 0.0
 
     def step(self, extrinsic, impact_rows=None):
         """impact_rows: (N, N-1) normalized impacts, agent k's row ordered by
         ascending fellow index; required in emurel mode, ignored otherwise."""
         cfg = self.config
         e = np.asarray(extrinsic, dtype=np.float64)
-        self.state.w = update_smoothed(self.state.w, e,
-                                       cfg.smoothing_gamma, cfg.smoothing_lambda)
+        self.w = update_smoothed(self.w, e, cfg.smoothing_gamma, cfg.smoothing_lambda)
         n = self.num_agents
         intrinsic = np.zeros(n)
         if cfg.mode == "ia":
             for k in range(n):
-                intrinsic[k] = ia_intrinsic(self.state.w, k, cfg.alpha, cfg.beta)
+                intrinsic[k] = ia_intrinsic(self.w, k, cfg.alpha, cfg.beta)
         elif cfg.mode == "emurel":
             if impact_rows is None:
                 raise ValueError("emurel mode requires impact rows")
             for k in range(n):
-                intrinsic[k] = emurel_intrinsic(self.state.w, impact_rows[k], k,
+                intrinsic[k] = emurel_intrinsic(self.w, impact_rows[k], k,
                                                 cfg.alpha, cfg.beta)
         reshaped = reshape_reward(e, intrinsic, cfg.combine_alpha, cfg.combine_beta)
         return e, intrinsic, reshaped

@@ -14,23 +14,8 @@ import numpy as np
 
 from ..agents.nets import joint_one_hot
 from ..eicm import forward_loss_tape, inverse_loss_tape, moa_loss_tape
-from ..nn import Tensor
+from ..nn import Tensor, gradients
 from ..nn import tensor as T
-from ..nn.optim import global_norm
-
-
-def agent_gradients(nets, loss):
-    """Backprop once; harvest {name: grad} over every section, zeros where
-    the loss does not touch a parameter."""
-    params = nets.parameters()
-    for _, p in params:
-        p.grad = None
-    loss.backward()
-    grads = {}
-    for name, p in params:
-        grads[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
-        p.grad = None
-    return grads
 
 
 def minibatch_views(buffer, idx):
@@ -129,9 +114,8 @@ def ppo_update(agents, buffer, advantages, value_targets, cfg, mode, optimizers,
                 adv = normalize_advantages(adv_flat[idx, k])
                 loss, terms = composite_loss(nets, k, view, adv, tgt_flat[idx, k],
                                              cfg, mode, ppo=True)
-                grads = agent_gradients(nets, loss)
-                grad_norms.append(global_norm(grads))
-                optimizers[k].step(grads)
+                grads = gradients(nets.parameters(), loss)
+                grad_norms.append(optimizers[k].step(grads))
                 for key, val in terms.items():
                     sums[key] = sums.get(key, 0.0) + val
                 count += 1
@@ -154,7 +138,7 @@ def a2c_sync_update(agents, buffer, advantages, value_targets, cfg, mode, optimi
             adv = advantages[w, :, k]
             loss, terms = composite_loss(nets, k, view, adv, value_targets[w, :, k],
                                          cfg, mode, ppo=False)
-            grads = agent_gradients(nets, loss)
+            grads = gradients(nets.parameters(), loss)
             if avg is None:
                 avg = {name: g / W for name, g in grads.items()}
             else:
@@ -163,8 +147,7 @@ def a2c_sync_update(agents, buffer, advantages, value_targets, cfg, mode, optimi
             for key, val in terms.items():
                 sums[key] = sums.get(key, 0.0) + val
             count += 1
-        grad_norms.append(global_norm(avg))
-        optimizers[k].step(avg)
+        grad_norms.append(optimizers[k].step(avg))
     out = {key: val / max(count, 1) for key, val in sums.items()}
     out["grad_norm"] = float(np.mean(grad_norms)) if grad_norms else 0.0
     return out

@@ -17,7 +17,7 @@ import pytest
 from marl_lab.agents import AgentNets, NetSizes, joint_one_hot
 from marl_lab.cli import resolve_spec, run_single_seed, summarize, format_table
 from marl_lab.eicm import (
-    compute_raw_impact, forward_loss_tape, inverse_loss_tape, normalize_impacts,
+    forward_loss_tape, impact_row, inverse_loss_tape, normalize_impacts,
 )
 from marl_lab.envs import EnvConfig, SSDEnv, cleanup_spawn_rate
 from marl_lab.envs.env import EAST, FIRE_PUNISH, MOVE_UP, NOOP, APPLE
@@ -290,8 +290,8 @@ def test_elimination_correctness():
         rng = np.random.default_rng(0)
         phi = rng.normal(size=nets.q)
         joint = joint_one_hot([2, 5, 7], 9)
-        for j in (1, 2):
-            assert compute_raw_impact(nets, phi, np.zeros(8), joint, j) == 0.0
+        _, raw = impact_row(nets, phi, np.zeros(8), joint, 0)
+        np.testing.assert_array_equal(raw, [0.0, 0.0])      # fellows 1 and 2
 
         rng = np.random.default_rng(20240004)
         for _ in range(10000):

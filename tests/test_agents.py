@@ -8,7 +8,7 @@ from marl_lab.agents import (
     AgentNets, EpisodeMixError, NetSizes, joint_one_hot, moa_loss,
 )
 from marl_lab.eicm import moa_loss_tape
-from marl_lab.nn import Optimizer, OptimizerConfig, Tensor
+from marl_lab.nn import Optimizer, OptimizerConfig, Tensor, gradients
 
 SMALL = NetSizes(conv_filters=2, fc_units=8, lstm_units=8, eicm_hidden=8)
 
@@ -124,15 +124,9 @@ class TestMoaPredict:
             feat = nets.encode_tape(Tensor(observations))
             loss = moa_loss_tape(nets, feat, Tensor(joints), Tensor(u0), Tensor(u0),
                                  targets, mask)
+            grads = gradients(nets.encoder.parameters() + nets.moa.parameters(), loss)
             for g, opt in zip(graphs, opts):
-                g.record(loss)
-            loss.backward()
-            for g, opt in zip(graphs, opts):
-                grads = {n: (p.grad if p.grad is not None else np.zeros_like(p.data))
-                         for n, p in g.parameters()}
-                opt.step(grads)
-                for _, p in g.parameters():
-                    p.grad = None
+                opt.step({n: grads[n] for n, _ in g.parameters()})
 
         probs, _ = nets.moa_predict(observations[0], joints[0], nets.fresh_memory())
         assert probs[0, 0] > 0.9

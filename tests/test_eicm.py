@@ -9,11 +9,12 @@ from hypothesis.extra import numpy as hnp
 
 from marl_lab.agents import AgentNets, NetSizes, joint_one_hot
 from marl_lab.eicm import (
-    compute_raw_impact, forward_loss, forward_loss_tape, forward_predict,
-    forward_predict_without, impact_row, inverse_loss, inverse_loss_tape,
-    inverse_predict, normalize_impacts,
+    eliminate, forward_loss, forward_loss_tape, forward_predict, impact_row,
+    inverse_loss, inverse_loss_tape, inverse_predict, normalize_impacts,
 )
-from marl_lab.nn import Optimizer, OptimizerConfig, Tensor, finite_difference_check
+from marl_lab.nn import (
+    Optimizer, OptimizerConfig, Tensor, finite_difference_check, gradients,
+)
 
 SMALL = NetSizes(conv_filters=2, fc_units=8, lstm_units=8, eicm_hidden=8)
 
@@ -87,10 +88,7 @@ class TestForwardPredict:
         opt = Optimizer(nets.forward_model, OptimizerConfig(kind="adam",
                                                             learning_rate=0.02))
         for _ in range(400):
-            loss = loss_fn()
-            nets.forward_model.record(loss)
-            grads = nets.forward_model.backprop()
-            opt.step(grads)
+            opt.step(gradients(nets.forward_model.parameters(), loss_fn()))
         assert float(loss_fn().data) < 1e-3 * initial
 
 
@@ -103,9 +101,9 @@ class TestElimination:
         phi = np.random.default_rng(0).normal(size=nets.q)
         joint = joint_one_hot([4, 6], 9)
         full = forward_predict(nets, phi, np.zeros(8), joint)
-        without = forward_predict_without(nets, phi, np.zeros(8), joint, 1)
+        without = forward_predict(nets, phi, np.zeros(8), eliminate(nets, joint, 1))
         np.testing.assert_array_equal(full, without)
-        assert compute_raw_impact(nets, phi, np.zeros(8), joint, 1) == 0.0
+        np.testing.assert_array_equal(impact_row(nets, phi, np.zeros(8), joint, 0)[1], [0.0])
 
     def test_elimination_differs_from_noop(self):
         # zeroing the block is not one-hot at the noop action
@@ -113,7 +111,7 @@ class TestElimination:
         phi = np.random.default_rng(1).normal(size=nets.q)
         joint = joint_one_hot([0, 3], 9)
         noop_joint = joint_one_hot([0, 6], 9)   # action 6 is noop
-        eliminated = forward_predict_without(nets, phi, np.zeros(8), joint, 1)
+        eliminated = forward_predict(nets, phi, np.zeros(8), eliminate(nets, joint, 1))
         noop = forward_predict(nets, phi, np.zeros(8), noop_joint)
         assert not np.allclose(eliminated, noop)
 
@@ -125,7 +123,7 @@ class TestElimination:
         u = rng.normal(size=8) * 0.2
         joint = joint_one_hot([2, 5], 9)
         full = forward_predict(nets, phi, u, joint)
-        deltas = sum(full - forward_predict_without(nets, phi, u, joint, j)
+        deltas = sum(full - forward_predict(nets, phi, u, eliminate(nets, joint, j))
                      for j in range(2))
         both = forward_predict(nets, phi, u, np.zeros_like(joint))
         assert not np.allclose(deltas, full - both)
@@ -144,7 +142,7 @@ class TestElimination:
         nets.fwd_out.weight.data[0, 1] = -0.5
         nets.fwd_out.bias.data = np.zeros(2)
         joint = joint_one_hot([0, 0], 9)
-        impact = compute_raw_impact(nets, np.zeros(2), np.zeros(8), joint, 1)
+        (impact,) = impact_row(nets, np.zeros(2), np.zeros(8), joint, 0)[1]
         assert impact == pytest.approx(1.0, abs=1e-12)
 
     def test_raw_impact_nonnegative_and_pure(self):
@@ -165,15 +163,16 @@ class TestElimination:
         u = np.zeros(8)
         j1 = joint_one_hot([0, 2], 9)
         j2 = joint_one_hot([0, 7], 9)   # only agent 1's action differs
-        p1 = forward_predict_without(nets, phi, u, j1, 1)
-        p2 = forward_predict_without(nets, phi, u, j2, 1)
+        p1 = forward_predict(nets, phi, u, eliminate(nets, j1, 1))
+        p2 = forward_predict(nets, phi, u, eliminate(nets, j2, 1))
         np.testing.assert_array_equal(p1, p2)
 
     def test_out_of_range_agent_rejected(self):
         nets = small_nets()
         with pytest.raises(ValueError):
-            forward_predict_without(nets, np.zeros(nets.q), np.zeros(8),
-                                    joint_one_hot([0, 0], 9), 2)
+            eliminate(nets, joint_one_hot([0, 0], 9), 2)
+        with pytest.raises(ValueError):
+            impact_row(nets, np.zeros(nets.q), np.zeros(8), joint_one_hot([0, 0], 9), 2)
 
 
 class TestNormalizeImpacts:
@@ -220,8 +219,7 @@ class TestInverseModel:
         for _ in range(300):
             loss = inverse_loss_tape(nets, Tensor(phi_prev), Tensor(phi_curr),
                                      Tensor(u), actions)
-            nets.inverse_model.record(loss)
-            opt.step(nets.inverse_model.backprop())
+            opt.step(gradients(nets.inverse_model.parameters(), loss))
         probs = inverse_predict(nets, phi_prev[0], phi_curr[0], u[0])
         assert probs[0, 3] > 0.99 and probs[1, 5] > 0.99
 

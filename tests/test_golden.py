@@ -1,10 +1,11 @@
-"""Golden digests: the sha256 of metrics.csv for a small training matrix.
+"""Golden digests: the sha256 of metrics.csv and of the final checkpoints for
+a small training matrix.
 
 Every cell of {baseline, ia, emurel} x {ppo, a2c_sync} runs two updates of a
-three-agent mini Cleanup with small nets and writes its rows with
-`MetricsWriter`, exactly as `marl-lab run` does. The digests pin every bit of
-every metric, so a change that moves any number fails here and must re-pin in
-the same diff, saying why.
+three-agent mini Cleanup with small nets, writes its rows with `MetricsWriter`
+and saves each agent with `save_agents`, exactly as `marl-lab run` does. The
+digests pin every bit of every metric and every parameter, so a change that
+moves any number fails here and must re-pin in the same diff, saying why.
 
 float64 BLAS results may differ between builds and CPU kernels, so the digests
 are stored with the fingerprint of the build that produced them. On another
@@ -14,13 +15,17 @@ Print the digests of the current build with
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import functools
 import hashlib
+import os
 import platform
+import tempfile
 
 import numpy as np
 import pytest
 
 from marl_lab.agents import NetSizes
+from marl_lab.cli.experiment import save_agents
 from marl_lab.envs import EnvConfig
 from marl_lab.shaping import ShapingConfig
 from marl_lab.training import Trainer, TrainerConfig
@@ -44,6 +49,40 @@ DIGESTS = {
     "ia-a2c_sync": "02c4e981317f62dae05c87b5368ed9c9f87c7aa88370e1e41414eb60969fb887",
     "emurel-ppo": "69579707cc65d2ca6569a5b8a2a1704e993dd808e7607b13a44df1a114708d0a",
     "emurel-a2c_sync": "355de84051a19cc0b78e6e0c5957b844db083d605f0bd48448279696a2c15761",
+}
+
+# Final checkpoint of agent 0, 1, 2, as `save_agents` writes it.
+CHECKPOINT_DIGESTS = {
+    "baseline-ppo": [
+        "1e6201cc5d485dd53758f451e1f868235deacc37aad7333a83bb78a4acd5724f",
+        "5059634ce86f1c6845792c7c5739e725cc3c1ae2c7379618ce66c3ee6bb38cd8",
+        "b705cdccfa9cdee25246e04cda6cda75600e251851b2e3eb91002384a751d0f5",
+    ],
+    "baseline-a2c_sync": [
+        "e2f42b38045ac9c502de968e9f1d03bdb803ec6c9e59539565c79a60265f3c01",
+        "d331109640b26dcaa503466c014f38fbf3651d8a4daf255b43107f56dcbe2633",
+        "2fd391ecce8fd9368be358f329df9799d7879dd411fe95fdcf60926db246a95b",
+    ],
+    "ia-ppo": [
+        "9aa41d8bf11aa516574d0f97019fdba71e5ce5a5c1600be2b26cb863b445c8b1",
+        "a8b94b19f9ffa67e2f9fea1f246f91aa32fc6f41493fb91b307049477df364a3",
+        "224304e02237f72bd169462a1cdef0a2c7164ba54774ad0ff4c7ef49542c8a6e",
+    ],
+    "ia-a2c_sync": [
+        "9fb8ed8f3b1e6a24c7bc80b0d2382f2ec0b952a8b10440d009f8a17f5c176ada",
+        "80b19a4236bd7bf6c10b8f1cd90223d72488a3e72afbcaba2b96ee4b1f5b9a7a",
+        "20e03249d23aa8d23a5f68022829645d0065c2568f3987ee019eedea5f47701f",
+    ],
+    "emurel-ppo": [
+        "42d22a26cd4e16fbd43b16cbab558b3fbd30a1a1f2f8a0c5ff7c5f751592e897",
+        "acf0e938d7b03690da27e14286cd19ec3bc521a2a53ccd5dec14a0a9b07ff79b",
+        "4924fa81ed22df2750b13ffca2e0331a1f601f5a9d226f6092d454291bb43fdc",
+    ],
+    "emurel-a2c_sync": [
+        "74e96ea844e89a09b1bd23e4d95f1a185f28608b82eac73e5d9e32ba4577ecb2",
+        "2051b353b01800de70e8afb8cc04213177445f77eb4cfc4f8d7636c893e779b7",
+        "1d36470671a3f266d77bbab7d3ead2a77fa8742856412af5b54ebcf68e7fcb9b",
+    ],
 }
 
 
@@ -70,14 +109,24 @@ def golden_trainer(mode, algo):
     return Trainer(env, shaping, cfg, sizes=SMALL)
 
 
-def metrics_digest(mode, algo, path, updates=2):
-    writer = MetricsWriter(path)
-    try:
-        golden_trainer(mode, algo).run(updates, on_update=lambda row, *_: writer.write_row(row))
-    finally:
-        writer.close()
+def sha256_of(path):
     with open(path, "rb") as f:
         return hashlib.sha256(f.read()).hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def golden_digests(mode, algo, updates=2):
+    """(metrics.csv digest, [final checkpoint digest per agent]) of one cell."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "metrics.csv")
+        writer = MetricsWriter(path)
+        trainer = golden_trainer(mode, algo)
+        try:
+            trainer.run(updates, on_update=lambda row, *_: writer.write_row(row))
+        finally:
+            writer.close()
+        ckpts = save_agents(trainer, os.path.join(tmp, "checkpoints"), trainer.env_steps)
+        return sha256_of(path), [sha256_of(p) for p in ckpts]
 
 
 CELLS = [(mode, algo) for mode in ("baseline", "ia", "emurel")
@@ -85,18 +134,32 @@ CELLS = [(mode, algo) for mode in ("baseline", "ia", "emurel")
 
 
 @pytest.mark.parametrize("mode,algo", CELLS)
-def test_metrics_csv_matches_golden_digest(mode, algo, tmp_path):
+def test_metrics_csv_matches_golden_digest(mode, algo):
     here = fingerprint()
     if here != FINGERPRINT:
         pytest.skip(f"digests were pinned on {FINGERPRINT}; this build is {here}")
-    got = metrics_digest(mode, algo, tmp_path / "metrics.csv")
+    got, _ = golden_digests(mode, algo)
     assert got == DIGESTS[f"{mode}-{algo}"], (
         f"metrics.csv of {mode}-{algo} moved; re-pin only for a deliberate numeric change")
 
 
+@pytest.mark.parametrize("mode,algo", CELLS)
+def test_final_checkpoints_match_golden_digest(mode, algo):
+    here = fingerprint()
+    if here != FINGERPRINT:
+        pytest.skip(f"digests were pinned on {FINGERPRINT}; this build is {here}")
+    _, got = golden_digests(mode, algo)
+    assert got == CHECKPOINT_DIGESTS[f"{mode}-{algo}"], (
+        f"final checkpoints of {mode}-{algo} moved; re-pin only for a deliberate "
+        f"numeric change")
+
+
 if __name__ == "__main__":
-    import tempfile
     print(fingerprint())
-    with tempfile.TemporaryDirectory() as tmp:
-        for mode, algo in CELLS:
-            print(f'    "{mode}-{algo}": "{metrics_digest(mode, algo, f"{tmp}/m.csv")}",')
+    runs = {f"{mode}-{algo}": golden_digests(mode, algo) for mode, algo in CELLS}
+    print("DIGESTS")
+    for cell, (metrics, _) in runs.items():
+        print(f'    "{cell}": "{metrics}",')
+    print("CHECKPOINT_DIGESTS")
+    for cell, (_, ckpts) in runs.items():
+        print(f'    "{cell}": {ckpts},')

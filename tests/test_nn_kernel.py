@@ -1,5 +1,6 @@
-"""Layer-level oracles: hand-evaluated conv / dense / LSTM cases, softmax
-normalization, optimizer updates, checkpoint round trips."""
+"""Layer-level oracles: hand-evaluated conv / dense / LSTM cases on layers
+whose parameters are set by hand, softmax normalization, optimizer updates,
+checkpoint round trips."""
 
 import math
 
@@ -10,50 +11,69 @@ from hypothesis import strategies as st
 
 from marl_lab.nn import (
     ComputationGraph, Conv2d, Dense, LSTMCell, Optimizer, OptimizerConfig,
-    ShapeError, Tensor, conv2d_forward, dense_forward, load_checkpoint, lstm_step,
-    optimizer_step, read_manifest, save_checkpoint,
+    ShapeError, Tensor, load_checkpoint, read_manifest, save_checkpoint,
 )
 from marl_lab.nn import tensor as T
 
 
+def conv(kernel, bias):
+    lay = Conv2d("conv", kernel.shape[2], kernel.shape[3], np.random.default_rng(0))
+    lay.kernel.data, lay.bias.data = kernel, bias
+    return lay
+
+
+def dense(weights, bias, activation="linear"):
+    lay = Dense("dense", *weights.shape, np.random.default_rng(0), activation=activation)
+    lay.weight.data, lay.bias.data = weights, bias
+    return lay
+
+
+def lstm(w_x, w_h, bias):
+    lay = LSTMCell("lstm", w_x.shape[0], w_h.shape[0], np.random.default_rng(0))
+    lay.w_x.data, lay.w_h.data, lay.bias.data = w_x, w_h, bias
+    return lay
+
+
 class TestConv2dForward:
     def test_zero_input_gives_zero_output(self, rng):
-        x = np.zeros((6, 5, 1))
+        x = np.zeros((1, 6, 5, 1))
         k = rng.normal(size=(3, 3, 1, 4))
-        out = conv2d_forward(x, k, np.zeros(4))
-        assert out.shape == (4, 3, 4)
+        out = conv(k, np.zeros(4)).apply(x)
+        assert out.shape == (1, 4, 3, 4)
         assert np.all(out == 0.0)
 
     def test_center_identity_kernel_reproduces_interior(self, rng):
-        x = rng.uniform(0.0, 2.0, size=(7, 7, 1))
+        x = rng.uniform(0.0, 2.0, size=(1, 7, 7, 1))
         k = np.zeros((3, 3, 1, 1))
         k[1, 1, 0, 0] = 1.0
-        out = conv2d_forward(x, k, np.zeros(1))
-        np.testing.assert_array_equal(out[:, :, 0], x[1:-1, 1:-1, 0])
+        out = conv(k, np.zeros(1)).apply(x)
+        np.testing.assert_array_equal(out[0, :, :, 0], x[0, 1:-1, 1:-1, 0])
 
     def test_all_ones_4x4_sums_to_nine(self):
         # hand oracle: each 3x3 patch of ones dotted with a ones kernel is 9
-        out = conv2d_forward(np.ones((4, 4, 1)), np.ones((3, 3, 1, 1)), np.zeros(1))
-        assert out.shape == (2, 2, 1)
-        np.testing.assert_array_equal(out, np.full((2, 2, 1), 9.0))
+        out = conv(np.ones((3, 3, 1, 1)), np.zeros(1)).apply(np.ones((1, 4, 4, 1)))
+        assert out.shape == (1, 2, 2, 1)
+        np.testing.assert_array_equal(out, np.full((1, 2, 2, 1), 9.0))
 
     def test_shape_mismatch_rejected(self):
+        lay = conv(np.zeros((3, 3, 1, 1)), np.zeros(1))
         with pytest.raises(ShapeError):
-            conv2d_forward(np.zeros((4, 4, 2)), np.zeros((3, 3, 1, 1)), np.zeros(1))
+            lay.apply(np.zeros((1, 4, 4, 2)))
         with pytest.raises(ShapeError):
-            conv2d_forward(np.zeros((2, 4, 1)), np.zeros((3, 3, 1, 1)), np.zeros(1))
+            lay.apply(np.zeros((1, 2, 4, 1)))
         with pytest.raises(ShapeError):
-            conv2d_forward(np.zeros((4, 4, 1)), np.zeros((5, 5, 1, 1)), np.zeros(1))
+            T.conv2d(Tensor(np.zeros((1, 4, 4, 1))), Tensor(np.zeros((5, 5, 1, 1))),
+                     Tensor(np.zeros(1)))
 
 
 class TestDenseForward:
     def test_zero_weights_and_bias(self):
-        out = dense_forward(np.array([1.0, -2.0, 3.0]), np.zeros((3, 2)), np.zeros(2))
+        out = dense(np.zeros((3, 2)), np.zeros(2)).apply(np.array([1.0, -2.0, 3.0]))
         np.testing.assert_array_equal(out, np.zeros(2))
 
     def test_identity_map(self):
         x = np.array([0.3, -1.2, 5.0])
-        out = dense_forward(x, np.eye(3), np.zeros(3), activation="linear")
+        out = dense(np.eye(3), np.zeros(3), activation="linear").apply(x)
         np.testing.assert_array_equal(out, x)
 
     def test_hand_matrix_multiply(self):
@@ -61,28 +81,27 @@ class TestDenseForward:
         x = np.array([1.0, 2.0])
         W = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]).T  # stored as (n, m)
         b = np.array([0.0, 0.0, 1.0])
-        out = dense_forward(x, W, b, activation="relu")
+        out = dense(W, b, activation="relu").apply(x)
         np.testing.assert_array_equal(out, np.array([1.0, 2.0, 4.0]))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            dense_forward(np.zeros(3), np.zeros((4, 2)), np.zeros(2))
+            dense(np.zeros((4, 2)), np.zeros(2)).apply(np.zeros(3))
 
 
 class TestLSTMStep:
     def test_zero_params_zero_state_give_zero_output(self):
-        out, (h, c) = lstm_step(np.zeros(2), (np.zeros(3), np.zeros(3)),
-                                np.zeros((2, 12)), np.zeros((3, 12)), np.zeros(12))
-        np.testing.assert_array_equal(out, np.zeros(3))
+        cell = lstm(np.zeros((2, 12)), np.zeros((3, 12)), np.zeros(12))
+        h, c = cell.apply(np.zeros(2), np.zeros(3), np.zeros(3))
         np.testing.assert_array_equal(h, np.zeros(3))
         np.testing.assert_array_equal(c, np.zeros(3))
 
     def test_zero_is_fixed_point_of_zero_params(self):
-        state = (np.zeros(3), np.zeros(3))
+        cell = lstm(np.zeros((2, 12)), np.zeros((3, 12)), np.zeros(12))
+        h, c = np.zeros(3), np.zeros(3)
         for _ in range(5):
-            out, state = lstm_step(np.zeros(2), state, np.zeros((2, 12)),
-                                   np.zeros((3, 12)), np.zeros(12))
-        np.testing.assert_array_equal(out, np.zeros(3))
+            h, c = cell.apply(np.zeros(2), h, c)
+        np.testing.assert_array_equal(h, np.zeros(3))
 
     def test_scalar_gate_by_gate_oracle(self):
         # 1-unit cell, gate order (i, f, g, o); evaluated by hand below.
@@ -90,8 +109,7 @@ class TestLSTMStep:
         w_h = np.array([[0.1, 0.4, -0.2, 0.3]])
         b = np.array([0.05, -0.1, 0.2, 0.0])
         h0, c0 = 0.3, -0.5
-        out, (h1, c1) = lstm_step(np.array([1.0]), (np.array([h0]), np.array([c0])),
-                                  w_x, w_h, b)
+        h1, c1 = lstm(w_x, w_h, b).apply(np.array([1.0]), np.array([h0]), np.array([c0]))
 
         sig = lambda v: 1.0 / (1.0 + math.exp(-v))
         i = sig(1.0 * 0.5 + h0 * 0.1 + 0.05)
@@ -102,13 +120,11 @@ class TestLSTMStep:
         h_ref = o * math.tanh(c_ref)
         assert abs(c1[0] - c_ref) < 1e-12
         assert abs(h1[0] - h_ref) < 1e-12
-        assert abs(out[0] - h_ref) < 1e-12
-        assert out[0] == h1[0]
 
     def test_nonfinite_state_rejected(self):
+        cell = lstm(np.zeros((2, 12)), np.zeros((3, 12)), np.zeros(12))
         with pytest.raises(ValueError):
-            lstm_step(np.zeros(2), (np.array([np.nan, 0.0, 0.0]), np.zeros(3)),
-                      np.zeros((2, 12)), np.zeros((3, 12)), np.zeros(12))
+            cell.apply(np.zeros(2), np.array([np.nan, 0.0, 0.0]), np.zeros(3))
 
     def test_tape_and_apply_paths_agree_bitwise(self, rng):
         cell = LSTMCell("lstm", 3, 4, rng)
@@ -179,20 +195,23 @@ class TestOptimizer:
         assert lay.weight.data[0, 0] == pytest.approx(-0.6, abs=1e-12)
         assert lay.bias.data[0] == pytest.approx(-0.8, abs=1e-12)
 
-    def test_functional_form_matches_hand_adam(self):
-        params = {"w": np.array([1.0])}
-        grads = {"w": np.array([1.0])}
-        out, state = optimizer_step(params, grads, OptimizerConfig(kind="adam",
-                                                                   learning_rate=1e-3))
-        assert out["w"][0] == pytest.approx(1.0 - 1e-3, abs=1e-9)
-        out2, _ = optimizer_step(out, grads, OptimizerConfig(kind="adam",
-                                                             learning_rate=1e-3),
-                                 state=state)
-        assert out2["w"][0] < out["w"][0]
+    def test_adam_two_steps_match_hand_adam(self):
+        g, lay = self._graph_with_param(1.0)
+        opt = Optimizer(g, OptimizerConfig(kind="adam", learning_rate=1e-3))
+        grads = {"p.weight": np.array([[1.0]]), "p.bias": np.zeros(1)}
+        opt.step(grads)
+        first = lay.weight.data[0, 0]
+        assert first == pytest.approx(1.0 - 1e-3, abs=1e-9)
+        opt.step(grads)
+        # constant gradient: m_hat = v_hat = 1 again -> the same step
+        assert lay.weight.data[0, 0] < first
+        assert lay.weight.data[0, 0] == pytest.approx(1.0 - 2e-3, abs=1e-9)
 
     def test_gradient_shape_mismatch_rejected(self):
+        g, _ = self._graph_with_param(1.0)
+        opt = Optimizer(g, OptimizerConfig())
         with pytest.raises(ValueError):
-            optimizer_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, OptimizerConfig())
+            opt.step({"p.weight": np.zeros(3), "p.bias": np.zeros(1)})
 
 
 class TestCheckpoint:

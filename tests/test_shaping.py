@@ -215,4 +215,4 @@ class TestRewardShaper:
         shaper = RewardShaper(ShapingConfig(mode="ia", alpha=1.0), 2)
         shaper.step([5.0, 1.0])
         shaper.reset()
-        np.testing.assert_array_equal(shaper.state.w, [0.0, 0.0])
+        np.testing.assert_array_equal(shaper.w, [0.0, 0.0])

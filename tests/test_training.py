@@ -6,7 +6,7 @@ import pytest
 
 from marl_lab.agents import AgentNets, NetSizes, joint_one_hot
 from marl_lab.envs import EnvConfig, SSDEnv
-from marl_lab.nn import Tensor
+from marl_lab.nn import Tensor, gradients
 from marl_lab.nn import tensor as T
 from marl_lab.shaping import ShapingConfig
 from marl_lab.training import (
@@ -14,7 +14,6 @@ from marl_lab.training import (
     RolloutWorker, collect_rollouts, composite_loss, compute_advantages, evaluate,
     minibatch_views,
 )
-from marl_lab.training.update import agent_gradients
 
 from conftest import THREE_AGENT_CLEANUP
 
@@ -301,9 +300,9 @@ class TestPPOUpdate:
         cfg_off = TrainerConfig(batch_steps=80, minibatch_steps=40, moa_coef=0.0,
                                 forward_coef=0.0, inverse_coef=0.0)
         loss_off, _ = composite_loss(nets, 0, view, adv, tgt, cfg_off, "emurel")
-        g_off = agent_gradients(nets, loss_off)
+        g_off = gradients(nets.parameters(), loss_off)
         loss_plain, _ = composite_loss(nets, 0, view, adv, tgt, cfg_off, "baseline")
-        g_plain = agent_gradients(nets, loss_plain)
+        g_plain = gradients(nets.parameters(), loss_plain)
         for name in g_off:
             np.testing.assert_array_equal(g_off[name], g_plain[name])
 
@@ -315,7 +314,7 @@ class TestPPOUpdate:
         cfg = TrainerConfig(batch_steps=80, minibatch_steps=40, value_coef=0.0)
         loss, _ = composite_loss(nets, 0, view, np.ones(10), np.ones(10), cfg,
                                  "baseline")
-        grads = agent_gradients(nets, loss)
+        grads = gradients(nets.parameters(), loss)
         np.testing.assert_array_equal(grads["value_head.weight"],
                                       np.zeros_like(grads["value_head.weight"]))
 
@@ -344,7 +343,7 @@ class TestA2CUpdate:
             view = minibatch_views(buffer, idx)
             loss, _ = composite_loss(nets, 0, view, adv[w, :, 0], tgt[w, :, 0],
                                      cfg, "baseline", ppo=False)
-            grads.append(agent_gradients(nets, loss))
+            grads.append(gradients(nets.parameters(), loss))
         for name in grads[0]:
             avg = 0.5 * (grads[0][name] + grads[1][name])
             np.testing.assert_allclose(avg, grads[0][name], atol=1e-15)
@@ -362,13 +361,13 @@ class TestA2CUpdate:
         for w in range(2):
             loss, _ = composite_loss(nets, 0, views[w], adv[w, :, 0], tgt[w, :, 0],
                                      cfg, "baseline", ppo=False)
-            per_worker.append(agent_gradients(nets, loss))
+            per_worker.append(gradients(nets.parameters(), loss))
         l0, _ = composite_loss(nets, 0, views[0], adv[0, :, 0], tgt[0, :, 0],
                                cfg, "baseline", ppo=False)
         l1, _ = composite_loss(nets, 0, views[1], adv[1, :, 0], tgt[1, :, 0],
                                cfg, "baseline", ppo=False)
         combined = T.add(T.mul(l0, T.constant(0.5)), T.mul(l1, T.constant(0.5)))
-        g_comb = agent_gradients(nets, combined)
+        g_comb = gradients(nets.parameters(), combined)
         for name in g_comb:
             avg = 0.5 * (per_worker[0][name] + per_worker[1][name])
             np.testing.assert_allclose(g_comb[name], avg, atol=1e-12)

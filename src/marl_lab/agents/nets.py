@@ -8,8 +8,10 @@ One shared 3x3 conv encoder feeds three stacks:
                 both consuming the MOA LSTM hidden state (see eicm module).
 
 Default sizes are the full-scale architecture (f=6, FC 32, LSTM 128); tests
-shrink them through NetSizes. Rollout-time calls use the gradient-free numpy
-path; `*_tape` variants rebuild the same computation on the autodiff tape.
+shrink them through NetSizes. Each stack is one method (`encode`,
+`run_actor_critic`, `run_moa`, `run_forward_model`, `run_inverse_model`)
+that rollouts call on arrays and training calls on Tensors; the input's type
+alone decides whether the tape records (see `marl_lab.nn.layers`).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..envs.env import NUM_CHANNELS
-from ..nn import ComputationGraph, Conv2d, Dense, LSTMCell
+from ..nn import ComputationGraph, Conv2d, Dense, LSTMCell, Tensor
 from ..nn import tensor as T
 from .memory import AgentMemory, RecurrentState
 
@@ -118,36 +120,65 @@ class AgentNets:
     def fresh_memory(self, episode_tag=0):
         return AgentMemory.zeros(self.sizes.lstm_units, episode_tag)
 
-    # -- gradient-free paths (rollout / evaluation) -----------------------
+    # -- the stacks: arrays for rollouts, Tensors for the tape -------------
     #
-    # Each takes one window (V, V, C) with one memory, or a lockstep stack of
-    # W windows (W, V, V, C) with a stacked memory (AgentMemory.stack). Dense
-    # and LSTM inputs are shaped (..., 1, n), so each row of a stack goes
-    # through the same BLAS call as a lone window and gets the same bits.
+    # Rows lie along leading axes. Training passes flat (B, n) minibatches.
+    # Rollouts pass one window (V, V, C) with one memory, or a lockstep stack
+    # of W windows (W, V, V, C) with a stacked memory (AgentMemory.stack), and
+    # shape every input (..., 1, n), so each row of a stack goes through the
+    # same BLAS call as a lone window and gets the same bits.
 
     def encode(self, obs):
-        """Flattened shared-conv features phi(obs): (q,) or (W, q)."""
-        obs = np.asarray(obs, dtype=np.float64)
+        """Flattened shared-conv features phi(obs): (..., q) for (..., V, V, C).
+        The windows along the axis before (V, V, C) form one conv gemm, and
+        earlier axes are stacked (see `nn.tensor.conv2d`); a lone window is a
+        batch of one."""
+        if not isinstance(obs, Tensor):
+            obs = np.asarray(obs, dtype=np.float64)
         lead = obs.shape[:-3]
-        feat = self.conv.apply(obs.reshape((-1,) + obs.shape[-3:]))
-        return feat.reshape(lead + (self.q,))
+        x = obs if lead else T.reshape(obs, (1,) + obs.shape)
+        return T.reshape(self.conv.apply(x), lead + (self.q,))
 
-    def _actor_critic_state(self, feat, memory):
-        h = self.ac_fc2.apply(self.ac_fc1.apply(feat[..., None, :]))
-        return self.ac_lstm.apply(h, memory.v.hidden[..., None, :],
-                                  memory.v.cell[..., None, :])
+    def window_features(self, obs):
+        """phi of one window (V, V, C) or of a lockstep stack (W, V, V, C):
+        (q,) or (W, q), with one conv gemm per window."""
+        obs = np.asarray(obs, dtype=np.float64)
+        return self.encode(obs[..., None, :, :, :])[..., 0, :]
+
+    def run_actor_critic(self, feat, v_h, v_c):
+        """(policy logits, value, v_h', v_c') from features and the
+        actor-critic LSTM state."""
+        h, c = self.ac_lstm.apply(self.ac_fc2.apply(self.ac_fc1.apply(feat)), v_h, v_c)
+        return self.policy_head.apply(h), self.value_head.apply(h), h, c
+
+    def run_moa(self, feat, joint_onehot, u_h, u_c):
+        """(flat logits over the other agents' next actions, u_h', u_c') from
+        features, the latest joint action and the MOA LSTM state."""
+        x = T.concat([self.moa_fc2.apply(self.moa_fc1.apply(feat)), joint_onehot], axis=-1)
+        h, c = self.moa_lstm.apply(x, u_h, u_c)
+        return self.moa_head.apply(h), h, c
+
+    def run_forward_model(self, feat, u_h, joint_onehot):
+        """Predicted features of the next observation."""
+        x = T.concat([feat, u_h, joint_onehot], axis=-1)
+        return self.fwd_out.apply(self.fwd_fc1.apply(x))
+
+    def run_inverse_model(self, feat_prev, feat_curr, u_h):
+        """Flat joint-action logits, N*|A| per row."""
+        x = T.concat([feat_prev, feat_curr, u_h], axis=-1)
+        return self.inv_out.apply(self.inv_fc1.apply(x))
 
     def act(self, obs, memory, rng, greedy=False, feat=None):
         """Sample an action; advances the actor-critic LSTM state only.
 
         For a stack, `rng` holds one Generator per row and the PolicyOutput
-        fields are arrays over rows. `feat`, when given, is encode(obs),
-        computed once by the caller.
+        fields are arrays over rows. `feat`, when given, is
+        window_features(obs), computed once by the caller.
         """
-        feat = self.encode(obs) if feat is None else feat
-        v_h, v_c = self._actor_critic_state(feat, memory)
-        value = self.value_head.apply(v_h)[..., 0, 0]
-        logits = self.policy_head.apply(v_h)[..., 0, :]
+        feat = self.window_features(obs) if feat is None else feat
+        logits, value, v_h, v_c = self.run_actor_critic(
+            *_one_row(feat, memory.v.hidden, memory.v.cell))
+        logits, value = logits[..., 0, :], value[..., 0, 0]
         if not np.isfinite(logits).all():
             raise FloatingPointError(f"non-finite policy logits for seed {self.seed}")
         probs = stable_softmax(logits)
@@ -164,8 +195,9 @@ class AgentNets:
 
     def value_only(self, obs, memory):
         """Value estimate without sampling, state advance, or RNG use."""
-        v_h, _ = self._actor_critic_state(self.encode(obs), memory)
-        value = self.value_head.apply(v_h)[..., 0, 0]
+        _, value, _, _ = self.run_actor_critic(
+            *_one_row(self.window_features(obs), memory.v.hidden, memory.v.cell))
+        value = value[..., 0, 0]
         return float(value) if value.ndim == 0 else value
 
     def moa_predict(self, obs, joint_action_onehot, memory, feat=None):
@@ -175,17 +207,15 @@ class AgentNets:
         recent joint action, one per row for a stack. Returns
         ((..., N-1, |A|) probabilities, memory'). `feat` is as in `act`.
         """
-        feat = self.encode(obs) if feat is None else feat
+        feat = self.window_features(obs) if feat is None else feat
         joint = np.asarray(joint_action_onehot, dtype=np.float64)
         want = self.num_agents * self.num_actions
         if joint.shape != feat.shape[:-1] + (want,):
             raise ValueError(f"joint action one-hot must have {want} entries, "
                              f"got {joint.shape}")
-        h = self.moa_fc2.apply(self.moa_fc1.apply(feat[..., None, :]))
-        x = np.concatenate([h, joint[..., None, :]], axis=-1)
-        u_h, u_c = self.moa_lstm.apply(x, memory.u.hidden[..., None, :],
-                                       memory.u.cell[..., None, :])
-        logits = self.moa_head.apply(u_h)[..., 0, :].reshape(
+        logits, u_h, u_c = self.run_moa(*_one_row(feat, joint, memory.u.hidden,
+                                                  memory.u.cell))
+        logits = logits[..., 0, :].reshape(
             joint.shape[:-1] + (self.num_agents - 1, self.num_actions))
         probs = stable_softmax(logits, axis=-1)
         new_mem = AgentMemory(v=memory.v.copy(),
@@ -193,46 +223,10 @@ class AgentNets:
                               episode_tag=memory.episode_tag)
         return probs, new_mem
 
-    # -- tape paths (training) --------------------------------------------
 
-    def encode_tape(self, obs_t):
-        B = obs_t.data.shape[0]
-        return T.reshape(self.conv.forward(obs_t), (B, self.q))
-
-    def actor_critic_tape(self, feat, v_h, v_c):
-        h = self.ac_fc2.forward(self.ac_fc1.forward(feat))
-        hh, _ = self.ac_lstm.forward(h, v_h, v_c)
-        value = self.value_head.forward(hh)
-        logits = self.policy_head.forward(hh)
-        return logits, value
-
-    def moa_tape(self, feat, joint_onehot, u_h, u_c):
-        h = self.moa_fc2.forward(self.moa_fc1.forward(feat))
-        x = T.concat([h, joint_onehot], axis=-1)
-        hh, _ = self.moa_lstm.forward(x, u_h, u_c)
-        return self.moa_head.forward(hh)
-
-    def forward_model_tape(self, feat, u_h, joint_onehot):
-        x = T.concat([feat, u_h, joint_onehot], axis=-1)
-        return self.fwd_out.forward(self.fwd_fc1.forward(x))
-
-    def inverse_model_tape(self, feat_prev, feat_curr, u_h):
-        x = T.concat([feat_prev, feat_curr, u_h], axis=-1)
-        return self.inv_out.forward(self.inv_fc1.forward(x))
-
-
-def moa_loss(predicted, actual):
-    """Mean cross-entropy over the N-1 other agents.
-
-    predicted: (N-1, |A|) probability rows; actual: (N-1,) action indices.
-    Zero predicted probability on the true action is clamped at 1e-10.
-    """
-    predicted = np.asarray(predicted, dtype=np.float64)
-    actual = np.asarray(actual, dtype=np.int64)
-    if predicted.ndim != 2 or actual.shape != (predicted.shape[0],):
-        raise ValueError(f"moa_loss shapes disagree: {predicted.shape} vs {actual.shape}")
-    picked = predicted[np.arange(predicted.shape[0]), actual]
-    return float(-np.log(np.maximum(picked, 1e-10)).mean())
+def _one_row(*arrays):
+    """Each (..., n) array as (..., 1, n): one BLAS call per leading index."""
+    return [a[..., None, :] for a in arrays]
 
 
 def joint_one_hot(actions, num_actions):

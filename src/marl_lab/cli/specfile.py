@@ -74,7 +74,7 @@ def parse_spec_text(text, path="<spec>"):
             if not section:
                 raise SpecError(path, lineno, "empty section name")
             if section in seen_sections:
-                raise SpecError(path, lineno, f"duplate section [{section}]")
+                raise SpecError(path, lineno, f"duplicate section [{section}]")
             seen_sections.add(section)
             doc[section] = {}
             continue

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..agents.nets import stable_softmax
 from ..nn import tensor as T
 
 
-def _forward_input(nets, phi_prev, u_prev, joint_onehot):
-    """Forward-model input rows [phi, u, joint] along the last axis."""
+def forward_predict(nets, phi_prev, u_prev, joint_onehot):
+    """Predicted phi of the next observation, one per input row: (q,) for a
+    sample, (..., q) for rows stacked along leading axes."""
     phi_prev = np.asarray(phi_prev, dtype=np.float64)
     u_prev = np.asarray(u_prev, dtype=np.float64)
     joint = np.asarray(joint_onehot, dtype=np.float64)
@@ -25,14 +27,7 @@ def _forward_input(nets, phi_prev, u_prev, joint_onehot):
         raise ValueError(f"joint action one-hot must have {want} entries, got {joint.shape}")
     if phi_prev.shape[-1:] != (nets.q,):
         raise ValueError(f"feature vector must have {nets.q} entries, got {phi_prev.shape}")
-    return np.concatenate([phi_prev, u_prev, joint], axis=-1)
-
-
-def forward_predict(nets, phi_prev, u_prev, joint_onehot):
-    """Predicted phi of the next observation, one per input row: (q,) for a
-    sample, (..., q) for rows stacked along leading axes."""
-    x = _forward_input(nets, phi_prev, u_prev, joint_onehot)
-    return nets.fwd_out.apply(nets.fwd_fc1.apply(x))
+    return nets.run_forward_model(phi_prev, u_prev, joint)
 
 
 def eliminate(nets, joint_onehot, j):
@@ -87,37 +82,9 @@ def impact_row(nets, phi_prev, u_prev, joint_onehot, k):
 
 def inverse_predict(nets, phi_prev, phi_curr, u_prev):
     """Predicted joint action: (N, |A|) softmax rows."""
-    phi_prev = np.asarray(phi_prev, dtype=np.float64)
-    phi_curr = np.asarray(phi_curr, dtype=np.float64)
-    u_prev = np.asarray(u_prev, dtype=np.float64)
-    x = np.concatenate([phi_prev, phi_curr, u_prev])
-    logits = nets.inv_out.apply(nets.inv_fc1.apply(x[None]))[0]
-    logits = logits.reshape(nets.num_agents, nets.num_actions)
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def forward_loss(predicted, actual):
-    """L_F = half squared Euclidean distance between predicted and actual
-    feature encodings."""
-    predicted = np.asarray(predicted, dtype=np.float64)
-    actual = np.asarray(actual, dtype=np.float64)
-    if predicted.shape != actual.shape:
-        raise ValueError(f"feature shapes disagree: {predicted.shape} vs {actual.shape}")
-    diff = predicted - actual
-    return 0.5 * float(diff @ diff)
-
-
-def inverse_loss(predicted, actual):
-    """L_I = summed cross-entropy of the true action of every agent, with
-    zero probabilities clamped at 1e-10."""
-    predicted = np.asarray(predicted, dtype=np.float64)
-    actual = np.asarray(actual, dtype=np.int64)
-    if predicted.ndim != 2 or actual.shape != (predicted.shape[0],):
-        raise ValueError(f"inverse_loss shapes disagree: {predicted.shape} vs {actual.shape}")
-    picked = predicted[np.arange(predicted.shape[0]), actual]
-    return float(-np.log(np.maximum(picked, 1e-10)).sum())
+    rows = [np.asarray(v, dtype=np.float64)[None] for v in (phi_prev, phi_curr, u_prev)]
+    logits = nets.run_inverse_model(*rows)[0]
+    return stable_softmax(logits.reshape(nets.num_agents, nets.num_actions))
 
 
 # -- tape losses (shared with the composite training objective) -------------
@@ -125,7 +92,7 @@ def inverse_loss(predicted, actual):
 def forward_loss_tape(nets, feat_prev, feat_next, u_h, joint_onehot):
     """Mean-per-sample L_F on the tape; gradients reach the forward model and
     the shared encoder through both the input and target features."""
-    pred = nets.forward_model_tape(feat_prev, u_h, joint_onehot)
+    pred = nets.run_forward_model(feat_prev, u_h, joint_onehot)
     diff = T.sub(pred, feat_next)
     per_sample = T.tsum(T.mul(diff, diff), axis=-1)
     return T.mul(T.tmean(per_sample), T.constant(0.5))
@@ -133,7 +100,7 @@ def forward_loss_tape(nets, feat_prev, feat_next, u_h, joint_onehot):
 
 def inverse_loss_tape(nets, feat_prev, feat_curr, u_h, joint_actions):
     """Mean-per-sample L_I on the tape. joint_actions: (B, N) int indices."""
-    logits = nets.inverse_model_tape(feat_prev, feat_curr, u_h)
+    logits = nets.run_inverse_model(feat_prev, feat_curr, u_h)
     B = logits.data.shape[0]
     blocks = T.reshape(logits, (B, nets.num_agents, nets.num_actions))
     logp = T.log_softmax(blocks, axis=-1)
@@ -144,11 +111,15 @@ def inverse_loss_tape(nets, feat_prev, feat_curr, u_h, joint_actions):
 def moa_loss_tape(nets, feat, joint_onehot, u_h, u_c, targets, mask):
     """Masked mean cross-entropy of the MOA head over other agents' next
     actions. targets: (B, N-1) ints; mask: (B,) 0/1 validity."""
-    logits = nets.moa_tape(feat, joint_onehot, u_h, u_c)
+    logits, _, _ = nets.run_moa(feat, joint_onehot, u_h, u_c)
     B = logits.data.shape[0]
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.shape != (B, nets.num_agents - 1):
+        raise ValueError(f"MOA targets must be ({B}, {nets.num_agents - 1}), "
+                         f"got {targets.shape}")
     blocks = T.reshape(logits, (B, nets.num_agents - 1, nets.num_actions))
     logp = T.log_softmax(blocks, axis=-1)
-    picked = T.gather_last(logp, np.asarray(targets, dtype=np.int64))
+    picked = T.gather_last(logp, targets)
     per_sample = T.tmean(picked, axis=-1)
     m = np.asarray(mask, dtype=np.float64)
     denom = max(float(m.sum()), 1.0)

@@ -45,8 +45,17 @@ def _read_header(f, path):
     """Check the magic and parse the manifest, leaving f at the first tensor."""
     if f.read(8) != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
-    (mlen,) = struct.unpack("<Q", f.read(8))
-    return json.loads(f.read(mlen).decode("utf-8"))
+    field = f.read(8)
+    if len(field) != 8:
+        raise CheckpointError(f"{path}: truncated manifest length")
+    (mlen,) = struct.unpack("<Q", field)
+    raw = f.read(mlen)
+    if len(raw) != mlen:
+        raise CheckpointError(f"{path}: truncated manifest ({len(raw)} of {mlen} bytes)")
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except ValueError as exc:   # UnicodeDecodeError and JSONDecodeError both
+        raise CheckpointError(f"{path}: undecodable manifest: {exc}") from exc
 
 
 def read_manifest(path):

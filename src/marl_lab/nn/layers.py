@@ -1,16 +1,18 @@
 """Layer primitives: 3x3 valid conv, dense, LSTM cell.
 
 Each layer owns its parameter Tensors (float64, seeded uniform fan-in init)
-and exposes two call paths: `forward` builds tape nodes for training, `apply`
-is a pure-numpy fast path for rollouts and other gradient-free evaluation.
-The two paths run the same float64 operations in the same order, so on the
-same input shapes their outputs are bit-identical.
+and has one call, `apply`, built from the ops of `nn.tensor`. The input's
+type picks the path: an ndarray runs on the parameters' `.data` and returns
+ndarrays, for rollouts and other gradient-free evaluation; a Tensor runs on
+the parameter Tensors and records on the tape, for training. Both are the
+same expressions, so on the same input they give the same bits.
 
 `apply` takes leading axes. Its matmuls are `np.matmul` on stacked operands,
 which makes one BLAS call per leading index: a (W, 1, n) input runs W
 one-row calls, each bit-identical to a lone (1, n) input. A flat (W, n)
 input would run one W-row gemm instead, whose rows need not match the
-one-row results.
+one-row results. The conv follows the same rule: (W, 1, H, W, C) windows run
+one gemm per window, (B, H, W, C) windows one flat gemm.
 """
 
 from __future__ import annotations
@@ -19,6 +21,11 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import ShapeError, Tensor
+
+
+def _params(x, *params):
+    """The parameter Tensors for a Tensor input, their arrays otherwise."""
+    return params if type(x) is Tensor else [p.data for p in params]
 
 
 def _init_uniform(rng, shape, fan_in):
@@ -34,9 +41,6 @@ class Layer:
     def params(self):
         """Ordered (name, Tensor) pairs for this layer."""
         raise NotImplementedError
-
-    def param_arrays(self):
-        return [(n, t.data) for n, t in self.params()]
 
 
 class Conv2d(Layer):
@@ -54,22 +58,10 @@ class Conv2d(Layer):
     def params(self):
         return [(f"{self.name}.kernel", self.kernel), (f"{self.name}.bias", self.bias)]
 
-    def forward(self, x):
-        return T.relu(T.conv2d(x, self.kernel, self.bias))
-
     def apply(self, x):
-        """x: (B, H, W, C). Each window's patches form one (Ho*Wo, 9C) gemm,
-        so a batch row gets the bits of the same window alone."""
-        B, H, W, C = x.shape
-        if C != self.in_channels or H < 3 or W < 3:
-            raise ShapeError(f"conv input {x.shape} incompatible with "
-                             f"{self.in_channels}-channel 3x3 kernel")
-        Ho, Wo = H - 2, W - 2
-        windows = np.lib.stride_tricks.sliding_window_view(x, (3, 3), axis=(1, 2))
-        patches = windows.transpose(0, 1, 2, 4, 5, 3).reshape(B, Ho * Wo, 9 * C)
-        out = patches @ self.kernel.data.reshape(9 * C, self.filters) + self.bias.data
-        out = out.reshape(B, Ho, Wo, self.filters)
-        return np.where(out > 0.0, out, 0.0)
+        """x: (..., B, H, W, C) windows; (..., B, H-2, W-2, filters) after the
+        ReLU. Leading axes before B stay stacked (see `nn.tensor.conv2d`)."""
+        return T.relu(T.conv2d(x, *_params(x, self.kernel, self.bias)))
 
 
 class Dense(Layer):
@@ -88,16 +80,13 @@ class Dense(Layer):
     def params(self):
         return [(f"{self.name}.weight", self.weight), (f"{self.name}.bias", self.bias)]
 
-    def forward(self, x):
-        y = T.add(T.matmul(x, self.weight), self.bias)
-        return T.relu(y) if self.activation == "relu" else y
-
     def apply(self, x):
         """x: (..., in_dim); see the module docstring for leading axes."""
         if x.shape[-1] != self.in_dim:
             raise ShapeError(f"dense {self.name}: input dim {x.shape[-1]} != {self.in_dim}")
-        y = x @ self.weight.data + self.bias.data
-        return np.where(y > 0.0, y, 0.0) if self.activation == "relu" else y
+        weight, bias = _params(x, self.weight, self.bias)
+        y = T.add(T.matmul(x, weight), bias)
+        return T.relu(y) if self.activation == "relu" else y
 
 
 class LSTMCell(Layer):
@@ -117,9 +106,17 @@ class LSTMCell(Layer):
         return [(f"{self.name}.w_x", self.w_x), (f"{self.name}.w_h", self.w_h),
                 (f"{self.name}.bias", self.bias)]
 
-    def forward(self, x, h, c):
-        """Tape path; h and c are Tensors of shape (B, units)."""
-        z = T.add(T.add(T.matmul(x, self.w_x), T.matmul(h, self.w_h)), self.bias)
+    def apply(self, x, h, c):
+        """x: (..., in_dim), h and c: (..., units), with matching leading axes;
+        returns (h', c'). A Tensor x records on the tape; h and c may be
+        arrays or Tensors either way."""
+        if h.shape[-1] != self.units or c.shape[-1] != self.units:
+            raise ShapeError(f"lstm {self.name}: state dims {h.shape[-1]}/{c.shape[-1]} "
+                             f"!= {self.units} units")
+        if not (np.isfinite(T._data(h)).all() and np.isfinite(T._data(c)).all()):
+            raise ValueError(f"lstm {self.name}: non-finite recurrent state")
+        w_x, w_h, bias = _params(x, self.w_x, self.w_h, self.bias)
+        z = T.add(T.add(T.matmul(x, w_x), T.matmul(h, w_h)), bias)
         u = self.units
         i = T.sigmoid(T.slice_last(z, 0, u))
         f = T.sigmoid(T.slice_last(z, u, 2 * u))
@@ -128,25 +125,3 @@ class LSTMCell(Layer):
         c_new = T.add(T.mul(f, c), T.mul(i, g))
         h_new = T.mul(o, T.tanh(c_new))
         return h_new, c_new
-
-    def apply(self, x, h, c):
-        """x: (..., in_dim), h and c: (..., units), with matching leading axes."""
-        if h.shape[-1] != self.units or c.shape[-1] != self.units:
-            raise ShapeError(f"lstm {self.name}: state dims {h.shape[-1]}/{c.shape[-1]} "
-                             f"!= {self.units} units")
-        if not (np.isfinite(h).all() and np.isfinite(c).all()):
-            raise ValueError(f"lstm {self.name}: non-finite recurrent state")
-        z = x @ self.w_x.data + h @ self.w_h.data + self.bias.data
-        u = self.units
-        i = _sigmoid(z[..., :u])
-        f = _sigmoid(z[..., u:2 * u])
-        g = np.tanh(z[..., 2 * u:3 * u])
-        o = _sigmoid(z[..., 3 * u:])
-        c_new = f * c + i * g
-        h_new = o * np.tanh(c_new)
-        return h_new, c_new
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-

@@ -1,10 +1,16 @@
-"""Reverse-mode automatic differentiation over float64 numpy arrays.
+"""Reverse-mode automatic differentiation over float64 numpy arrays, and
+the one forward definition of every op the agent networks use.
 
-A Tensor wraps an ndarray plus the tape machinery needed to pull gradients
-back through the handful of operations the agent networks use: matmul,
-broadcast add, elementwise nonlinearities, concat/slice, reshape, reductions,
-3x3 valid convolution, gather, minimum and clip. Everything is float64 and
-every op is deterministic, so repeated forward passes are bit-identical.
+Each op is one function over ndarrays or Tensors: matmul, broadcast add,
+elementwise nonlinearities, concat/slice, reshape, reductions, 3x3 valid
+convolution, gather, minimum and clip. Its forward value is a single numpy
+expression over the operands' data. Given no Tensor, an op returns that
+ndarray and records nothing; rollouts and evaluation run the nets this way.
+Given a Tensor, it returns a Tensor whose `.data` is the same ndarray, with
+the vjp that pulls gradients back on the tape (the primitive-wrapping idiom
+of HIPS autograd). The input's type is the only switch, so gradient-free
+evaluation and training cannot drift apart. Everything is float64 and every
+op is deterministic, so repeated forward passes are bit-identical.
 
 A vjp may return None for a parent that does not need a gradient; matmul
 and conv2d do, so backward spends nothing on gradients no one reads (the
@@ -39,25 +45,25 @@ class Tensor:
 
     # Operator sugar for the common arithmetic.
     def __add__(self, other):
-        return add(self, _as_tensor(other))
+        return add(self, other)
 
     def __radd__(self, other):
-        return add(_as_tensor(other), self)
+        return add(other, self)
 
     def __sub__(self, other):
-        return sub(self, _as_tensor(other))
+        return sub(self, other)
 
     def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
+        return sub(other, self)
 
     def __mul__(self, other):
-        return mul(self, _as_tensor(other))
+        return mul(self, other)
 
     def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
+        return mul(other, self)
 
     def __neg__(self):
-        return mul(self, _as_tensor(-1.0))
+        return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -85,6 +91,10 @@ class Tensor:
 
 def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _data(x):
+    return x.data if type(x) is Tensor else x
 
 
 def _toposort(root):
@@ -129,112 +139,120 @@ def constant(x):
     return Tensor(x, needs_grad=False)
 
 
+# Ops test `type(x) is Tensor` inline rather than through a helper: rollout
+# operands are small, and a helper call per operand measurably slowed rollouts.
+
 def add(a, b):
+    ta, tb = type(a) is Tensor, type(b) is Tensor
+    out = (a.data if ta else a) + (b.data if tb else b)
+    if not (ta or tb):
+        return out
     a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data + b.data
-
-    def vjp(g):
-        return (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
-
-    return _make(out, (a, b), vjp)
+    return _make(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape),
+                                         _unbroadcast(g, b.data.shape)))
 
 
 def sub(a, b):
+    ta, tb = type(a) is Tensor, type(b) is Tensor
+    out = (a.data if ta else a) - (b.data if tb else b)
+    if not (ta or tb):
+        return out
     a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data - b.data
-
-    def vjp(g):
-        return (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape))
-
-    return _make(out, (a, b), vjp)
+    return _make(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape),
+                                         _unbroadcast(-g, b.data.shape)))
 
 
 def mul(a, b):
+    ta, tb = type(a) is Tensor, type(b) is Tensor
+    out = (a.data if ta else a) * (b.data if tb else b)
+    if not (ta or tb):
+        return out
     a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data * b.data
-
-    def vjp(g):
-        return (_unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape))
-
-    return _make(out, (a, b), vjp)
+    return _make(out, (a, b), lambda g: (_unbroadcast(g * b.data, a.data.shape),
+                                         _unbroadcast(g * a.data, b.data.shape)))
 
 
 def matmul(a, b):
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul inner dims disagree: {a.data.shape} @ {b.data.shape}")
-    out = a.data @ b.data
+    """(..., n) @ (n, m). Leading axes stay stacked: a (W, 1, n) operand makes
+    np.matmul issue one one-row BLAS call per leading index (see nn.layers)."""
+    ta, tb = type(a) is Tensor, type(b) is Tensor
+    x, w = (a.data if ta else a), (b.data if tb else b)
+    if w.ndim != 2 or x.ndim == 0 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"matmul expects (..., n) @ (n, m), got {x.shape} @ {w.shape}")
+    out = x @ w
+    if not (ta or tb):
+        return out
+    a, b = _as_tensor(a), _as_tensor(b)
 
     def vjp(g):
-        return (g @ b.data.T if a.needs_grad else None,
-                a.data.T @ g if b.needs_grad else None)
+        if not b.needs_grad:
+            gw = None
+        elif x.ndim == 2:
+            gw = x.T @ g
+        else:   # sum the per-row outer products over every leading axis
+            gw = x.reshape(-1, w.shape[0]).T @ g.reshape(-1, w.shape[1])
+        return (g @ w.T if a.needs_grad else None), gw
 
     return _make(out, (a, b), vjp)
 
 
 def relu(t):
-    mask = t.data > 0.0
-    out = np.where(mask, t.data, 0.0)
-
-    def vjp(g):
-        return (g * mask,)
-
-    return _make(out, (t,), vjp)
+    traced = type(t) is Tensor
+    x = t.data if traced else t
+    mask = x > 0.0
+    out = np.where(mask, x, 0.0)
+    if not traced:
+        return out
+    return _make(out, (t,), lambda g: (g * mask,))
 
 
 def sigmoid(t):
-    out = 1.0 / (1.0 + np.exp(-t.data))
-
-    def vjp(g):
-        return (g * out * (1.0 - out),)
-
-    return _make(out, (t,), vjp)
+    traced = type(t) is Tensor
+    out = 1.0 / (1.0 + np.exp(-(t.data if traced else t)))
+    if not traced:
+        return out
+    return _make(out, (t,), lambda g: (g * out * (1.0 - out),))
 
 
 def tanh(t):
-    out = np.tanh(t.data)
-
-    def vjp(g):
-        return (g * (1.0 - out * out),)
-
-    return _make(out, (t,), vjp)
+    traced = type(t) is Tensor
+    out = np.tanh(t.data if traced else t)
+    if not traced:
+        return out
+    return _make(out, (t,), lambda g: (g * (1.0 - out * out),))
 
 
 def exp(t):
-    out = np.exp(t.data)
-
-    def vjp(g):
-        return (g * out,)
-
-    return _make(out, (t,), vjp)
+    traced = type(t) is Tensor
+    out = np.exp(t.data if traced else t)
+    if not traced:
+        return out
+    return _make(out, (t,), lambda g: (g * out,))
 
 
 def log(t):
-    out = np.log(t.data)
-
-    def vjp(g):
-        return (g / t.data,)
-
-    return _make(out, (t,), vjp)
+    traced = type(t) is Tensor
+    out = np.log(t.data if traced else t)
+    if not traced:
+        return out
+    return _make(out, (t,), lambda g: (g / t.data,))
 
 
 def concat(tensors, axis=-1):
-    tensors = [_as_tensor(t) for t in tensors]
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _make(out, tuple(tensors), vjp)
+    out = np.concatenate([_data(t) for t in tensors], axis=axis)
+    if not any(type(t) is Tensor for t in tensors):
+        return out
+    tensors = tuple(_as_tensor(t) for t in tensors)
+    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+    return _make(out, tensors, lambda g: tuple(np.split(g, splits, axis=axis)))
 
 
 def slice_last(t, start, stop):
     """Slice along the last axis with gradient scatter on the way back."""
-    out = t.data[..., start:stop]
+    traced = type(t) is Tensor
+    out = (t.data if traced else t)[..., start:stop]
+    if not traced:
+        return out
 
     def vjp(g):
         full = np.zeros_like(t.data)
@@ -245,16 +263,18 @@ def slice_last(t, start, stop):
 
 
 def reshape(t, shape):
-    out = t.data.reshape(shape)
-
-    def vjp(g):
-        return (g.reshape(t.data.shape),)
-
-    return _make(out, (t,), vjp)
+    traced = type(t) is Tensor
+    out = (t.data if traced else t).reshape(shape)
+    if not traced:
+        return out
+    return _make(out, (t,), lambda g: (g.reshape(t.data.shape),))
 
 
 def tsum(t, axis=None, keepdims=False):
-    out = t.data.sum(axis=axis, keepdims=keepdims)
+    traced = type(t) is Tensor
+    out = (t.data if traced else t).sum(axis=axis, keepdims=keepdims)
+    if not traced:
+        return out
 
     def vjp(g):
         g = np.asarray(g)
@@ -266,38 +286,41 @@ def tsum(t, axis=None, keepdims=False):
 
 
 def tmean(t, axis=None, keepdims=False):
-    n = t.data.size if axis is None else t.data.shape[axis]
-    return mul(tsum(t, axis=axis, keepdims=keepdims), _as_tensor(1.0 / n))
+    x = _data(t)
+    n = x.size if axis is None else x.shape[axis]
+    return mul(tsum(t, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 def minimum(a, b):
+    ta, tb = type(a) is Tensor, type(b) is Tensor
+    x, y = (a.data if ta else a), (b.data if tb else b)
+    take_a = x <= y
+    out = np.where(take_a, x, y)
+    if not (ta or tb):
+        return out
     a, b = _as_tensor(a), _as_tensor(b)
-    take_a = a.data <= b.data
-    out = np.where(take_a, a.data, b.data)
-
-    def vjp(g):
-        return (_unbroadcast(g * take_a, a.data.shape),
-                _unbroadcast(g * ~take_a, b.data.shape))
-
-    return _make(out, (a, b), vjp)
+    return _make(out, (a, b), lambda g: (_unbroadcast(g * take_a, a.data.shape),
+                                         _unbroadcast(g * ~take_a, b.data.shape)))
 
 
 def clip(t, lo, hi):
     """Clamp to constant bounds; gradient passes only inside the interval."""
-    inside = (t.data >= lo) & (t.data <= hi)
-    out = np.clip(t.data, lo, hi)
-
-    def vjp(g):
-        return (g * inside,)
-
-    return _make(out, (t,), vjp)
+    traced = type(t) is Tensor
+    x = t.data if traced else t
+    inside = (x >= lo) & (x <= hi)
+    out = np.clip(x, lo, hi)
+    if not traced:
+        return out
+    return _make(out, (t,), lambda g: (g * inside,))
 
 
 def gather_last(t, idx):
     """Pick one entry per row along the last axis: out[..., 0] = t[..., idx]."""
-    idx = np.asarray(idx)
-    expanded = np.expand_dims(idx, -1)
-    out = np.take_along_axis(t.data, expanded, axis=-1)[..., 0]
+    traced = type(t) is Tensor
+    expanded = np.expand_dims(np.asarray(idx), -1)
+    out = np.take_along_axis(t.data if traced else t, expanded, axis=-1)[..., 0]
+    if not traced:
+        return out
 
     def vjp(g):
         full = np.zeros_like(t.data)
@@ -309,7 +332,7 @@ def gather_last(t, idx):
 
 def log_softmax(t, axis=-1):
     """Numerically stable log-softmax; the max shift is gradient-exact."""
-    shifted = add(t, constant(-t.data.max(axis=axis, keepdims=True)))
+    shifted = add(t, -_data(t).max(axis=axis, keepdims=True))
     lse = log(tsum(exp(shifted), axis=axis, keepdims=True))
     return sub(shifted, lse)
 
@@ -321,37 +344,49 @@ def softmax(t, axis=-1):
 def conv2d(x, kernel, bias):
     """Valid 3x3 cross-correlation, stride 1, NHWC layout.
 
-    x: (B, H, W, C); kernel: (3, 3, C, F); bias: (F,). Output (B, H-2, W-2, F).
+    x: (..., B, H, W, C); kernel: (3, 3, C, F); bias: (F,). Output
+    (..., B, H-2, W-2, F). As in `matmul`, leading axes before B stay
+    stacked: the B*Ho*Wo patches of each leading index form one gemm. So a
+    (B, H, W, C) minibatch runs one flat gemm, and a (W, 1, H, W, C) lockstep
+    stack runs one gemm per window, each with the bits of that window alone.
     """
-    kh, kw, cin, cout = kernel.data.shape
+    xd, kd = _data(x), _data(kernel)
+    kh, kw, cin, cout = kd.shape
     if (kh, kw) != (3, 3):
-        raise ShapeError(f"conv2d expects a 3x3 kernel, got {kernel.data.shape}")
-    if x.data.ndim != 4:
-        raise ShapeError(f"conv2d expects NHWC input, got shape {x.data.shape}")
-    B, H, W, C = x.data.shape
+        raise ShapeError(f"conv2d expects a 3x3 kernel, got {kd.shape}")
+    if xd.ndim < 4:
+        raise ShapeError(f"conv2d expects (..., B, H, W, C) input, got shape {xd.shape}")
+    H, W, C = xd.shape[-3:]
     if C != cin:
         raise ShapeError(f"conv2d channel mismatch: input has {C}, kernel expects {cin}")
     if H < 3 or W < 3:
-        raise ShapeError(f"conv2d needs H,W >= 3, got {x.data.shape}")
+        raise ShapeError(f"conv2d needs H,W >= 3, got {xd.shape}")
     Ho, Wo = H - 2, W - 2
+    rows = xd.shape[:-4] + (xd.shape[-4] * Ho * Wo,)
 
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, (3, 3), axis=(1, 2))
-    # (B, Ho, Wo, C, 3, 3) -> (B*Ho*Wo, 3*3*C) ordered (kh, kw, C)
-    patches = windows.transpose(0, 1, 2, 4, 5, 3).reshape(B * Ho * Wo, 9 * C)
-    kmat = kernel.data.reshape(9 * C, cout)
-    out = (patches @ kmat + bias.data).reshape(B, Ho, Wo, cout)
+    s = xd.strides
+    windows = np.lib.stride_tricks.as_strided(    # a read-only view, no copy
+        xd, xd.shape[:-3] + (Ho, Wo, 3, 3, C), s[:-3] + s[-3:-1] + s[-3:], writeable=False)
+    # (..., B, Ho, Wo, 3, 3, C) -> (..., B*Ho*Wo, 3*3*C) ordered (kh, kw, C)
+    patches = windows.reshape(rows + (9 * C,))
+    kmat = kd.reshape(9 * C, cout)
+    out = (patches @ kmat + _data(bias)).reshape(xd.shape[:-3] + (Ho, Wo, cout))
+    if not (type(x) is Tensor or type(kernel) is Tensor or type(bias) is Tensor):
+        return out
+    x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
 
     def vjp(g):
-        gmat = g.reshape(B * Ho * Wo, cout)
-        gk = (patches.T @ gmat).reshape(3, 3, C, cout) if kernel.needs_grad else None
+        gmat = g.reshape(-1, cout)
+        gk = ((patches.reshape(-1, 9 * C).T @ gmat).reshape(3, 3, C, cout)
+              if kernel.needs_grad else None)
         gb = gmat.sum(axis=0) if bias.needs_grad else None
         if not x.needs_grad:    # observations: skip the col2im input gradient
             return (None, gk, gb)
-        gpatches = (gmat @ kmat.T).reshape(B, Ho, Wo, 3, 3, C)
-        gx = np.zeros_like(x.data)
+        gpatches = (gmat @ kmat.T).reshape(xd.shape[:-3] + (Ho, Wo, 3, 3, C))
+        gx = np.zeros_like(xd)
         for i in range(3):
             for j in range(3):
-                gx[:, i:i + Ho, j:j + Wo, :] += gpatches[:, :, :, i, j, :]
+                gx[..., i:i + Ho, j:j + Wo, :] += gpatches[..., i, j, :]
         return (gx, gk, gb)
 
     return _make(out, (x, kernel, bias), vjp)

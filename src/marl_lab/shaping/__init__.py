@@ -1,9 +1,9 @@
 from .rewards import (
-    MODES, RewardShaper, ShapingConfig, emurel_intrinsic, gini_equality,
-    ia_intrinsic, reshape_reward, update_smoothed,
+    MODES, RewardShaper, ShapingConfig, gini_equality, inequity_intrinsics, reshape_reward,
+    update_smoothed,
 )
 
 __all__ = [
-    "MODES", "RewardShaper", "ShapingConfig", "emurel_intrinsic", "gini_equality",
-    "ia_intrinsic", "reshape_reward", "update_smoothed",
+    "MODES", "RewardShaper", "ShapingConfig", "gini_equality", "inequity_intrinsics",
+    "reshape_reward", "update_smoothed",
 ]

@@ -43,40 +43,31 @@ def update_smoothed(w, extrinsic, gamma, lam):
     return gamma * lam * w + e
 
 
-def ia_intrinsic(w, k, alpha, beta):
-    """Inequity-aversion intrinsic reward for agent k over smoothed rewards w.
+def inequity_intrinsics(w, impact_rows, alpha, beta):
+    """Impact-scaled inequity-aversion intrinsic rewards of all N agents.
 
-    Averages envy (others ahead) and guilt (others behind) gaps over the
-    N-1 fellows, each weighted by its aversion parameter, negated.
+    w: (N,) smoothed rewards. impact_rows: (N, N-1) entries in [0, 1]; row k
+    scales agent k's fellows, ordered by ascending fellow index, before the
+    comparison. Each agent averages envy (fellows ahead) and guilt (fellows
+    behind) gaps over its N-1 fellows, each weighted by its aversion
+    parameter, negated. Plain inequity aversion is the all-ones case, since
+    1.0 * w is exact.
     """
     w = np.asarray(w, dtype=np.float64)
+    d = np.asarray(impact_rows, dtype=np.float64)
     n = w.shape[0]
     if n < 2:
         raise ValueError("inequity aversion needs at least two agents")
-    others = np.delete(w, k)
-    envy = np.maximum(others - w[k], 0.0).sum()
-    guilt = np.maximum(w[k] - others, 0.0).sum()
-    return float(-(alpha / (n - 1)) * envy - (beta / (n - 1)) * guilt)
-
-
-def emurel_intrinsic(w, d_row, k, alpha, beta):
-    """Impact-scaled inequity aversion: fellow j's smoothed reward is scaled
-    by its impact d_row entry before the comparison. d_row has N-1 entries in
-    [0, 1], ordered by ascending fellow index."""
-    w = np.asarray(w, dtype=np.float64)
-    d = np.asarray(d_row, dtype=np.float64)
-    n = w.shape[0]
-    if n < 2:
-        raise ValueError("inequity aversion needs at least two agents")
-    if d.shape != (n - 1,):
-        raise ValueError(f"impact row must have {n - 1} entries, got {d.shape}")
+    if d.shape != (n, n - 1):
+        raise ValueError(f"impact rows must have shape ({n}, {n - 1}), got {d.shape}")
     if np.any(d < 0.0) or np.any(d > 1.0):
         raise ValueError("impact values must lie in [0, 1]")
-    others = np.delete(w, k)
-    scaled = d * others
-    envy = np.maximum(scaled - w[k], 0.0).sum()
-    guilt = np.maximum(w[k] - scaled, 0.0).sum()
-    return float(-(alpha / (n - 1)) * envy - (beta / (n - 1)) * guilt)
+    fellows = np.broadcast_to(w, (n, n))[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    scaled = d * fellows
+    mine = w[:, None]
+    envy = np.maximum(scaled - mine, 0.0).sum(axis=1)
+    guilt = np.maximum(mine - scaled, 0.0).sum(axis=1)
+    return -(alpha / (n - 1)) * envy - (beta / (n - 1)) * guilt
 
 
 def reshape_reward(extrinsic, intrinsic, combine_alpha=1.0, combine_beta=1.0):
@@ -131,13 +122,10 @@ class RewardShaper:
         n = self.num_agents
         intrinsic = np.zeros(n)
         if cfg.mode == "ia":
-            for k in range(n):
-                intrinsic[k] = ia_intrinsic(self.w, k, cfg.alpha, cfg.beta)
+            intrinsic = inequity_intrinsics(self.w, np.ones((n, n - 1)), cfg.alpha, cfg.beta)
         elif cfg.mode == "emurel":
             if impact_rows is None:
                 raise ValueError("emurel mode requires impact rows")
-            for k in range(n):
-                intrinsic[k] = emurel_intrinsic(self.w, impact_rows[k], k,
-                                                cfg.alpha, cfg.beta)
+            intrinsic = inequity_intrinsics(self.w, impact_rows, cfg.alpha, cfg.beta)
         reshaped = reshape_reward(e, intrinsic, cfg.combine_alpha, cfg.combine_beta)
         return e, intrinsic, reshaped

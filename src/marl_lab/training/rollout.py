@@ -116,7 +116,7 @@ def collect_rollouts(workers, agents, batch_steps, view_size, channels, lstm_uni
             buffer.obs[:, t, k] = obs[k].astype(np.uint8)
             buffer.v_h[:, t, k], buffer.v_c[:, t, k] = mems[k].v.hidden, mems[k].v.cell
             buffer.u_h[:, t, k], buffer.u_c[:, t, k] = mems[k].u.hidden, mems[k].u.cell
-            phis.append(agents[k].encode(obs[k]))
+            phis.append(agents[k].window_features(obs[k]))
             out, mems[k] = agents[k].act(obs[k], mems[k],
                                          [worker.action_rngs[k] for worker in workers],
                                          feat=phis[k])

@@ -40,10 +40,8 @@ def composite_loss(nets, k, view, adv, targets, cfg, mode, ppo=True):
     adv/targets: (B,) normalized advantages and value targets for agent k.
     Returns (loss Tensor, {term: float}).
     """
-    obs = Tensor(view["obs"][:, k])
-    feat = nets.encode_tape(obs)
-    logits, value = nets.actor_critic_tape(feat, Tensor(view["v_h"][:, k]),
-                                           Tensor(view["v_c"][:, k]))
+    feat = nets.encode(Tensor(view["obs"][:, k]))
+    logits, value, _, _ = nets.run_actor_critic(feat, view["v_h"][:, k], view["v_c"][:, k])
     logp = T.log_softmax(logits)
     logp_a = T.gather_last(logp, view["actions"][:, k])
     adv_t = T.constant(adv)
@@ -70,10 +68,9 @@ def composite_loss(nets, k, view, adv, targets, cfg, mode, ppo=True):
              "moa_loss": 0.0, "forward_loss": 0.0, "inverse_loss": 0.0}
 
     if mode == "emurel":
-        joint = Tensor(joint_one_hot(view["actions"], nets.num_actions))
-        feat_next = nets.encode_tape(Tensor(view["next_obs"][:, k]))
-        u_h = Tensor(view["u_h"][:, k])
-        u_c = Tensor(view["u_c"][:, k])
+        joint = joint_one_hot(view["actions"], nets.num_actions)
+        feat_next = nets.encode(Tensor(view["next_obs"][:, k]))
+        u_h, u_c = view["u_h"][:, k], view["u_c"][:, k]
         if cfg.moa_coef != 0.0:
             moa_l = moa_loss_tape(nets, feat, joint, u_h, u_c,
                                   view["moa_targets"][:, k], view["moa_valid"])

@@ -23,7 +23,7 @@ from marl_lab.envs import EnvConfig, SSDEnv, cleanup_spawn_rate
 from marl_lab.envs.env import EAST, FIRE_PUNISH, MOVE_UP, NOOP, APPLE
 from marl_lab.nn import Conv2d, Dense, LSTMCell, Tensor, finite_difference_check
 from marl_lab.nn import tensor as T
-from marl_lab.shaping import emurel_intrinsic, gini_equality, ia_intrinsic, update_smoothed
+from marl_lab.shaping import gini_equality, inequity_intrinsics, update_smoothed
 from marl_lab.training import (
     Trainer, TrainerConfig, UniformRandomPolicy, composite_loss, evaluate,
 )
@@ -83,12 +83,13 @@ def test_equation_oracles():
             k = int(rng.integers(n))
             alpha = float(rng.uniform(0, 6))
             beta = float(rng.uniform(0, 1))
-            assert abs(ia_intrinsic(w, k, alpha, beta)
-                       - brute_ia(w, k, alpha, beta)) < 1e-12
-            assert abs(emurel_intrinsic(w, d, k, alpha, beta)
-                       - brute_emurel(w, d, k, alpha, beta)) < 1e-12
-            if emurel_intrinsic(w, np.ones(n - 1), k, alpha, beta) == \
-                    ia_intrinsic(w, k, alpha, beta):
+            rows = np.ones((n, n - 1))
+            rows[k] = d
+            emurel = inequity_intrinsics(w, rows, alpha, beta)
+            plain = inequity_intrinsics(w, np.ones((n, n - 1)), alpha, beta)
+            assert abs(plain[k] - brute_ia(w, k, alpha, beta)) < 1e-12
+            assert abs(emurel[k] - brute_emurel(w, d, k, alpha, beta)) < 1e-12
+            if plain[k] == brute_ia(w, k, alpha, beta):
                 ones_cases += 1
         assert ones_cases == 10000   # d = 1 reduces to plain IA exactly
 
@@ -161,8 +162,8 @@ def _composite_instance(seed):
             or _dense_margin(inv_in, nets.inv_fc1) < 1e-2):
         return None
     # keep probability ratios away from the clip boundaries
-    logits, _ = nets.actor_critic_tape(Tensor(fp), Tensor(view["v_h"][:, 0]),
-                                       Tensor(view["v_c"][:, 0]))
+    logits, _, _, _ = nets.run_actor_critic(Tensor(fp), Tensor(view["v_h"][:, 0]),
+                                            Tensor(view["v_c"][:, 0]))
     logp = T.log_softmax(logits).data
     logp_a = logp[np.arange(B), view["actions"][:, 0]]
     ratio = np.exp(logp_a - view["behavior_logp"][:, 0])
@@ -200,9 +201,9 @@ def test_gradient_suite():
                 continue
 
             def loss_a():
-                feat = T.reshape(conv.forward(Tensor(x)), (2, 18))
-                h, _ = cell.forward(fc.forward(feat), Tensor(h0), Tensor(c0))
-                out = head.forward(h)
+                feat = T.reshape(conv.apply(Tensor(x)), (2, 18))
+                h, _ = cell.apply(fc.apply(feat), Tensor(h0), Tensor(c0))
+                out = head.apply(h)
                 return T.tsum(T.mul(out, out))
 
             err = finite_difference_check(
@@ -241,16 +242,16 @@ def test_gradient_suite():
                 if leg == "b":
                     def loss_fn():
                         return forward_loss_tape(
-                            nets, nets.encode_tape(Tensor(obs_prev)),
-                            nets.encode_tape(Tensor(obs_next)), Tensor(u),
+                            nets, nets.encode(Tensor(obs_prev)),
+                            nets.encode(Tensor(obs_next)), Tensor(u),
                             Tensor(joint))
                 else:
                     actions = r.integers(0, 3, size=(2, 2))
 
                     def loss_fn():
                         return inverse_loss_tape(
-                            nets, nets.encode_tape(Tensor(obs_prev)),
-                            nets.encode_tape(Tensor(obs_next)), Tensor(u), actions)
+                            nets, nets.encode(Tensor(obs_prev)),
+                            nets.encode(Tensor(obs_next)), Tensor(u), actions)
 
                 err = finite_difference_check(loss_fn, param_picker(nets),
                                               epsilon=1e-4)

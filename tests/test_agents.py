@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from marl_lab.agents import (
-    AgentNets, EpisodeMixError, NetSizes, joint_one_hot, moa_loss,
+    AgentNets, EpisodeMixError, NetSizes, joint_one_hot,
 )
 from marl_lab.eicm import moa_loss_tape
 from marl_lab.nn import Optimizer, OptimizerConfig, Tensor, gradients
@@ -121,7 +121,7 @@ class TestMoaPredict:
         opts = [Optimizer(g, OptimizerConfig(kind="adam", learning_rate=0.03))
                 for g in graphs]
         for _ in range(150):
-            feat = nets.encode_tape(Tensor(observations))
+            feat = nets.encode(Tensor(observations))
             loss = moa_loss_tape(nets, feat, Tensor(joints), Tensor(u0), Tensor(u0),
                                  targets, mask)
             grads = gradients(nets.encoder.parameters() + nets.moa.parameters(), loss)
@@ -132,33 +132,63 @@ class TestMoaPredict:
         assert probs[0, 0] > 0.9
 
 
+def moa_loss_on(nets, targets, seed=0):
+    """The MOA tape loss on random rows of features, joint actions and
+    states, every row valid; targets: (B, N-1) action indices."""
+    targets = np.asarray(targets)
+    B = targets.shape[0]
+    rng = np.random.default_rng(seed)
+    feat = rng.normal(size=(B, nets.q))
+    joint = joint_one_hot(rng.integers(0, 9, size=(B, nets.num_agents)), 9)
+    u = rng.normal(size=(B, SMALL.lstm_units)) * 0.1
+    return float(moa_loss_tape(nets, Tensor(feat), joint, u, u, targets,
+                               np.ones(B)).data)
+
+
+def constant_moa_head(nets, logits):
+    """Make the MOA head ignore its input and emit `logits` for every block."""
+    nets.moa_head.weight.data[:] = 0.0
+    nets.moa_head.bias.data = np.tile(logits, nets.num_agents - 1)
+    return nets
+
+
 class TestMoaLoss:
     def test_one_hot_correct_predictions(self):
-        pred = np.zeros((3, 9))
-        pred[:, 4] = 1.0
-        assert moa_loss(pred, [4, 4, 4]) <= 1e-9
+        logits = np.zeros(9)
+        logits[4] = 1e3
+        nets = constant_moa_head(small_nets(n=4), logits)
+        assert moa_loss_on(nets, [[4, 4, 4]]) <= 1e-9
 
     def test_uniform_predictions_equal_log_n_actions(self):
-        pred = np.full((2, 9), 1.0 / 9.0)
-        assert moa_loss(pred, [0, 5]) == pytest.approx(np.log(9.0), abs=1e-12)
+        nets = constant_moa_head(small_nets(n=3), np.zeros(9))
+        assert moa_loss_on(nets, [[0, 5]]) == pytest.approx(np.log(9.0), abs=1e-12)
 
     def test_permutation_equivariant(self):
+        # the mean over samples does not depend on their order
+        nets = small_nets(n=3, seed=8)
         rng = np.random.default_rng(8)
-        pred = rng.dirichlet(np.ones(9), size=4)
-        actual = rng.integers(0, 9, size=4)
-        perm = rng.permutation(4)
-        assert moa_loss(pred, actual) == pytest.approx(
-            moa_loss(pred[perm], actual[perm]), abs=1e-12)
+        B = 4
+        feat = rng.normal(size=(B, nets.q))
+        joint = joint_one_hot(rng.integers(0, 9, size=(B, 3)), 9)
+        u = rng.normal(size=(B, SMALL.lstm_units)) * 0.1
+        actual = rng.integers(0, 9, size=(B, 2))
+        perm = rng.permutation(B)
+        loss = lambda idx: float(moa_loss_tape(nets, Tensor(feat[idx]), joint[idx], u[idx],
+                                               u[idx], actual[idx], np.ones(B)).data)
+        assert loss(np.arange(B)) == pytest.approx(loss(perm), abs=1e-12)
 
-    def test_zero_probability_clamped(self):
-        pred = np.zeros((1, 9))
-        pred[0, 0] = 1.0
-        loss = moa_loss(pred, [3])
-        assert np.isfinite(loss) and loss == pytest.approx(-np.log(1e-10))
+    def test_confident_miss_stays_finite(self):
+        # p(true action) = exp(-1000) underflows to 0.0; the log-softmax
+        # loss stays finite and equals the logit gap
+        logits = np.zeros(9)
+        logits[0] = 1e3
+        nets = constant_moa_head(small_nets(n=2), logits)
+        loss = moa_loss_on(nets, [[3]])
+        assert np.isfinite(loss) and loss == pytest.approx(1e3)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            moa_loss(np.zeros((2, 9)), [1, 2, 3])
+            moa_loss_on(small_nets(n=3), [[1, 2, 3]])
 
 
 class TestArchitecture:

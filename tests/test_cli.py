@@ -100,6 +100,12 @@ class TestSpecfile:
         with pytest.raises(SpecError):
             parse_spec_text("name = \"a\"\nname = \"b\"\n")
 
+    def test_duplicate_section_rejected(self):
+        with pytest.raises(SpecError) as exc:
+            parse_spec_text("name = \"a\"\n[env]\n[env]\n", path="f.spec")
+        assert "f.spec:3" in str(exc.value)
+        assert "duplicate section [env]" in str(exc.value)
+
     def test_type_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.spec"
         path.write_text(TINY_SPEC.format(out=str(tmp_path), mode="baseline")
@@ -301,6 +307,20 @@ class TestReplay:
         replay(ckpt_dir, env_spec, episodes=1, seed=9, sink=a.append)
         replay(ckpt_dir, env_spec, episodes=1, seed=9, sink=b.append)
         assert a == b
+
+    def test_truncated_checkpoint_exits_2(self, tmp_path, capsys):
+        # a cut length field or a cut manifest is a checkpoint error, not a crash
+        spec = write_tiny_spec(tmp_path)
+        for name, blob in (("short", b"MARLCKP1\x07"),
+                           ("cut", b"MARLCKP1" + (99).to_bytes(8, "little") + b'{"meta"')):
+            ckpt_dir = tmp_path / name
+            ckpt_dir.mkdir()
+            for k in range(2):
+                (ckpt_dir / f"agent{k}_step10.ckpt").write_bytes(blob)
+            capsys.readouterr()
+            assert main(["replay", str(ckpt_dir), spec, "--episodes", "1",
+                         "--seed", "1"]) == 2
+            assert capsys.readouterr().err.startswith("error:")
 
     def test_env_mismatch_rejected(self, tmp_path):
         ckpt_dir, env_spec = self._trained_dir(tmp_path)

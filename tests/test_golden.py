@@ -31,7 +31,7 @@ from marl_lab.shaping import ShapingConfig
 from marl_lab.training import Trainer, TrainerConfig
 from marl_lab.training.metrics import MetricsWriter
 
-from conftest import THREE_AGENT_CLEANUP
+from helpers import THREE_AGENT_CLEANUP
 
 SMALL = NetSizes(conv_filters=2, fc_units=8, lstm_units=8, eicm_hidden=8)
 

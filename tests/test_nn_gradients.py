@@ -10,7 +10,7 @@ from marl_lab.nn import (
 )
 from marl_lab.nn import tensor as T
 
-from conftest import conv_linear_response
+from helpers import conv_linear_response
 
 
 def test_constant_loss_has_exactly_zero_gradient(rng):
@@ -37,7 +37,7 @@ def test_backprop_is_deterministic(rng):
     x = rng.normal(size=(5, 4))
 
     def run():
-        out = lay.forward(Tensor(x))
+        out = lay.apply(Tensor(x))
         return gradients(lay.params(), T.tsum(T.mul(out, out)))["d.weight"]
 
     np.testing.assert_array_equal(run(), run())
@@ -46,7 +46,7 @@ def test_backprop_is_deterministic(rng):
 def test_linear_graph_fd_error_is_rounding_level(rng):
     lay = Dense("d", 3, 2, rng, activation="linear")
     x = rng.normal(size=(4, 3))
-    err = finite_difference_check(lambda: T.tsum(lay.forward(Tensor(x))),
+    err = finite_difference_check(lambda: T.tsum(lay.apply(Tensor(x))),
                                   lay.params(), epsilon=1e-4)
     assert err <= 1e-10
 
@@ -54,7 +54,7 @@ def test_linear_graph_fd_error_is_rounding_level(rng):
 def test_epsilon_outside_range_rejected(rng):
     lay = Dense("d", 2, 2, rng)
     with pytest.raises(ValueError):
-        finite_difference_check(lambda: T.tsum(lay.forward(Tensor(np.ones((1, 2))))),
+        finite_difference_check(lambda: T.tsum(lay.apply(Tensor(np.ones((1, 2))))),
                                 lay.params(), epsilon=1e-2)
 
 
@@ -81,7 +81,7 @@ def test_two_layer_dense_relu_fd(rng):
         if not _relu_margins_ok([l1, l2], x):
             continue
         def loss_fn():
-            h = l2.forward(l1.forward(Tensor(x)))
+            h = l2.apply(l1.apply(Tensor(x)))
             return T.tsum(T.mul(h, h))
         err = finite_difference_check(loss_fn, l1.params() + l2.params(), epsilon=1e-4)
         assert err < 1e-4, f"seed {seed}: fd error {err}"
@@ -108,10 +108,10 @@ def test_conv_lstm_dense_composite_fd():
             continue
 
         def loss_fn():
-            feat = T.reshape(conv.forward(Tensor(x)), (2, 18))
-            hid = fc.forward(feat)
-            h, c = cell.forward(hid, Tensor(h0), Tensor(c0))
-            out = head.forward(h)
+            feat = T.reshape(conv.apply(Tensor(x)), (2, 18))
+            hid = fc.apply(feat)
+            h, c = cell.apply(hid, Tensor(h0), Tensor(c0))
+            out = head.apply(h)
             return T.tsum(T.mul(out, out))
 
         params = conv.params() + fc.params() + cell.params() + head.params()
@@ -126,7 +126,7 @@ def test_softmax_cross_entropy_gradient_fd(rng):
     actions = rng.integers(0, 4, size=6)
 
     def loss_fn():
-        lp = T.log_softmax(lay.forward(Tensor(x)))
+        lp = T.log_softmax(lay.apply(Tensor(x)))
         return -T.tmean(T.gather_last(lp, actions))
 
     err = finite_difference_check(loss_fn, lay.params(), epsilon=1e-4)
@@ -160,7 +160,7 @@ def test_conv_on_constant_input_gives_the_same_parameter_gradients(rng):
     def grads(needs_grad):
         conv = Conv2d("c", 4, 5, np.random.default_rng(2))
         inp = Tensor(x, needs_grad=needs_grad)
-        out = conv.forward(inp)
+        out = conv.apply(inp)
         T.tsum(T.mul(out, out)).backward()
         return inp, conv.kernel.grad, conv.bias.grad
 

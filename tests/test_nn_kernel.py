@@ -1,6 +1,8 @@
 """Layer-level oracles: hand-evaluated conv / dense / LSTM cases on layers
-whose parameters are set by hand, softmax normalization, optimizer updates,
-checkpoint round trips."""
+whose parameters are set by hand, the one-forward-definition contract (an op,
+a layer or a net stack called on arrays returns the bytes its Tensor call
+holds in `.data`), softmax normalization, optimizer updates, checkpoint round
+trips and truncated checkpoint files."""
 
 import math
 
@@ -9,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from marl_lab.agents import AgentNets, NetSizes, joint_one_hot
 from marl_lab.nn import (
-    ComputationGraph, Conv2d, Dense, LSTMCell, Optimizer, OptimizerConfig,
-    ShapeError, Tensor, load_checkpoint, read_manifest, save_checkpoint,
+    CheckpointError, ComputationGraph, Conv2d, Dense, LSTMCell, Optimizer,
+    OptimizerConfig, ShapeError, Tensor, load_checkpoint, read_manifest, save_checkpoint,
 )
 from marl_lab.nn import tensor as T
 
@@ -127,14 +130,123 @@ class TestLSTMStep:
             cell.apply(np.zeros(2), np.array([np.nan, 0.0, 0.0]), np.zeros(3))
 
     def test_tape_and_apply_paths_agree_bitwise(self, rng):
+        # one apply for both paths: Tensor input records on the tape, array
+        # input returns arrays, and the bytes agree for the update-shaped
+        # (B, n) rows and the rollout-shaped (W, 1, n) rows alike
         cell = LSTMCell("lstm", 3, 4, rng)
-        x = rng.normal(size=(2, 3))
-        h = rng.normal(size=(2, 4)) * 0.1
-        c = rng.normal(size=(2, 4)) * 0.1
-        th, tc = cell.forward(Tensor(x), Tensor(h), Tensor(c))
-        ah, ac = cell.apply(x, h, c)
-        np.testing.assert_array_equal(th.data, ah)
-        np.testing.assert_array_equal(tc.data, ac)
+        dense = Dense("dense", 3, 5, rng)
+        for lead in ((2,), (4, 1)):
+            x = rng.normal(size=lead + (3,))
+            h = rng.normal(size=lead + (4,)) * 0.1
+            c = rng.normal(size=lead + (4,)) * 0.1
+            th, tc = cell.apply(Tensor(x), Tensor(h), Tensor(c))
+            ah, ac = cell.apply(x, h, c)
+            assert type(ah) is np.ndarray and type(ac) is np.ndarray
+            assert th.needs_grad and tc.needs_grad
+            assert th.data.tobytes() == ah.tobytes() and th.data.shape == ah.shape
+            assert tc.data.tobytes() == ac.tobytes()
+            assert dense.apply(Tensor(x)).data.tobytes() == dense.apply(x).tobytes()
+        for shape in ((3, 5, 5, 2), (4, 1, 5, 5, 2)):
+            lay = Conv2d("conv", 2, 3, rng)
+            x = rng.normal(size=shape)
+            out = lay.apply(x)
+            assert type(out) is np.ndarray and out.shape == shape[:-3] + (3, 3, 3)
+            assert lay.apply(Tensor(x)).data.tobytes() == out.tobytes()
+
+
+def _op_cases(rng, lead):
+    """(name, op, operands) for every op the layers and losses use, on rows
+    along `lead`: (B,) for update minibatches, (W, 1) for lockstep rollouts."""
+    x = rng.normal(size=lead + (6,))
+    y = rng.normal(size=lead + (6,))
+    w = rng.normal(size=(6, 4))
+    b = rng.normal(size=4)
+    idx = rng.integers(0, 6, size=lead)
+    return [
+        ("matmul", T.matmul, (x, w)),
+        ("add", T.add, (x, y)),
+        ("add broadcast", T.add, (T.matmul(x, w), b)),
+        ("sub", T.sub, (x, y)),
+        ("mul", T.mul, (x, y)),
+        ("relu", T.relu, (x,)),
+        ("sigmoid", T.sigmoid, (x,)),
+        ("tanh", T.tanh, (x,)),
+        ("exp", T.exp, (x,)),
+        ("log", T.log, (np.abs(x) + 0.1,)),
+        ("slice_last", lambda t: T.slice_last(t, 2, 5), (x,)),
+        ("concat", lambda s, t: T.concat([s, t], axis=-1), (x, y)),
+        ("reshape", lambda t: T.reshape(t, (-1, 3)), (x,)),
+        ("tsum", lambda t: T.tsum(t, axis=-1), (x,)),
+        ("tmean", lambda t: T.tmean(t, axis=-1), (x,)),
+        ("minimum", T.minimum, (x, y)),
+        ("clip", lambda t: T.clip(t, -0.5, 0.5), (x,)),
+        ("gather_last", lambda t: T.gather_last(t, idx), (x,)),
+        ("log_softmax", T.log_softmax, (x,)),
+        ("softmax", T.softmax, (x,)),
+    ]
+
+
+class TestOneForwardDefinition:
+    """Called on arrays, an op returns a plain ndarray and records nothing;
+    its bytes are those of `.data` of the same op called on Tensors."""
+
+    @pytest.mark.parametrize("lead", [(5,), (4, 1)], ids=["update_rows", "rollout_rows"])
+    def test_ops_plain_call_equals_tape_data(self, rng, lead):
+        for name, op, args in _op_cases(rng, lead):
+            plain = op(*args)
+            traced = op(*[Tensor(a, needs_grad=True) for a in args])
+            assert type(plain) is np.ndarray, name
+            assert isinstance(traced, Tensor) and traced.needs_grad, name
+            assert plain.shape == traced.data.shape, name
+            assert plain.tobytes() == traced.data.tobytes(), name
+
+    @pytest.mark.parametrize("shape", [(3, 5, 5, 2), (4, 1, 5, 5, 2)],
+                             ids=["update_batch", "rollout_stack"])
+    def test_conv2d_plain_call_equals_tape_data(self, rng, shape):
+        x, k, b = rng.normal(size=shape), rng.normal(size=(3, 3, 2, 3)), rng.normal(size=3)
+        plain = T.conv2d(x, k, b)
+        traced = T.conv2d(Tensor(x), Tensor(k, needs_grad=True), Tensor(b, needs_grad=True))
+        assert type(plain) is np.ndarray
+        assert plain.tobytes() == traced.data.tobytes()
+
+    def test_stacked_matmul_rows_match_lone_rows(self, rng):
+        # (W, 1, n) operands make one BLAS call per row, on either path
+        x, w = rng.normal(size=(4, 1, 6)), rng.normal(size=(6, 3))
+        lone = np.stack([T.matmul(x[i], w) for i in range(4)])
+        assert T.matmul(x, w).tobytes() == lone.tobytes()
+        assert T.matmul(Tensor(x), Tensor(w)).data.tobytes() == lone.tobytes()
+
+    def test_stacked_matmul_gradient(self, rng):
+        # the weight gradient of stacked rows sums every row's outer product
+        x, w = rng.normal(size=(4, 1, 6)), Tensor(rng.normal(size=(6, 3)), needs_grad=True)
+        T.tsum(T.matmul(Tensor(x), w)).backward()
+        np.testing.assert_allclose(w.grad, np.repeat(x.reshape(4, 6).sum(0)[:, None], 3, 1),
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("lead", [(5,), (4, 1)], ids=["update_rows", "rollout_rows"])
+    def test_net_stacks_plain_call_equals_tape_data(self, lead):
+        sizes = NetSizes(conv_filters=2, fc_units=8, lstm_units=8, eicm_hidden=8)
+        nets = AgentNets(view_size=5, num_actions=9, num_agents=3, seed=3, sizes=sizes)
+        rng = np.random.default_rng(5)
+        obs = rng.normal(size=lead + (5, 5, 8))
+        feat, feat_next = rng.normal(size=(2,) + lead + (nets.q,))
+        h, c = rng.normal(size=(2,) + lead + (8,)) * 0.1
+        joint = joint_one_hot(rng.integers(0, 9, size=lead + (3,)), 9)
+        stacks = [
+            ("encode", nets.encode, (obs,)),
+            ("actor_critic", nets.run_actor_critic, (feat, h, c)),
+            ("moa", nets.run_moa, (feat, joint, h, c)),
+            ("forward_model", nets.run_forward_model, (feat, h, joint)),
+            ("inverse_model", nets.run_inverse_model, (feat, feat_next, h)),
+        ]
+        for name, stack, args in stacks:
+            plain = stack(*args)
+            traced = stack(Tensor(args[0]), *args[1:])
+            plain = plain if isinstance(plain, tuple) else (plain,)
+            traced = traced if isinstance(traced, tuple) else (traced,)
+            for p, t in zip(plain, traced):
+                assert type(p) is np.ndarray and isinstance(t, Tensor), name
+                assert p.tobytes() == t.data.tobytes() and p.shape == t.data.shape, name
 
 
 class TestSoftmax:
@@ -247,9 +359,31 @@ class TestCheckpoint:
         g = self._build(7)
         path = tmp_path / "net.ckpt"
         save_checkpoint(path, {"net": g})
-        from marl_lab.nn import CheckpointError
         with pytest.raises(CheckpointError):
             load_checkpoint(path, {"other": self._build(7)})
+
+    def test_short_length_field_rejected(self, tmp_path):
+        path = tmp_path / "short.ckpt"
+        path.write_bytes(b"MARLCKP1" + b"\x01")
+        with pytest.raises(CheckpointError):
+            read_manifest(path)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path, {"net": self._build(7)})
+
+    def test_cut_or_undecodable_manifest_rejected(self, tmp_path):
+        good = tmp_path / "good.ckpt"
+        save_checkpoint(good, {"net": self._build(7)})
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(good.read_bytes()[:40])
+        garbled = tmp_path / "garbled.ckpt"
+        garbled.write_bytes(b"MARLCKP1" + (2).to_bytes(8, "little") + b"\xff\xfe")
+        broken = tmp_path / "broken.ckpt"
+        broken.write_bytes(b"MARLCKP1" + (3).to_bytes(8, "little") + b"{x}")
+        for path in (cut, garbled, broken):
+            with pytest.raises(CheckpointError):
+                read_manifest(path)
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path, {"net": self._build(7)})
 
     def test_save_twice_is_byte_identical(self, tmp_path):
         g = self._build(7)

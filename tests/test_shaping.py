@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from marl_lab.shaping import (
-    RewardShaper, ShapingConfig, emurel_intrinsic, gini_equality, ia_intrinsic,
-    reshape_reward, update_smoothed,
+    RewardShaper, ShapingConfig, gini_equality, inequity_intrinsics, reshape_reward,
+    update_smoothed,
 )
 
 
@@ -75,45 +75,67 @@ class TestSmoothing:
         np.testing.assert_allclose(wab, wa + wb, atol=1e-12)
 
 
+def ia(w, alpha, beta):
+    """Plain inequity aversion: every impact row all ones."""
+    n = len(w)
+    return inequity_intrinsics(w, np.ones((n, n - 1)), alpha, beta)
+
+
+def with_row(w, k, d_row):
+    """All-ones impact rows except agent k's, which is d_row."""
+    n = len(w)
+    rows = np.ones((n, n - 1))
+    rows[k] = d_row
+    return rows
+
+
 class TestIAIntrinsic:
     def test_equal_rewards_give_zero(self):
-        assert ia_intrinsic([2.0, 2.0, 2.0], 1, 5.0, 0.05) == 0.0
+        np.testing.assert_array_equal(ia([2.0, 2.0, 2.0], 5.0, 0.05), np.zeros(3))
 
     def test_disadvantageous_hand_case(self):
         # first agent of (2,4,6), alpha=5: -(5/2)*((4-2)+(6-2)) = -15
-        assert ia_intrinsic([2.0, 4.0, 6.0], 0, 5.0, 0.0) == pytest.approx(-15.0, abs=1e-12)
+        assert ia([2.0, 4.0, 6.0], 5.0, 0.0)[0] == pytest.approx(-15.0, abs=1e-12)
 
     def test_advantageous_hand_case(self):
         # first agent of (6,2,4), beta=0.05: -(0.05/2)*((6-2)+(6-4)) = -0.15
-        assert ia_intrinsic([6.0, 2.0, 4.0], 0, 0.0, 0.05) == pytest.approx(-0.15, abs=1e-12)
+        assert ia([6.0, 2.0, 4.0], 0.0, 0.05)[0] == pytest.approx(-0.15, abs=1e-12)
 
     def test_single_agent_rejected(self):
         with pytest.raises(ValueError):
-            ia_intrinsic([1.0], 0, 1.0, 1.0)
+            inequity_intrinsics([1.0], np.ones((1, 0)), 1.0, 1.0)
 
 
 class TestEmurelIntrinsic:
     def test_all_ones_impacts_reduce_to_ia(self):
         w = [1.0, -0.5, 3.0, 0.2]
+        got = ia(w, 5.0, 0.05)
         for k in range(4):
-            assert emurel_intrinsic(w, np.ones(3), k, 5.0, 0.05) == pytest.approx(
-                ia_intrinsic(w, k, 5.0, 0.05), abs=1e-15)
+            assert got[k] == pytest.approx(brute_force_ia(w, k, 5.0, 0.05), abs=1e-15)
 
     def test_disadvantageous_hand_case(self):
         # w=(2,4,6), k first, d=(0.5,0.5): max(2-2,0)=0, max(3-2,0)=1 -> -(5/2)*1
-        assert emurel_intrinsic([2.0, 4.0, 6.0], [0.5, 0.5], 0, 5.0, 0.0) == pytest.approx(
-            -2.5, abs=1e-12)
+        w = [2.0, 4.0, 6.0]
+        assert inequity_intrinsics(w, with_row(w, 0, [0.5, 0.5]), 5.0, 0.0)[0] == \
+            pytest.approx(-2.5, abs=1e-12)
 
     def test_advantageous_hand_case(self):
         # w=(6,2,4), k first, d=(0,0), beta=0.05: -(0.05/2)*(6+6) = -0.3
-        assert emurel_intrinsic([6.0, 2.0, 4.0], [0.0, 0.0], 0, 0.0, 0.05) == pytest.approx(
-            -0.3, abs=1e-12)
+        w = [6.0, 2.0, 4.0]
+        assert inequity_intrinsics(w, with_row(w, 0, [0.0, 0.0]), 0.0, 0.05)[0] == \
+            pytest.approx(-0.3, abs=1e-12)
 
     def test_out_of_range_impacts_rejected(self):
         with pytest.raises(ValueError):
-            emurel_intrinsic([1.0, 2.0], [1.5], 0, 1.0, 1.0)
+            inequity_intrinsics([1.0, 2.0], [[1.5], [1.0]], 1.0, 1.0)
         with pytest.raises(ValueError):
-            emurel_intrinsic([1.0, 2.0], [-0.1], 0, 1.0, 1.0)
+            inequity_intrinsics([1.0, 2.0], [[1.0], [-0.1]], 1.0, 1.0)
+
+    def test_row_shape_rejected(self):
+        with pytest.raises(ValueError):
+            inequity_intrinsics([1.0, 2.0, 3.0], np.ones((3, 3)), 1.0, 1.0)
+        with pytest.raises(ValueError):
+            inequity_intrinsics([1.0, 2.0, 3.0], np.ones(2), 1.0, 1.0)
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -121,27 +143,28 @@ class TestEmurelIntrinsic:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 7))
         w = rng.normal(scale=3.0, size=n)
-        d = rng.uniform(size=n - 1)
-        k = int(rng.integers(0, n))
+        d = rng.uniform(size=(n, n - 1))
         alpha, beta = rng.uniform(0, 6), rng.uniform(0, 1)
-        got = emurel_intrinsic(w, d, k, alpha, beta)
-        assert got == pytest.approx(brute_force_emurel(w, d, k, alpha, beta), abs=1e-12)
-        got_ia = ia_intrinsic(w, k, alpha, beta)
-        assert got_ia == pytest.approx(brute_force_ia(w, k, alpha, beta), abs=1e-12)
+        got = inequity_intrinsics(w, d, alpha, beta)
+        got_ia = ia(w, alpha, beta)
+        assert got.shape == got_ia.shape == (n,)
+        for k in range(n):
+            assert got[k] == pytest.approx(brute_force_emurel(w, d[k], k, alpha, beta),
+                                           abs=1e-12)
+            assert got_ia[k] == pytest.approx(brute_force_ia(w, k, alpha, beta), abs=1e-12)
 
     @given(hnp.arrays(np.float64, 4, elements=st.floats(-50, 50)),
-           hnp.arrays(np.float64, 3, elements=st.floats(0, 1)))
+           hnp.arrays(np.float64, (4, 3), elements=st.floats(0, 1)))
     @settings(max_examples=100, deadline=None)
     def test_intrinsic_is_never_positive(self, w, d):
-        for k in range(4):
-            assert emurel_intrinsic(w, d, k, 5.0, 0.05) <= 0.0
-            assert ia_intrinsic(w, k, 5.0, 0.05) <= 0.0
+        assert np.all(inequity_intrinsics(w, d, 5.0, 0.05) <= 0.0)
+        assert np.all(ia(w, 5.0, 0.05) <= 0.0)
 
     def test_advantageous_monotone_in_impact(self):
         # with w_k > d*w_j, lowering d deepens the guilt penalty
         w = [5.0, 3.0]
-        lo = emurel_intrinsic(w, [0.2], 0, 0.0, 0.05)
-        hi = emurel_intrinsic(w, [0.8], 0, 0.0, 0.05)
+        lo = inequity_intrinsics(w, [[0.2], [1.0]], 0.0, 0.05)[0]
+        hi = inequity_intrinsics(w, [[0.8], [1.0]], 0.0, 0.05)[0]
         assert lo < hi <= 0.0
 
 

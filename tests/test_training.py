@@ -15,7 +15,7 @@ from marl_lab.training import (
     minibatch_views,
 )
 
-from conftest import THREE_AGENT_CLEANUP
+from helpers import THREE_AGENT_CLEANUP
 
 SMALL = NetSizes(conv_filters=2, fc_units=8, lstm_units=8, eicm_hidden=8)
 
@@ -270,9 +270,9 @@ class TestPPOUpdate:
         buffer = collect_rollouts(tr.workers, tr.agents, 80, 7, NUM_CHANNELS, 8)
         view = minibatch_views(buffer, np.arange(20))
         nets = tr.agents[0]
-        feat = nets.encode_tape(Tensor(view["obs"][:, 0]))
-        logits, _ = nets.actor_critic_tape(feat, Tensor(view["v_h"][:, 0]),
-                                           Tensor(view["v_c"][:, 0]))
+        feat = nets.encode(Tensor(view["obs"][:, 0]))
+        logits, _, _, _ = nets.run_actor_critic(feat, Tensor(view["v_h"][:, 0]),
+                                                Tensor(view["v_c"][:, 0]))
         logp = T.log_softmax(logits)
         logp_a = T.gather_last(logp, view["actions"][:, 0]).data
         np.testing.assert_allclose(logp_a, view["behavior_logp"][:, 0], atol=1e-12)

@@ -36,9 +36,10 @@ class NetSizes:
 
 @dataclass
 class PolicyOutput:
-    action: int
+    """Per-row actions (W,), probabilities (W, |A|) and values (W,)."""
+    action: np.ndarray
     probs: np.ndarray
-    value: float
+    value: np.ndarray
 
 
 def stable_softmax(logits, axis=-1):
@@ -123,10 +124,11 @@ class AgentNets:
     # -- the stacks: arrays for rollouts, Tensors for the tape -------------
     #
     # Rows lie along leading axes. Training passes flat (B, n) minibatches.
-    # Rollouts pass one window (V, V, C) with one memory, or a lockstep stack
-    # of W windows (W, V, V, C) with a stacked memory (AgentMemory.stack), and
-    # shape every input (..., 1, n), so each row of a stack goes through the
-    # same BLAS call as a lone window and gets the same bits.
+    # Rollouts pass a lockstep stack of W windows (W, V, V, C) with a stacked
+    # memory (AgentMemory.stack), and shape every input (W, 1, n), so each row
+    # goes through the same BLAS call as a lone window and gets the same bits.
+    # `act` and `value_only` take stacks only: a lone window is the W = 1
+    # stack.
 
     def encode(self, obs):
         """Flattened shared-conv features phi(obs): (..., q) for (..., V, V, C).
@@ -169,10 +171,10 @@ class AgentNets:
         return self.inv_out.apply(self.inv_fc1.apply(x))
 
     def act(self, obs, memory, rng, greedy=False, feat=None):
-        """Sample an action; advances the actor-critic LSTM state only.
+        """Sample one action per row of a lockstep stack; advances the
+        actor-critic LSTM state only.
 
-        For a stack, `rng` holds one Generator per row and the PolicyOutput
-        fields are arrays over rows. `feat`, when given, is
+        `rng` holds one Generator per row. `feat`, when given, is
         window_features(obs), computed once by the caller.
         """
         feat = self.window_features(obs) if feat is None else feat
@@ -184,9 +186,6 @@ class AgentNets:
         probs = stable_softmax(logits)
         new_mem = AgentMemory(v=RecurrentState(v_h[..., 0, :], v_c[..., 0, :]),
                               u=memory.u.copy(), episode_tag=memory.episode_tag)
-        if probs.ndim == 1:
-            action = int(np.argmax(probs)) if greedy else sample_from_probs(probs, rng)
-            return PolicyOutput(action=action, probs=probs, value=float(value)), new_mem
         if greedy:
             action = np.argmax(probs, axis=-1)
         else:
@@ -194,11 +193,11 @@ class AgentNets:
         return PolicyOutput(action=action, probs=probs, value=value), new_mem
 
     def value_only(self, obs, memory):
-        """Value estimate without sampling, state advance, or RNG use."""
+        """Value estimates of a lockstep stack, without sampling, state
+        advance, or RNG use."""
         _, value, _, _ = self.run_actor_critic(
             *_one_row(self.window_features(obs), memory.v.hidden, memory.v.cell))
-        value = value[..., 0, 0]
-        return float(value) if value.ndim == 0 else value
+        return value[..., 0, 0]
 
     def moa_predict(self, obs, joint_action_onehot, memory, feat=None):
         """Predict the other agents' next actions; advances the MOA LSTM.

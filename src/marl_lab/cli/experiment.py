@@ -121,6 +121,12 @@ def _build(cls, section, path, **extra):
         raise SpecError(path, 1, f"invalid [{cls.__name__}] settings: {exc}") from exc
 
 
+def _key_line(doc, section, *keys):
+    """Line of the first of keys present in the section, else 1."""
+    body = doc.get(section, {})
+    return next((body[key][1] for key in keys if key in body), 1)
+
+
 def resolve_spec(path):
     doc = parse_spec_file(path)
     plain = validate(doc, SPEC_SCHEMA, path=str(path))
@@ -128,8 +134,8 @@ def resolve_spec(path):
     method = plain.get("method", {})
     mode = method.get("mode")
     if mode not in _MODES:
-        lineno = doc["method"]["mode"][1] if "method" in doc and "mode" in doc["method"] else 1
-        raise SpecError(path, lineno, f"unknown method mode {mode!r}; expected one of {_MODES}")
+        raise SpecError(path, _key_line(doc, "method", "mode"),
+                        f"unknown method mode {mode!r}; expected one of {_MODES}")
     if not top.get("seeds"):
         raise SpecError(path, 1, "seeds must be a nonempty list")
 
@@ -139,13 +145,22 @@ def resolve_spec(path):
     net = _build(NetSizes, plain.get("net", {}), path)
     try:
         parsed = load_map(env.map_rows if env.map_rows else env.map, env.kind)
-        if len(parsed.spawns) < env.num_agents:
-            raise ConfigError(f"map {env.map!r} has {len(parsed.spawns)} spawn "
-                              f"points for {env.num_agents} agents")
     except ConfigError as exc:
-        raise SpecError(path, 1, f"invalid [env] settings: {exc}") from exc
+        raise SpecError(path, _key_line(doc, "env", "map"),
+                        f"invalid [env] settings: {exc}") from exc
+    if len(parsed.spawns) < env.num_agents:
+        raise SpecError(path, _key_line(doc, "env", "num_agents", "map"),
+                        f"invalid [env] settings: map {env.map!r} has "
+                        f"{len(parsed.spawns)} spawn points for {env.num_agents} agents")
     ev = plain.get("eval", {})
     ck = plain.get("checkpoint", {})
+    if ev.get("episodes", 1) < 1:
+        raise SpecError(path, _key_line(doc, "eval", "episodes"),
+                        "[eval] episodes must be at least 1")
+    for section, body in (("eval", ev), ("checkpoint", ck)):
+        if body.get("interval", 0) < 0:
+            raise SpecError(path, _key_line(doc, section, "interval"),
+                            f"[{section}] interval must not be negative")
     return ExperimentSpec(
         name=top["name"], seeds=list(top["seeds"]),
         output_dir=top.get("output_dir", "runs"),

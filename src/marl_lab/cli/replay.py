@@ -6,12 +6,10 @@ import glob
 import os
 import re
 
-import numpy as np
-
 from ..agents import AgentNets
-from ..envs import SSDEnv
 from ..nn import CheckpointError, load_checkpoint, read_manifest
-from ..training.evaluate import run_episode
+from ..shaping import ShapingConfig
+from ..training.rollout import RolloutWorker, lockstep_step
 from .experiment import resolve_spec
 
 _CKPT_RE = re.compile(r"agent(\d+)_step(\d+)\.ckpt$")
@@ -56,19 +54,22 @@ def load_agents_for_env(ckpt_dir, env_config, sizes):
 
 
 def replay(ckpt_dir, env_spec_path, episodes, seed, greedy=False, sink=None):
-    """Roll trained agents; frames go to sink(text) per step. Returns
-    per-episode (collective reward, per-agent returns, event counts)."""
+    """Roll trained agents, one baseline-shaped worker per episode; frames go
+    to sink(text) per step. Returns per-episode (collective reward, per-agent
+    returns, event counts)."""
     spec = resolve_spec(env_spec_path)
     env_config = spec.env
     agents = load_agents_for_env(ckpt_dir, env_config, spec.net)
     results = []
     for ep in range(episodes):
-        env = SSDEnv(env_config)
-        env.reset(seed=[seed, ep, 41])
-        rngs = [np.random.default_rng(np.random.SeedSequence([seed, ep, k, 43]))
-                for k in range(env_config.num_agents)]
-        returns, counts = run_episode(env, agents, rngs, greedy=greedy,
-                                      on_frame=sink)
-        results.append({"episode": ep, "collective_reward": float(returns.sum()),
-                        "per_agent": returns.tolist(), "events": counts})
+        worker = RolloutWorker(env_config, ShapingConfig(), seed, ep)
+        worker.reset(agents, [seed, ep, 41],
+                     [[seed, ep, k, 43] for k in range(env_config.num_agents)])
+        while not worker.env.done:
+            _, (stat,) = lockstep_step([worker], agents, greedy=greedy)
+            if sink is not None:
+                sink(worker.env.render_ascii())
+        results.append({"episode": ep, "collective_reward": stat.collective_reward,
+                        "per_agent": stat.per_agent_returns.tolist(),
+                        "events": stat.events})
     return results

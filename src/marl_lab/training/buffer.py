@@ -19,6 +19,7 @@ class EpisodeStat:
     collective_reward: float
     equality: float
     per_agent_returns: np.ndarray
+    events: dict        # episode event counts, keyed by rollout.EVENT_COUNTS
 
 
 class RolloutBuffer:

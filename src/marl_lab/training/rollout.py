@@ -1,4 +1,5 @@
-"""Rollout collection: logical workers stepping independent env instances.
+"""Rollout collection and evaluation: logical workers stepping independent
+env instances.
 
 The W workers step in lockstep. Each step, the envs step one after another,
 and each agent's nets run once on a W-row batch: encode, act, the impact
@@ -12,6 +13,10 @@ row the bits of a lone call (see `marl_lab.nn.layers`), and episode stats
 are kept in worker-major order. So a collection is a pure function of seeds
 and parameters, and a worker's slice of the buffer is the same whether it
 runs alone or beside others.
+
+Evaluation and replay step through the same `lockstep_step`: their episodes
+are baseline-shaped workers, reset with their own seeds and stepped together
+to the end of the episode.
 """
 
 from __future__ import annotations
@@ -22,11 +27,18 @@ from ..agents.memory import AgentMemory
 from ..agents.nets import joint_one_hot
 from ..eicm import impact_row
 from ..envs import SSDEnv
-from ..shaping import RewardShaper, gini_equality
+from ..shaping import RewardShaper, ShapingConfig, gini_equality
 from .buffer import EpisodeStat, RolloutBuffer
 
 _ENV_STREAM = 11
 _ACTION_STREAM = 23
+_EVAL_ENV_STREAM = 31
+_EVAL_ACTION_STREAM = 37
+
+
+# Episode event counts, tallied from the env's step events.
+EVENT_COUNTS = ("apple_collected", "beam_fired", "agent_hit", "waste_cleaned",
+                "clean_beams")
 
 
 class RolloutWorker:
@@ -45,6 +57,7 @@ class RolloutWorker:
         self.shaper = RewardShaper(shaping_config, self.num_agents)
         self.obs = None
         self.episode_returns = None
+        self.episode_events = None
 
     def episode_env_seed(self, episode_idx):
         return [self.run_seed, self.worker_idx, episode_idx, _ENV_STREAM]
@@ -52,32 +65,42 @@ class RolloutWorker:
     def episode_action_seed(self, episode_idx, agent_idx):
         return [self.run_seed, self.worker_idx, episode_idx, agent_idx, _ACTION_STREAM]
 
-    def _begin_episode(self, agents):
+    def reset(self, agents, env_seed, action_seeds):
+        """Start the worker's next episode: the env from env_seed, and agent
+        k's action draws from action_seeds[k]."""
         self.episode_idx += 1
-        self.env.reset(seed=self.episode_env_seed(self.episode_idx))
+        self.env.reset(seed=env_seed)
         self.memories = [a.fresh_memory(episode_tag=self.episode_idx) for a in agents]
-        self.action_rngs = [np.random.default_rng(
-            np.random.SeedSequence(self.episode_action_seed(self.episode_idx, k)))
-            for k in range(self.num_agents)]
+        self.action_rngs = [np.random.default_rng(np.random.SeedSequence(seed))
+                            for seed in action_seeds]
         self.shaper.reset()
         self.obs = [self.env.observe(k) for k in range(self.num_agents)]
         self.episode_returns = np.zeros(self.num_agents)
+        self.episode_events = dict.fromkeys(EVENT_COUNTS, 0)
 
     def begin_step(self, agents):
         """Start a new episode if none is running; True when one started."""
         fresh = self.episode_idx < 0 or self.env.done
         if fresh:
-            self._begin_episode(agents)
+            episode = self.episode_idx + 1
+            self.reset(agents, self.episode_env_seed(episode),
+                       [self.episode_action_seed(episode, k)
+                        for k in range(self.num_agents)])
         for memory in self.memories:
             memory.check_tag(self.episode_idx)
         return fresh
 
     def finish_step(self, actions, impacts):
-        """Step the env on the joint action and shape its rewards; returns
-        (extrinsic, intrinsic, reshaped, EpisodeStat or None)."""
+        """Step the env on the joint action and shape its rewards (impact rows
+        count in emurel mode only); returns (extrinsic, intrinsic, reshaped,
+        EpisodeStat or None)."""
         _, outcome = self.env.step(actions)
         e, i, r = self.shaper.step(outcome.extrinsic, impacts)
         self.episode_returns += e
+        for event in outcome.events:
+            self.episode_events[event["kind"]] += 1
+            if event["kind"] == "beam_fired" and event["beam"] == "clean":
+                self.episode_events["clean_beams"] += 1
         self.obs = [self.env.observe(k) for k in range(self.num_agents)]
         stat = None
         if self.env.done:
@@ -86,8 +109,63 @@ class RolloutWorker:
                 worker=self.worker_idx, episode=self.episode_idx,
                 collective_reward=float(self.episode_returns.sum()),
                 equality=gini_equality(clamped),
-                per_agent_returns=self.episode_returns.copy())
+                per_agent_returns=self.episode_returns.copy(),
+                events=self.episode_events)
         return e, i, r, stat
+
+
+def lockstep_step(workers, agents, greedy=False):
+    """Step every worker once, in lockstep. Each agent's nets run once on the
+    W-row stack: encode, act and, in emurel mode, the impact rows and the MOA
+    advance. Then each worker steps its env and shapes its rewards.
+
+    Returns ({RolloutBuffer field: (W, ...) array of this step},
+    [EpisodeStat or None per worker]).
+    """
+    W, N = len(workers), len(agents)
+    emurel = workers[0].shaping_config.mode == "emurel"
+    rows = np.arange(W)
+    obs = [np.stack([worker.obs[k] for worker in workers]) for k in range(N)]
+    mems = [AgentMemory.stack([worker.memories[k] for worker in workers])
+            for k in range(N)]
+    arrays = {"obs": np.stack(obs, axis=1),
+              "v_h": np.stack([m.v.hidden for m in mems], axis=1),
+              "v_c": np.stack([m.v.cell for m in mems], axis=1),
+              "u_h": np.stack([m.u.hidden for m in mems], axis=1),
+              "u_c": np.stack([m.u.cell for m in mems], axis=1)}
+
+    actions = np.zeros((W, N), dtype=np.int64)
+    logp, values = np.zeros((W, N)), np.zeros((W, N))
+    phis = []
+    for k in range(N):
+        phis.append(agents[k].window_features(obs[k]))
+        out, mems[k] = agents[k].act(obs[k], mems[k],
+                                     [worker.action_rngs[k] for worker in workers],
+                                     greedy=greedy, feat=phis[k])
+        actions[:, k] = out.action
+        logp[:, k] = np.log(out.probs[rows, out.action])
+        values[:, k] = out.value
+
+    impacts = np.zeros((W, N, max(N - 1, 1)))
+    if emurel:
+        joint = joint_one_hot(actions, workers[0].env.num_actions)
+        for k in range(N):
+            impacts[:, k], _ = impact_row(agents[k], phis[k], mems[k].u.hidden, joint, k)
+            _, mems[k] = agents[k].moa_predict(obs[k], joint, mems[k], feat=phis[k])
+
+    per_agent = [m.unstack() for m in mems]
+    rewards, stats = [], []
+    for w, worker in enumerate(workers):
+        worker.memories = [per_agent[k][w] for k in range(N)]
+        e, i, r, stat = worker.finish_step(actions[w], impacts[w])
+        rewards.append((e, i, r))
+        stats.append(stat)
+    extrinsic, intrinsic, reshaped = np.stack(rewards, axis=1)
+    arrays.update(
+        actions=actions, behavior_logp=logp, values=values, impact_rows=impacts,
+        extrinsic=extrinsic, intrinsic=intrinsic, reshaped=reshaped,
+        dones=np.array([stat is not None for stat in stats]))
+    return arrays, stats
 
 
 def collect_rollouts(workers, agents, batch_steps, view_size, channels, lstm_units):
@@ -98,48 +176,17 @@ def collect_rollouts(workers, agents, batch_steps, view_size, channels, lstm_uni
         raise ValueError(f"batch_steps {batch_steps} not divisible by {W} workers")
     steps = batch_steps // W
     N = workers[0].num_agents
-    num_actions = workers[0].env.num_actions
-    emurel = workers[0].shaping_config.mode == "emurel"
     buffer = RolloutBuffer(W, steps, N, view_size, channels, lstm_units)
     stats = [[] for _ in workers]
-    rows = np.arange(W)
 
     for t in range(steps):
-        for w, worker in enumerate(workers):
-            buffer.episode_starts[w, t] = worker.begin_step(agents)
-
-        obs = [np.stack([worker.obs[k] for worker in workers]) for k in range(N)]
-        mems = [AgentMemory.stack([worker.memories[k] for worker in workers])
-                for k in range(N)]
-        phis = []
-        for k in range(N):
-            buffer.obs[:, t, k] = obs[k].astype(np.uint8)
-            buffer.v_h[:, t, k], buffer.v_c[:, t, k] = mems[k].v.hidden, mems[k].v.cell
-            buffer.u_h[:, t, k], buffer.u_c[:, t, k] = mems[k].u.hidden, mems[k].u.cell
-            phis.append(agents[k].window_features(obs[k]))
-            out, mems[k] = agents[k].act(obs[k], mems[k],
-                                         [worker.action_rngs[k] for worker in workers],
-                                         feat=phis[k])
-            buffer.actions[:, t, k] = out.action
-            buffer.behavior_logp[:, t, k] = np.log(out.probs[rows, out.action])
-            buffer.values[:, t, k] = out.value
-
-        if emurel:
-            joint = joint_one_hot(buffer.actions[:, t], num_actions)
-            for k in range(N):
-                buffer.impact_rows[:, t, k], _ = impact_row(
-                    agents[k], phis[k], mems[k].u.hidden, joint, k)
-                _, mems[k] = agents[k].moa_predict(obs[k], joint, mems[k], feat=phis[k])
-
-        per_agent = [m.unstack() for m in mems]
-        for w, worker in enumerate(workers):
-            worker.memories = [per_agent[k][w] for k in range(N)]
-            impacts = buffer.impact_rows[w, t] if emurel else None
-            (buffer.extrinsic[w, t], buffer.intrinsic[w, t], buffer.reshaped[w, t],
-             stat) = worker.finish_step(buffer.actions[w, t].copy(), impacts)
-            buffer.next_obs[w, t] = np.stack(worker.obs).astype(np.uint8)
+        buffer.episode_starts[:, t] = [worker.begin_step(agents) for worker in workers]
+        arrays, step_stats = lockstep_step(workers, agents)
+        for name, value in arrays.items():
+            getattr(buffer, name)[:, t] = value
+        buffer.next_obs[:, t] = [np.stack(worker.obs) for worker in workers]
+        for w, stat in enumerate(step_stats):
             if stat is not None:
-                buffer.dones[w, t] = True
                 stats[w].append(stat)
 
     buffer.episode_stats = [s for per_worker in stats for s in per_worker]
@@ -151,3 +198,26 @@ def collect_rollouts(workers, agents, batch_steps, view_size, channels, lstm_uni
                 AgentMemory.stack([workers[w].memories[k] for w in live]))
     buffer.finalize_moa_targets()
     return buffer
+
+
+def evaluate(policies, env_config, episodes, seed, greedy=False):
+    """Mean collective extrinsic reward and mean equality over fresh episodes.
+
+    The episodes run as baseline-shaped workers stepped in lockstep. Negative
+    per-agent returns are clamped at zero for the equality metric only;
+    collective reward keeps its sign.
+    """
+    if episodes < 1:
+        raise ValueError("evaluate needs at least one episode")
+    n = env_config.num_agents
+    if len(policies) != n:
+        raise ValueError(f"need {n} policies, got {len(policies)}")
+    workers = [RolloutWorker(env_config, ShapingConfig(), seed, ep)
+               for ep in range(episodes)]
+    for ep, worker in enumerate(workers):
+        worker.reset(policies, [seed, ep, _EVAL_ENV_STREAM],
+                     [[seed, ep, k, _EVAL_ACTION_STREAM] for k in range(n)])
+    while not workers[0].env.done:
+        _, stats = lockstep_step(workers, policies, greedy=greedy)
+    return (float(np.mean([s.collective_reward for s in stats])),
+            float(np.mean([s.equality for s in stats])))

@@ -1,8 +1,10 @@
-"""Shared test data and oracles. They live outside conftest.py because the
+"""Shared test data, oracles and reference policies. They live outside conftest.py because the
 suite collects a second conftest (perfbench/tests), and `from conftest
 import ...` would then pick whichever was imported first."""
 
 import numpy as np
+
+from marl_lab.agents import AgentMemory, PolicyOutput
 
 
 # cleanup_mini with a third spawn point, so impact rows have two fellows and
@@ -27,3 +29,42 @@ def conv_linear_response(x, kernel, bias):
     patches = win.transpose(0, 1, 2, 4, 5, 3).reshape(B * Ho * Wo, 9 * C)
     return (patches @ kernel.reshape(9 * C, -1) + bias).reshape(B, Ho, Wo, -1)
 
+
+class StatelessPolicy:
+    """A policy with no nets and no recurrent state. Like AgentNets.act, its
+    `act` takes a lockstep stack of W windows and returns W actions."""
+
+    def __init__(self, num_actions):
+        self.num_actions = num_actions
+
+    def fresh_memory(self, episode_tag=0):
+        return AgentMemory.zeros(1, episode_tag)
+
+    def window_features(self, obs):
+        return None     # no encoder: `act` ignores feat
+
+
+class UniformRandomPolicy(StatelessPolicy):
+    """Baseline reference: uniform action draws, one per row from that row's
+    generator."""
+
+    def act(self, obs, memory, rng, greedy=False, feat=None):
+        rows = len(obs)
+        probs = np.full((rows, self.num_actions), 1.0 / self.num_actions)
+        action = np.array([r.integers(self.num_actions) for r in rng])
+        return PolicyOutput(action=action, probs=probs, value=np.zeros(rows)), memory
+
+
+class ScriptedPolicy(StatelessPolicy):
+    """Always plays a fixed action; used by symmetry checks."""
+
+    def __init__(self, action, num_actions):
+        super().__init__(num_actions)
+        self.action = action
+
+    def act(self, obs, memory, rng, greedy=False, feat=None):
+        rows = len(obs)
+        probs = np.zeros((rows, self.num_actions))
+        probs[:, self.action] = 1.0
+        action = np.full(rows, self.action)
+        return PolicyOutput(action=action, probs=probs, value=np.zeros(rows)), memory

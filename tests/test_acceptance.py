@@ -24,9 +24,9 @@ from marl_lab.envs.env import EAST, FIRE_PUNISH, MOVE_UP, NOOP, APPLE
 from marl_lab.nn import Conv2d, Dense, LSTMCell, Tensor, finite_difference_check
 from marl_lab.nn import tensor as T
 from marl_lab.shaping import gini_equality, inequity_intrinsics, update_smoothed
-from marl_lab.training import (
-    Trainer, TrainerConfig, UniformRandomPolicy, composite_loss, evaluate,
-)
+from marl_lab.training import Trainer, TrainerConfig, composite_loss, evaluate
+
+from helpers import UniformRandomPolicy
 
 FULL = os.environ.get("MARL_LAB_FULL_ACCEPTANCE") == "1"
 SPECS = os.path.join(os.path.dirname(__file__), "..", "specs")

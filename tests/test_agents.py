@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from marl_lab.agents import (
-    AgentNets, EpisodeMixError, NetSizes, joint_one_hot,
+    AgentMemory, AgentNets, EpisodeMixError, NetSizes, joint_one_hot,
 )
 from marl_lab.eicm import moa_loss_tape
 from marl_lab.nn import Optimizer, OptimizerConfig, Tensor, gradients
@@ -27,21 +27,26 @@ def random_obs(rng, view=5):
     return obs
 
 
+def stacked_memory(nets):
+    """A fresh memory as the W = 1 stack that `act` takes."""
+    return AgentMemory.stack([nets.fresh_memory()])
+
+
 class TestAct:
     def test_fresh_nets_are_near_uniform(self):
         rng = np.random.default_rng(0)
         obs = random_obs(rng)
         for seed in range(100):
             nets = small_nets(seed=seed)
-            out, _ = nets.act(obs, nets.fresh_memory(), np.random.default_rng(1))
+            out, _ = nets.act(obs[None], stacked_memory(nets), [np.random.default_rng(1)])
             assert out.probs.max() / out.probs.min() < 1.5
 
     def test_identical_inputs_give_identical_outputs(self):
         nets = small_nets()
         obs = random_obs(np.random.default_rng(3))
-        mem = nets.fresh_memory()
-        o1, m1 = nets.act(obs, mem, np.random.default_rng(7))
-        o2, m2 = nets.act(obs, mem, np.random.default_rng(7))
+        mem = stacked_memory(nets)
+        o1, m1 = nets.act(obs[None], mem, [np.random.default_rng(7)])
+        o2, m2 = nets.act(obs[None], mem, [np.random.default_rng(7)])
         assert o1.action == o2.action and o1.value == o2.value
         np.testing.assert_array_equal(o1.probs, o2.probs)
         np.testing.assert_array_equal(m1.v.hidden, m2.v.hidden)
@@ -49,17 +54,17 @@ class TestAct:
     def test_probs_are_distribution(self):
         nets = small_nets()
         rng = np.random.default_rng(5)
-        mem = nets.fresh_memory()
+        mem = stacked_memory(nets)
         for _ in range(10):
-            out, mem = nets.act(random_obs(rng), mem, rng)
+            out, mem = nets.act(random_obs(rng)[None], mem, [rng])
             assert abs(out.probs.sum() - 1.0) < 1e-9
             assert np.all(out.probs >= 0)
 
     def test_act_advances_v_only(self):
         nets = small_nets()
-        mem = nets.fresh_memory()
-        _, mem2 = nets.act(random_obs(np.random.default_rng(0)), mem,
-                           np.random.default_rng(1))
+        mem = stacked_memory(nets)
+        _, mem2 = nets.act(random_obs(np.random.default_rng(0))[None], mem,
+                           [np.random.default_rng(1)])
         np.testing.assert_array_equal(mem2.u.hidden, mem.u.hidden)
         assert not np.array_equal(mem2.v.hidden, mem.v.hidden)
 
@@ -67,8 +72,8 @@ class TestAct:
         nets = small_nets()
         nets.policy_head.bias.data[:] = np.nan
         with pytest.raises(FloatingPointError):
-            nets.act(random_obs(np.random.default_rng(0)), nets.fresh_memory(),
-                     np.random.default_rng(1))
+            nets.act(random_obs(np.random.default_rng(0))[None], stacked_memory(nets),
+                     [np.random.default_rng(1)])
 
     def test_episode_tag_mismatch_detected(self):
         nets = small_nets()

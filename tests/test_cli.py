@@ -113,6 +113,26 @@ class TestSpecfile:
         with pytest.raises(SpecError):
             resolve_spec(str(path))
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("num_agents = 2", "num_agents = 9", "2 spawn points for 9 agents"),
+        ('map = "cleanup_mini"', 'map = "no_such_map"', "unknown map"),
+        ("episodes = 1", "episodes = 0", "[eval] episodes must be at least 1"),
+        ("[eval]\ninterval = 2", "[eval]\ninterval = -1", "[eval] interval"),
+        ("[checkpoint]\ninterval = 2", "[checkpoint]\ninterval = -1",
+         "[checkpoint] interval"),
+    ], ids=["spawns", "map", "eval-episodes", "eval-interval", "checkpoint-interval"])
+    def test_setting_error_points_at_its_key(self, tmp_path, old, new, message):
+        text = TINY_SPEC.format(out=str(tmp_path), mode="baseline")
+        assert old in text
+        text = text.replace(old, new)
+        path = tmp_path / "bad.spec"
+        path.write_text(text)
+        with pytest.raises(SpecError) as exc:
+            resolve_spec(str(path))
+        line = text.splitlines().index(new.splitlines()[-1]) + 1
+        assert str(exc.value).startswith(f"{path}:{line}: ")
+        assert message in str(exc.value)
+
     def test_shipped_specs_resolve(self):
         specs_dir = os.path.join(os.path.dirname(__file__), "..", "specs")
         names = sorted(os.listdir(specs_dir))

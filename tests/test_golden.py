@@ -1,11 +1,16 @@
 """Golden digests: the sha256 of metrics.csv and of the final checkpoints for
-a small training matrix.
+a small training matrix, and of the evaluation and replay streams.
 
 Every cell of {baseline, ia, emurel} x {ppo, a2c_sync} runs two updates of a
 three-agent mini Cleanup with small nets, writes its rows with `MetricsWriter`
 and saves each agent with `save_agents`, exactly as `marl-lab run` does. The
 digests pin every bit of every metric and every parameter, so a change that
 moves any number fails here and must re-pin in the same diff, saying why.
+
+The emurel-ppo cell also runs from a spec file through `run_single_seed` with
+an evaluation after every update, sampled and greedy; its `events.jsonl` is
+pinned, and so is `replay` of its final checkpoints: the frames and the
+per-episode results, as `marl-lab replay --out` and stdout carry them.
 
 float64 BLAS results may differ between builds and CPU kernels, so the digests
 are stored with the fingerprint of the build that produced them. On another
@@ -17,6 +22,7 @@ Print the digests of the current build with
 
 import functools
 import hashlib
+import json
 import os
 import platform
 import tempfile
@@ -25,7 +31,8 @@ import numpy as np
 import pytest
 
 from marl_lab.agents import NetSizes
-from marl_lab.cli.experiment import save_agents
+from marl_lab.cli.experiment import resolve_spec, run_single_seed, save_agents
+from marl_lab.cli.replay import replay
 from marl_lab.envs import EnvConfig
 from marl_lab.shaping import ShapingConfig
 from marl_lab.training import Trainer, TrainerConfig
@@ -85,6 +92,55 @@ CHECKPOINT_DIGESTS = {
     ],
 }
 
+# events.jsonl of the eval cell, and replay frames plus per-episode JSON lines.
+EVAL_DIGESTS = {
+    "sampled": "5754acbdceed13b4633cb15a0b15ba0d73c800a6f4004cec2e50d8da82616488",
+    "greedy": "b8ff2031caf8067c684175236ba59c375db773bcc49a5580832582634ca0300f",
+}
+
+REPLAY_DIGESTS = {
+    "sampled": "0505349743ecff4286ffadc9401a3de024636506ad7d733e3b3ce7dcfcb97a7e",
+    "greedy": "c15f717b7d24041e017a7c99f0eec8d54475f51d1cbef2af08417736b3d924c1",
+}
+
+EVAL_SPEC = """name = "golden-eval"
+seeds = [5]
+output_dir = "{out}"
+
+[env]
+kind = "cleanup"
+map = "{map}"
+num_agents = 3
+episode_length = 15
+view_size = 7
+initial_waste_fraction = 0.2
+
+[method]
+mode = "emurel"
+alpha = 5.0
+beta = 0.05
+
+[trainer]
+algo = "ppo"
+batch_steps = 64
+minibatch_steps = 32
+ppo_epochs = 2
+workers = 4
+updates = 2
+learning_rate = 0.001
+
+[eval]
+interval = 1
+episodes = 3
+greedy = {greedy}
+
+[net]
+conv_filters = 2
+fc_units = 8
+lstm_units = 8
+eicm_hidden = 8
+"""
+
 
 def fingerprint():
     try:
@@ -129,6 +185,28 @@ def golden_digests(mode, algo, updates=2):
         return sha256_of(path), [sha256_of(p) for p in ckpts]
 
 
+@functools.lru_cache(maxsize=None)
+def eval_replay_digests(greedy):
+    """(events.jsonl digest, replay digest) of the eval cell."""
+    with tempfile.TemporaryDirectory() as tmp:
+        map_path = os.path.join(tmp, "three_agents.txt")
+        with open(map_path, "w", encoding="utf-8") as f:
+            f.write("\n".join(THREE_AGENT_CLEANUP) + "\n")
+        spec_path = os.path.join(tmp, "eval.spec")
+        with open(spec_path, "w", encoding="utf-8") as f:
+            f.write(EVAL_SPEC.format(out=os.path.join(tmp, "runs"), map=map_path,
+                                     greedy="true" if greedy else "false"))
+        spec = resolve_spec(spec_path)
+        run_dir, _ = run_single_seed(spec, spec.seeds[0])
+        frames = []
+        results = replay(os.path.join(run_dir, "checkpoints"), spec_path, episodes=2,
+                         seed=3, greedy=greedy, sink=frames.append)
+        stream = "".join(frame + "\n" for frame in frames)
+        stream += "".join(json.dumps(r, sort_keys=True) + "\n" for r in results)
+        return (sha256_of(os.path.join(run_dir, "events.jsonl")),
+                hashlib.sha256(stream.encode("utf-8")).hexdigest())
+
+
 CELLS = [(mode, algo) for mode in ("baseline", "ia", "emurel")
          for algo in ("ppo", "a2c_sync")]
 
@@ -154,6 +232,28 @@ def test_final_checkpoints_match_golden_digest(mode, algo):
         f"numeric change")
 
 
+@pytest.mark.parametrize("policy", ["sampled", "greedy"])
+def test_eval_events_match_golden_digest(policy):
+    here = fingerprint()
+    if here != FINGERPRINT:
+        pytest.skip(f"digests were pinned on {FINGERPRINT}; this build is {here}")
+    got, _ = eval_replay_digests(policy == "greedy")
+    assert got == EVAL_DIGESTS[policy], (
+        f"{policy} eval results in events.jsonl moved; re-pin only for a deliberate "
+        f"numeric change")
+
+
+@pytest.mark.parametrize("policy", ["sampled", "greedy"])
+def test_replay_matches_golden_digest(policy):
+    here = fingerprint()
+    if here != FINGERPRINT:
+        pytest.skip(f"digests were pinned on {FINGERPRINT}; this build is {here}")
+    _, got = eval_replay_digests(policy == "greedy")
+    assert got == REPLAY_DIGESTS[policy], (
+        f"{policy} replay frames or results moved; re-pin only for a deliberate "
+        f"numeric change")
+
+
 if __name__ == "__main__":
     print(fingerprint())
     runs = {f"{mode}-{algo}": golden_digests(mode, algo) for mode, algo in CELLS}
@@ -163,3 +263,11 @@ if __name__ == "__main__":
     print("CHECKPOINT_DIGESTS")
     for cell, (_, ckpts) in runs.items():
         print(f'    "{cell}": {ckpts},')
+    streams = {policy: eval_replay_digests(policy == "greedy")
+               for policy in ("sampled", "greedy")}
+    print("EVAL_DIGESTS")
+    for policy, (events, _) in streams.items():
+        print(f'    "{policy}": "{events}",')
+    print("REPLAY_DIGESTS")
+    for policy, (_, frames) in streams.items():
+        print(f'    "{policy}": "{frames}",')

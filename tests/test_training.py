@@ -10,12 +10,11 @@ from marl_lab.nn import Tensor, gradients
 from marl_lab.nn import tensor as T
 from marl_lab.shaping import ShapingConfig
 from marl_lab.training import (
-    RolloutBuffer, ScriptedPolicy, Trainer, TrainerConfig, UniformRandomPolicy,
-    RolloutWorker, collect_rollouts, composite_loss, compute_advantages, evaluate,
-    minibatch_views,
+    RolloutBuffer, Trainer, TrainerConfig, RolloutWorker, collect_rollouts,
+    composite_loss, compute_advantages, evaluate, minibatch_views,
 )
 
-from helpers import THREE_AGENT_CLEANUP
+from helpers import THREE_AGENT_CLEANUP, ScriptedPolicy, UniformRandomPolicy
 
 SMALL = NetSizes(conv_filters=2, fc_units=8, lstm_units=8, eicm_hidden=8)
 

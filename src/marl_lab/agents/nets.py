@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..envs.config import ConfigError
 from ..envs.env import NUM_CHANNELS
 from ..nn import ComputationGraph, Conv2d, Dense, LSTMCell, Tensor
 from ..nn import tensor as T
@@ -32,6 +33,11 @@ class NetSizes:
     fc_units: int = 32
     lstm_units: int = 128
     eicm_hidden: int = 32
+
+    def __post_init__(self):
+        for key in ("conv_filters", "fc_units", "lstm_units", "eicm_hidden"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be at least 1", key)
 
 
 @dataclass

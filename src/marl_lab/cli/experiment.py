@@ -7,216 +7,141 @@ summary.json recomputed from the metrics stream.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import traceback
-from dataclasses import dataclass, fields as dc_fields
-
-import numpy as np
+import typing
+from dataclasses import dataclass, field
 
 from ..agents import NetSizes
-from ..envs import ConfigError, EnvConfig, load_map
+from ..envs import ConfigError, EnvConfig
 from ..nn import save_checkpoint
 from ..shaping import ShapingConfig
 from ..training import (
     EventLog, MetricsWriter, Trainer, TrainerConfig, evaluate, read_metrics_csv,
 )
-from .specfile import SchemaField as F
-from .specfile import SpecError, parse_spec_file, validate, write_spec_text
-
-SPEC_SCHEMA = {
-    None: {
-        "name": F(("str",), required=True),
-        "seeds": F(("int_list",), required=True),
-        "output_dir": F(("str",)),
-        "summary_window_steps": F(("int",)),
-        "audit_shaping": F(("bool",)),
-    },
-    "env": {
-        "kind": F(("str",), required=True),
-        "map": F(("str",)),
-        "num_agents": F(("int",)),
-        "episode_length": F(("int",)),
-        "view_size": F(("int",)),
-        "cleanup_depletion_threshold": F(("float",)),
-        "cleanup_max_spawn_rate": F(("float",)),
-        "waste_spawn_prob": F(("float",)),
-        "initial_waste_fraction": F(("float",)),
-        "harvest_low_rate": F(("float",)),
-        "harvest_mid_rate": F(("float",)),
-        "harvest_high_rate": F(("float",)),
-        "beam_length": F(("int",)),
-        "beam_width": F(("int",)),
-    },
-    "method": {
-        "mode": F(("str",), required=True),
-        "alpha": F(("float",)),
-        "beta": F(("float",)),
-        "smoothing_lambda": F(("float",)),
-        "smoothing_gamma": F(("float",)),
-        "combine_alpha": F(("float",)),
-        "combine_beta": F(("float",)),
-    },
-    "trainer": {
-        "algo": F(("str",)),
-        "batch_steps": F(("int",)),
-        "minibatch_steps": F(("int",)),
-        "ppo_epochs": F(("int",)),
-        "clip_ratio": F(("float",)),
-        "gae_lambda": F(("float",)),
-        "discount": F(("float",)),
-        "value_coef": F(("float",)),
-        "entropy_coef": F(("float",)),
-        "moa_coef": F(("float",)),
-        "forward_coef": F(("float",)),
-        "inverse_coef": F(("float",)),
-        "workers": F(("int",)),
-        "updates": F(("int",)),
-        "learning_rate": F(("float",)),
-        "optimizer": F(("str",)),
-        "grad_clip_norm": F(("float", "none")),
-    },
-    "eval": {
-        "interval": F(("int",)),
-        "episodes": F(("int",)),
-        "greedy": F(("bool",)),
-    },
-    "checkpoint": {
-        "interval": F(("int",)),
-    },
-    "net": {
-        "conv_filters": F(("int",)),
-        "fc_units": F(("int",)),
-        "lstm_units": F(("int",)),
-        "eicm_hidden": F(("int",)),
-    },
-}
-
-_MODES = ("baseline", "ia", "emurel")
+from .specfile import SchemaField, SpecError, parse_spec_file, validate, write_spec_text
+from .summarize import SummarizeError, window_mean
 
 
 @dataclass
+class EvalConfig:
+    interval: int = 0       # evaluate after every interval-th update; 0 never
+    episodes: int = 5
+    greedy: bool = False
+
+    def __post_init__(self):
+        if self.interval < 0:
+            raise ConfigError("interval must not be negative", "interval")
+        if self.episodes < 1:
+            raise ConfigError("episodes must be at least 1", "episodes")
+
+
+@dataclass
+class CheckpointConfig:
+    interval: int = 0       # save after every interval-th update; 0 only at the end
+
+    def __post_init__(self):
+        if self.interval < 0:
+            raise ConfigError("interval must not be negative", "interval")
+
+
+@dataclass(kw_only=True)
 class ExperimentSpec:
+    """Everything a spec file can say, in snapshot order. Scalar fields are
+    the top-level keys, required when they have no default; dataclass fields
+    are the sections, and their `required` metadata names required keys."""
     name: str
     seeds: list
-    output_dir: str
-    summary_window_steps: int
-    audit_shaping: bool
-    env: EnvConfig
-    method: ShapingConfig
-    trainer: TrainerConfig
-    net: NetSizes
-    eval_interval: int
-    eval_episodes: int
-    eval_greedy: bool
-    checkpoint_interval: int
+    output_dir: str = "runs"
+    summary_window_steps: int = 2000
+    audit_shaping: bool = False
+    env: EnvConfig = field(metadata={"required": ("kind",)})
+    method: ShapingConfig = field(metadata={"required": ("mode",)})
+    trainer: TrainerConfig = field(default_factory=TrainerConfig)
+    eval: EvalConfig = field(default_factory=EvalConfig)
+    checkpoint: CheckpointConfig = field(default_factory=CheckpointConfig)
+    net: NetSizes = field(default_factory=NetSizes)
+
+    def __post_init__(self):
+        if not self.seeds:
+            raise ConfigError("seeds must be a nonempty list", "seeds")
 
 
-def _build(cls, section, path, **extra):
-    """Instantiate a config dataclass from a spec section, mapping dataclass
-    validation errors back to the file."""
-    try:
-        return cls(**section, **extra)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(path, 1, f"invalid [{cls.__name__}] settings: {exc}") from exc
+_TYPE_TAGS = {int: ("int",), float: ("float",), str: ("str",), bool: ("bool",),
+              float | None: ("float", "none"), list: ("int_list",)}
+
+_SET_BY_RUN = ("seed", "map_rows")      # filled in by the run, never by the file
+
+_SECTIONS = {name: cls for name, cls in typing.get_type_hints(ExperimentSpec).items()
+             if dataclasses.is_dataclass(cls)}
 
 
-def _key_line(doc, section, *keys):
-    """Line of the first of keys present in the section, else 1."""
+def _schema(cls, required):
+    """The keys a file may set in one section, with their type tags."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: SchemaField(_TYPE_TAGS[hints[f.name]], required=f.name in required)
+            for f in dataclasses.fields(cls)
+            if f.name not in _SET_BY_RUN and f.name not in _SECTIONS}
+
+
+SPEC_SCHEMA = {None: _schema(ExperimentSpec, required=[
+    f.name for f in dataclasses.fields(ExperimentSpec)
+    if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING])}
+SPEC_SCHEMA.update((f.name, _schema(_SECTIONS[f.name], f.metadata.get("required", ())))
+                   for f in dataclasses.fields(ExperimentSpec) if f.name in _SECTIONS)
+
+
+def _build(cls, section, doc, path, **extra):
+    """Instantiate a config dataclass from a spec section. Its ConfigError
+    becomes a SpecError at the line of the first blamed key in the file."""
     body = doc.get(section, {})
-    return next((body[key][1] for key in keys if key in body), 1)
+    try:
+        return cls(**{key: value for key, (value, _) in body.items()}, **extra)
+    except ConfigError as exc:
+        line = next((body[key][1] for key in exc.keys if key in body), 1)
+        where = f"[{section}] " if section else ""
+        raise SpecError(path, line, f"{where}{exc}") from exc
 
 
 def resolve_spec(path):
     doc = parse_spec_file(path)
-    plain = validate(doc, SPEC_SCHEMA, path=str(path))
-    top = plain.get(None, {})
-    method = plain.get("method", {})
-    mode = method.get("mode")
-    if mode not in _MODES:
-        raise SpecError(path, _key_line(doc, "method", "mode"),
-                        f"unknown method mode {mode!r}; expected one of {_MODES}")
-    if not top.get("seeds"):
-        raise SpecError(path, 1, "seeds must be a nonempty list")
-
-    env = _build(EnvConfig, plain.get("env", {}), path)
-    shaping = _build(ShapingConfig, method, path)
-    trainer = _build(TrainerConfig, plain.get("trainer", {}), path)
-    net = _build(NetSizes, plain.get("net", {}), path)
-    try:
-        parsed = load_map(env.map_rows if env.map_rows else env.map, env.kind)
-    except ConfigError as exc:
-        raise SpecError(path, _key_line(doc, "env", "map"),
-                        f"invalid [env] settings: {exc}") from exc
-    if len(parsed.spawns) < env.num_agents:
-        raise SpecError(path, _key_line(doc, "env", "num_agents", "map"),
-                        f"invalid [env] settings: map {env.map!r} has "
-                        f"{len(parsed.spawns)} spawn points for {env.num_agents} agents")
-    ev = plain.get("eval", {})
-    ck = plain.get("checkpoint", {})
-    if ev.get("episodes", 1) < 1:
-        raise SpecError(path, _key_line(doc, "eval", "episodes"),
-                        "[eval] episodes must be at least 1")
-    for section, body in (("eval", ev), ("checkpoint", ck)):
-        if body.get("interval", 0) < 0:
-            raise SpecError(path, _key_line(doc, section, "interval"),
-                            f"[{section}] interval must not be negative")
-    return ExperimentSpec(
-        name=top["name"], seeds=list(top["seeds"]),
-        output_dir=top.get("output_dir", "runs"),
-        summary_window_steps=top.get("summary_window_steps", 2000),
-        audit_shaping=top.get("audit_shaping", False),
-        env=env, method=shaping, trainer=trainer, net=net,
-        eval_interval=ev.get("interval", 0), eval_episodes=ev.get("episodes", 5),
-        eval_greedy=ev.get("greedy", False),
-        checkpoint_interval=ck.get("interval", 0),
-    )
+    validate(doc, SPEC_SCHEMA, path=str(path))
+    sections = {name: _build(cls, name, doc, path) for name, cls in _SECTIONS.items()}
+    return _build(ExperimentSpec, None, doc, path, **sections)
 
 
 def spec_sections(spec: ExperimentSpec, seed=None):
     """Fully resolved document for snapshotting; seed narrows the run."""
-    def dc(obj, skip=()):
-        return {f.name: getattr(obj, f.name) for f in dc_fields(obj)
-                if f.name not in skip}
-
-    return {
-        None: {"name": spec.name,
-               "seeds": [seed] if seed is not None else list(spec.seeds),
-               "output_dir": spec.output_dir,
-               "summary_window_steps": spec.summary_window_steps,
-               "audit_shaping": spec.audit_shaping},
-        "env": dc(spec.env, skip=("seed", "map_rows")),
-        "method": dc(spec.method),
-        "trainer": {**dc(spec.trainer, skip=("seed",))},
-        "eval": {"interval": spec.eval_interval, "episodes": spec.eval_episodes,
-                 "greedy": spec.eval_greedy},
-        "checkpoint": {"interval": spec.checkpoint_interval},
-        "net": dc(spec.net),
-    }
+    doc = {section: {key: getattr(getattr(spec, section) if section else spec, key)
+                     for key in keys}
+           for section, keys in SPEC_SCHEMA.items()}
+    if seed is not None:
+        doc[None]["seeds"] = [seed]
+    return doc
 
 
 def run_dir_for(spec, seed):
     return os.path.join(spec.output_dir, spec.name, spec.method.mode, str(seed))
 
 
-def write_summary(run_dir, spec, seed, trainer):
-    """Summary derived from the metrics CSV alone."""
+def write_summary(run_dir, spec, seed):
+    """Summary derived from the metrics CSV alone; the means are null when no
+    episode completed inside the window."""
     metrics = read_metrics_csv(os.path.join(run_dir, "metrics.csv"))
-    steps = np.array(metrics["env_steps"])
-    rewards = np.array(metrics["collective_reward"])
-    equality = np.array(metrics["equality"])
+    steps = metrics["env_steps"]
     window = spec.summary_window_steps
-    cutoff = steps.max() - window if len(steps) else 0
-    mask = steps > cutoff
-    usable = mask & ~np.isnan(rewards)
+    try:
+        reward, equality = window_mean(metrics, window, run_dir)
+    except SummarizeError:
+        reward = equality = None
     summary = {
         "name": spec.name, "method": spec.method.mode, "seed": seed,
-        "updates": int(steps.size), "env_steps": int(steps.max()) if steps.size else 0,
+        "updates": len(steps), "env_steps": int(max(steps, default=0)),
         "window_steps": window,
-        "mean_collective_reward": (float(rewards[usable].mean())
-                                   if usable.any() else None),
-        "mean_equality": (float(equality[usable & ~np.isnan(equality)].mean())
-                          if (usable & ~np.isnan(equality)).any() else None),
+        "mean_collective_reward": reward,
+        "mean_equality": equality,
     }
     with open(os.path.join(run_dir, "summary.json"), "w", encoding="utf-8") as f:
         json.dump(summary, f, sort_keys=True, indent=1)
@@ -251,12 +176,8 @@ def run_single_seed(spec: ExperimentSpec, seed, force=False):
     with open(os.path.join(run_dir, "snapshot.spec"), "w", encoding="utf-8") as f:
         f.write(snapshot)
 
-    env_cfg = EnvConfig(**{f.name: getattr(spec.env, f.name)
-                           for f in dc_fields(EnvConfig)
-                           if f.name not in ("seed",)}, seed=seed)
-    trainer_cfg = TrainerConfig(**{f.name: getattr(spec.trainer, f.name)
-                                   for f in dc_fields(TrainerConfig)
-                                   if f.name not in ("seed",)}, seed=seed)
+    env_cfg = dataclasses.replace(spec.env, seed=seed)
+    trainer_cfg = dataclasses.replace(spec.trainer, seed=seed)
 
     metrics = MetricsWriter(metrics_path)
     events = EventLog(os.path.join(run_dir, "events.jsonl"))
@@ -284,12 +205,11 @@ def run_single_seed(spec: ExperimentSpec, seed, force=False):
                                 f"{float(buffer.intrinsic[w, t, k])!r},"
                                 f"{float(buffer.reshaped[w, t, k])!r},{d}\n")
             u = row["update"]
-            if spec.eval_interval and u % spec.eval_interval == 0:
-                reward, eq = evaluate(tr.agents, env_cfg, spec.eval_episodes,
-                                      seed=seed * 100003 + u,
-                                      greedy=spec.eval_greedy)
+            if spec.eval.interval and u % spec.eval.interval == 0:
+                reward, eq = evaluate(tr.agents, env_cfg, spec.eval.episodes,
+                                      seed=seed * 100003 + u, greedy=spec.eval.greedy)
                 events.write("eval", update=u, collective_reward=reward, equality=eq)
-            if spec.checkpoint_interval and u % spec.checkpoint_interval == 0:
+            if spec.checkpoint.interval and u % spec.checkpoint.interval == 0:
                 paths = save_agents(tr, os.path.join(run_dir, "checkpoints"),
                                     tr.env_steps)
                 events.write("checkpoint", update=u, files=[os.path.basename(p)
@@ -297,7 +217,7 @@ def run_single_seed(spec: ExperimentSpec, seed, force=False):
 
         trainer.run(updates=trainer_cfg.updates, on_update=on_update)
         save_agents(trainer, os.path.join(run_dir, "checkpoints"), trainer.env_steps)
-        summary = write_summary(run_dir, spec, seed, trainer)
+        summary = write_summary(run_dir, spec, seed)
         events.write("run_end", env_steps=trainer.env_steps,
                      mean_collective_reward=summary["mean_collective_reward"])
         return run_dir, summary
@@ -314,12 +234,17 @@ def run_single_seed(spec: ExperimentSpec, seed, force=False):
 
 
 def run_experiment(spec_path, force=False, output_dir=None, workers=None):
-    """Execute every seed of a spec; returns [(run_dir, summary), ...]."""
+    """Execute every seed of a spec; returns [(run_dir, summary), ...].
+    `workers` overrides [trainer] workers, as `marl-lab run --workers` does;
+    a value the trainer rejects raises ConfigError before any run starts."""
     spec = resolve_spec(spec_path)
     if output_dir is not None:
         spec.output_dir = output_dir
     if workers is not None:
-        spec.trainer.workers = workers
+        try:
+            spec.trainer = dataclasses.replace(spec.trainer, workers=workers)
+        except ConfigError as exc:
+            raise ConfigError(f"--workers {workers}: {exc}", "workers") from None
     results = []
     for seed in spec.seeds:
         results.append(run_single_seed(spec, seed, force=force))

@@ -7,6 +7,7 @@ import json
 import os
 import sys
 
+from ..envs import ConfigError
 from ..nn import CheckpointError
 from .specfile import SpecError
 
@@ -94,7 +95,8 @@ def main(argv=None):
             return cmd_summarize(args)
         if args.command == "replay":
             return cmd_replay(args)
-    except (SpecError, CheckpointError, FileExistsError, FileNotFoundError) as exc:
+    except (SpecError, ConfigError, CheckpointError, FileExistsError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:   # mid-run failure: partial artifact + marker exist

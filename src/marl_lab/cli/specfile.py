@@ -141,15 +141,13 @@ class SchemaField:
 
 
 def validate(doc, schema, path="<spec>"):
-    """Check sections/keys/types against the schema; returns plain nested
-    dict (positions stripped). Unknown keys and sections are rejected."""
-    out = {}
+    """Check sections/keys/types against the schema. Unknown keys and
+    sections are rejected."""
     for section, body in doc.items():
         if section not in schema:
             first_line = min((ln for _, ln in body.values()), default=1)
             raise SpecError(path, first_line, f"unknown section [{section}]")
         fields = schema[section]
-        plain = {}
         for key, (value, lineno) in body.items():
             if key not in fields:
                 raise SpecError(path, lineno,
@@ -158,21 +156,16 @@ def validate(doc, schema, path="<spec>"):
             if not _type_ok(value, field.types):
                 raise SpecError(path, lineno,
                                 f"key {key!r} expects {field.types}, got {value!r}")
-            plain[key] = value
-        out[section] = plain
     for section, fields in schema.items():
-        body = out.get(section, {})
+        body = doc.get(section, {})
         for key, field in fields.items():
             if field.required and key not in body:
                 raise SpecError(path, 1,
                                 f"missing required key {key!r} in section "
                                 f"[{section or 'top'}]")
-    return out
 
 
 def _type_ok(value, types):
-    if "any" in types:
-        return True
     for t in types:
         if t == "int" and isinstance(value, int) and not isinstance(value, bool):
             return True
@@ -186,8 +179,5 @@ def _type_ok(value, types):
             return True
         if t == "int_list" and isinstance(value, list) and all(
                 isinstance(x, int) and not isinstance(x, bool) for x in value):
-            return True
-        if t == "str_list" and isinstance(value, list) and all(
-                isinstance(x, str) for x in value):
             return True
     return False

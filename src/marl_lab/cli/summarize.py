@@ -52,17 +52,17 @@ def _run_identity(run_dir):
     return method, stripped
 
 
-def window_mean(run_dir, last_steps):
+def window_mean(metrics, last_steps, run_dir):
     """Mean collective reward and equality over the trailing last_steps
-    environment steps of the run's metrics stream."""
-    m = read_metrics_csv(os.path.join(run_dir, "metrics.csv"))
-    steps = np.asarray(m["env_steps"])
+    environment steps of run_dir's metrics stream, as `read_metrics_csv`
+    returns it."""
+    steps = np.asarray(metrics["env_steps"])
     if steps.size == 0:
         raise SummarizeError(f"{run_dir}: empty metrics stream")
     cutoff = steps.max() - last_steps
     mask = steps > cutoff
-    rew = np.asarray(m["collective_reward"])[mask]
-    eq = np.asarray(m["equality"])[mask]
+    rew = np.asarray(metrics["collective_reward"])[mask]
+    eq = np.asarray(metrics["equality"])[mask]
     rew = rew[~np.isnan(rew)]
     eq = eq[~np.isnan(eq)]
     if rew.size == 0:
@@ -88,7 +88,8 @@ def summarize(run_dirs, last_steps, trim=False):
     for method in sorted(by_method):
         values = []
         for rd in by_method[method]:
-            rew, eq = window_mean(rd, last_steps)
+            metrics = read_metrics_csv(os.path.join(rd, "metrics.csv"))
+            rew, eq = window_mean(metrics, last_steps, rd)
             values.append((rew, eq))
         values.sort(key=lambda t: t[0])
         if trim:

@@ -6,7 +6,11 @@ from dataclasses import dataclass, field
 
 
 class ConfigError(ValueError):
-    pass
+    """A bad setting. `keys` names the fields to blame, most specific first."""
+
+    def __init__(self, message, *keys):
+        super().__init__(message)
+        self.keys = keys
 
 
 @dataclass
@@ -36,18 +40,29 @@ class EnvConfig:
     map_rows: list = field(default=None, repr=False)   # inline layout, overrides `map`
 
     def __post_init__(self):
+        from .maps import load_map      # maps imports ConfigError from here
         if self.kind not in ("cleanup", "harvest"):
-            raise ConfigError(f"unknown environment kind {self.kind!r}")
+            raise ConfigError(f"unknown environment kind {self.kind!r}", "kind")
         if self.num_agents < 1:
-            raise ConfigError("num_agents must be positive")
+            raise ConfigError("num_agents must be positive", "num_agents")
         if self.episode_length < 1:
-            raise ConfigError("episode_length must be positive")
+            raise ConfigError("episode_length must be positive", "episode_length")
         if self.view_size < 3 or self.view_size % 2 == 0:
-            raise ConfigError("view_size must be an odd integer >= 3")
+            raise ConfigError("view_size must be an odd integer >= 3", "view_size")
         if not (0.0 <= self.initial_waste_fraction <= 1.0):
-            raise ConfigError("initial_waste_fraction must lie in [0, 1]")
-        if self.beam_length < 1 or self.beam_width < 1 or self.beam_width % 2 == 0:
-            raise ConfigError("beam_length must be >= 1 and beam_width odd >= 1")
+            raise ConfigError("initial_waste_fraction must lie in [0, 1]",
+                              "initial_waste_fraction")
+        if self.beam_length < 1:
+            raise ConfigError("beam_length must be >= 1", "beam_length")
+        if self.beam_width < 1 or self.beam_width % 2 == 0:
+            raise ConfigError("beam_width must be odd and >= 1", "beam_width")
+        try:
+            spawns = len(load_map(self.map_rows or self.map, self.kind).spawns)
+        except ConfigError as exc:
+            raise ConfigError(str(exc), "map", "kind") from None
+        if spawns < self.num_agents:
+            raise ConfigError(f"map has {spawns} spawn points for "
+                              f"{self.num_agents} agents", "num_agents", "map")
 
     @property
     def num_actions(self):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError, EnvConfig
+from .config import EnvConfig
 from .maps import APPLE, CELL_GLYPHS, EMPTY, RIVER, SPAWN, WALL, WASTE, load_map
 from .rates import cleanup_spawn_rate, harvest_regrowth_prob
 
@@ -71,10 +71,6 @@ class SSDEnv:
         self.config = config
         self.parsed = load_map(config.map_rows if config.map_rows else config.map,
                                config.kind)
-        if len(self.parsed.spawns) < config.num_agents:
-            raise ConfigError(
-                f"map has {len(self.parsed.spawns)} spawn points for "
-                f"{config.num_agents} agents")
         self.height = self.parsed.height
         self.width = self.parsed.width
         self.actions = CLEANUP_ACTIONS if config.kind == "cleanup" else HARVEST_ACTIONS

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..envs.config import ConfigError
+
 
 @dataclass
 class OptimizerConfig:
@@ -18,13 +20,13 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
+            raise ConfigError(f"unknown optimizer kind {self.kind!r}", "kind")
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+            raise ConfigError("learning_rate must be positive", "learning_rate")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("adam betas must lie in [0, 1)")
+            raise ConfigError("adam betas must lie in [0, 1)", "beta1", "beta2")
         if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
-            raise ValueError("grad_clip_norm must be positive when set")
+            raise ConfigError("grad_clip_norm must be positive when set", "grad_clip_norm")
 
 
 def global_norm(grads):

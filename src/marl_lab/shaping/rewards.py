@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..envs.config import ConfigError
+
 MODES = ("baseline", "ia", "emurel")
 
 
@@ -27,11 +29,14 @@ class ShapingConfig:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ValueError(f"unknown shaping mode {self.mode!r}; expected one of {MODES}")
-        if not (0.0 <= self.smoothing_lambda <= 1.0 and 0.0 <= self.smoothing_gamma <= 1.0):
-            raise ValueError("smoothing lambda and gamma must lie in [0, 1]")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("aversion parameters must be nonnegative")
+            raise ConfigError(f"unknown shaping mode {self.mode!r}; expected one of {MODES}",
+                              "mode")
+        for key in ("smoothing_lambda", "smoothing_gamma"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise ConfigError(f"{key} must lie in [0, 1]", key)
+        for key in ("alpha", "beta"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"aversion parameter {key} must be nonnegative", key)
 
 
 def update_smoothed(w, extrinsic, gamma, lam):

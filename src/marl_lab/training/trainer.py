@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..agents import AgentNets
+from ..envs.config import ConfigError
 from ..envs.env import NUM_CHANNELS
 from ..nn import Optimizer, OptimizerConfig
 from .advantages import compute_advantages
@@ -39,17 +40,35 @@ class TrainerConfig:
 
     def __post_init__(self):
         if self.algo not in ("ppo", "a2c_sync"):
-            raise ValueError(f"unknown algo {self.algo!r}")
+            raise ConfigError(f"unknown algo {self.algo!r}", "algo")
+        for key in ("batch_steps", "minibatch_steps", "ppo_epochs", "workers", "updates"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be at least 1", key)
         if self.minibatch_steps > self.batch_steps:
-            raise ValueError("minibatch_steps must not exceed batch_steps")
+            raise ConfigError("minibatch_steps must not exceed batch_steps",
+                              "minibatch_steps", "batch_steps")
         if self.batch_steps % self.workers != 0:
-            raise ValueError("batch_steps must divide evenly across workers")
+            raise ConfigError("batch_steps must divide evenly across workers",
+                              "batch_steps", "workers")
         if self.algo == "ppo" and self.batch_steps % self.minibatch_steps != 0:
-            raise ValueError("batch_steps must be a multiple of minibatch_steps")
+            raise ConfigError("batch_steps must be a multiple of minibatch_steps",
+                              "batch_steps", "minibatch_steps")
         if self.clip_ratio <= 0:
-            raise ValueError("clip_ratio must be positive")
-        if not (0.0 <= self.gae_lambda <= 1.0 and 0.0 <= self.discount <= 1.0):
-            raise ValueError("gae_lambda and discount must lie in [0, 1]")
+            raise ConfigError("clip_ratio must be positive", "clip_ratio")
+        for key in ("gae_lambda", "discount"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise ConfigError(f"{key} must lie in [0, 1]", key)
+        self.optimizer_config()
+
+    def optimizer_config(self):
+        """The optimizer settings as the `OptimizerConfig` each agent's
+        optimizer runs with; its errors name this config's keys."""
+        try:
+            return OptimizerConfig(kind=self.optimizer, learning_rate=self.learning_rate,
+                                   grad_clip_norm=self.grad_clip_norm)
+        except ConfigError as exc:
+            keys = ("optimizer" if key == "kind" else key for key in exc.keys)
+            raise ConfigError(str(exc), *keys) from None
 
 
 class Trainer:
@@ -64,9 +83,7 @@ class Trainer:
         self.workers = [RolloutWorker(env_config, shaping_config,
                                       trainer_config.seed, w)
                         for w in range(trainer_config.workers)]
-        opt_cfg = OptimizerConfig(kind=trainer_config.optimizer,
-                                  learning_rate=trainer_config.learning_rate,
-                                  grad_clip_norm=trainer_config.grad_clip_norm)
+        opt_cfg = trainer_config.optimizer_config()
         self.optimizers = [Optimizer(a, opt_cfg) for a in self.agents]
         self._shuffle_rng = np.random.default_rng(
             np.random.SeedSequence([trainer_config.seed, 7919]))

@@ -21,6 +21,50 @@ THREE_AGENT_CLEANUP = [
 ]
 
 
+# The CLI tests' spec: two-agent mini Cleanup with tiny nets, two updates.
+TINY_SPEC = """
+name = "tiny"
+seeds = [1]
+output_dir = "{out}"
+summary_window_steps = 40
+
+[env]
+kind = "cleanup"
+map = "cleanup_mini"
+num_agents = 2
+episode_length = 10
+view_size = 5
+initial_waste_fraction = 0.2
+
+[method]
+mode = "{mode}"
+alpha = 0.0
+beta = 0.05
+
+[trainer]
+algo = "ppo"
+batch_steps = 40
+minibatch_steps = 20
+ppo_epochs = 2
+workers = 2
+updates = 2
+learning_rate = 0.001
+
+[eval]
+interval = 2
+episodes = 1
+
+[checkpoint]
+interval = 2
+
+[net]
+conv_filters = 2
+fc_units = 8
+lstm_units = 8
+eicm_hidden = 8
+"""
+
+
 def conv_linear_response(x, kernel, bias):
     """Pre-ReLU conv output, for screening instances away from ReLU kinks."""
     B, H, W, C = x.shape

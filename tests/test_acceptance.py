@@ -358,8 +358,8 @@ def test_determinism_byte_identical_metrics(tmp_path):
     with criterion("determinism", budget_s=3600):
         spec = resolve_spec(os.path.join(SPECS, "mini_cleanup_baseline.spec"))
         spec.trainer.updates = 200 if FULL else 12
-        spec.eval_interval = 0
-        spec.checkpoint_interval = 0
+        spec.eval.interval = 0
+        spec.checkpoint.interval = 0
         spec.seeds = [1]
         blobs = []
         for attempt in ("a", "b"):
@@ -442,8 +442,8 @@ def test_method_table_emitted(tmp_path):
                      "mini_cleanup_emurel.spec"):
             spec = resolve_spec(os.path.join(SPECS, name))
             spec.trainer.updates = 200 if FULL else 5
-            spec.eval_interval = 0
-            spec.checkpoint_interval = 0
+            spec.eval.interval = 0
+            spec.checkpoint.interval = 0
             spec.output_dir = out_dir
             spec.seeds = [1, 2]
             for seed in spec.seeds:

@@ -15,47 +15,7 @@ from marl_lab.cli.replay import replay
 from marl_lab.cli.specfile import validate
 from marl_lab.nn import CheckpointError
 
-TINY_SPEC = """
-name = "tiny"
-seeds = [1]
-output_dir = "{out}"
-summary_window_steps = 40
-
-[env]
-kind = "cleanup"
-map = "cleanup_mini"
-num_agents = 2
-episode_length = 10
-view_size = 5
-initial_waste_fraction = 0.2
-
-[method]
-mode = "{mode}"
-alpha = 0.0
-beta = 0.05
-
-[trainer]
-algo = "ppo"
-batch_steps = 40
-minibatch_steps = 20
-ppo_epochs = 2
-workers = 2
-updates = 2
-learning_rate = 0.001
-
-[eval]
-interval = 2
-episodes = 1
-
-[checkpoint]
-interval = 2
-
-[net]
-conv_filters = 2
-fc_units = 8
-lstm_units = 8
-eicm_hidden = 8
-"""
+from helpers import TINY_SPEC
 
 
 def write_tiny_spec(tmp_path, mode="baseline", name="tiny.spec"):
@@ -120,9 +80,23 @@ class TestSpecfile:
         ("[eval]\ninterval = 2", "[eval]\ninterval = -1", "[eval] interval"),
         ("[checkpoint]\ninterval = 2", "[checkpoint]\ninterval = -1",
          "[checkpoint] interval"),
-    ], ids=["spawns", "map", "eval-episodes", "eval-interval", "checkpoint-interval"])
-    def test_setting_error_points_at_its_key(self, tmp_path, old, new, message):
-        text = TINY_SPEC.format(out=str(tmp_path), mode="baseline")
+        ("workers = 2", "workers = 0", "workers must be at least 1"),
+        ("batch_steps = 40", "batch_steps = 41",
+         "batch_steps must divide evenly across workers"),
+        ("beta = 0.05", "beta = 0.05\nsmoothing_lambda = 2.0",
+         "smoothing_lambda must lie in [0, 1]"),
+        ("lstm_units = 8", "lstm_units = 0", "lstm_units must be at least 1"),
+        ("learning_rate = 0.001", 'learning_rate = 0.001\noptimizer = "rmsprop"',
+         "unknown optimizer kind 'rmsprop'"),
+        ("learning_rate = 0.001", "learning_rate = 0.001\ngrad_clip_norm = 0.0",
+         "grad_clip_norm must be positive"),
+        ('mode = "baseline"', 'mode = "galactic"', "mode 'galactic'"),
+        ("updates = 2", "updates = 0", "updates must be at least 1"),
+    ], ids=["spawns", "map", "eval-episodes", "eval-interval", "checkpoint-interval",
+            "workers", "batch-steps", "smoothing-lambda", "lstm-units", "optimizer",
+            "grad-clip-norm", "mode", "updates"])
+    def test_setting_error_points_at_its_key(self, tmp_path, capsys, old, new, message):
+        text = TINY_SPEC.format(out=str(tmp_path / "runs"), mode="baseline")
         assert old in text
         text = text.replace(old, new)
         path = tmp_path / "bad.spec"
@@ -132,6 +106,11 @@ class TestSpecfile:
         line = text.splitlines().index(new.splitlines()[-1]) + 1
         assert str(exc.value).startswith(f"{path}:{line}: ")
         assert message in str(exc.value)
+        # the CLI reports it as a usage error before creating any run directory
+        capsys.readouterr()
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:{line}: ")
+        assert not (tmp_path / "runs").exists()
 
     def test_shipped_specs_resolve(self):
         specs_dir = os.path.join(os.path.dirname(__file__), "..", "specs")
@@ -219,6 +198,16 @@ class TestRun:
         assert main(["run", spec]) == 0
         assert main(["run", spec]) == 2   # already exists, no --force
         assert main(["run", spec, "--force"]) == 0
+
+    @pytest.mark.parametrize("workers", ["3", "0"])
+    def test_bad_workers_override_exits_2_before_the_run(self, tmp_path, capsys,
+                                                         workers):
+        spec = write_tiny_spec(tmp_path)   # batch_steps = 40
+        capsys.readouterr()
+        assert main(["run", spec, "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--workers" in err
+        assert not (tmp_path / "runs").exists()
 
     def test_spawn_shortage_is_a_spec_error(self, tmp_path):
         path = tmp_path / "crowded.spec"

@@ -12,6 +12,11 @@ an evaluation after every update, sampled and greedy; its `events.jsonl` is
 pinned, and so is `replay` of its final checkpoints: the frames and the
 per-episode results, as `marl-lab replay --out` and stdout carry them.
 
+The snapshot each shipped spec (and the CLI tests' tiny spec) writes for seed
+1 is pinned too. `summarize` groups runs by those bytes, so a change to how a
+spec resolves or is written out fails here. They are plain text, so these
+digests hold on every build.
+
 float64 BLAS results may differ between builds and CPU kernels, so the digests
 are stored with the fingerprint of the build that produced them. On another
 build the test skips and prints both fingerprints; it never re-pins itself.
@@ -31,14 +36,17 @@ import numpy as np
 import pytest
 
 from marl_lab.agents import NetSizes
-from marl_lab.cli.experiment import resolve_spec, run_single_seed, save_agents
+from marl_lab.cli.experiment import (
+    resolve_spec, run_single_seed, save_agents, spec_sections,
+)
 from marl_lab.cli.replay import replay
+from marl_lab.cli.specfile import write_spec_text
 from marl_lab.envs import EnvConfig
 from marl_lab.shaping import ShapingConfig
 from marl_lab.training import Trainer, TrainerConfig
 from marl_lab.training.metrics import MetricsWriter
 
-from helpers import THREE_AGENT_CLEANUP
+from helpers import THREE_AGENT_CLEANUP, TINY_SPEC
 
 SMALL = NetSizes(conv_filters=2, fc_units=8, lstm_units=8, eicm_hidden=8)
 
@@ -102,6 +110,20 @@ REPLAY_DIGESTS = {
     "sampled": "0505349743ecff4286ffadc9401a3de024636506ad7d733e3b3ce7dcfcb97a7e",
     "greedy": "c15f717b7d24041e017a7c99f0eec8d54475f51d1cbef2af08417736b3d924c1",
 }
+
+# snapshot.spec text of seed 1, keyed by spec file name ("tiny": the CLI tests'
+# spec, baseline mode, output_dir "runs").
+SNAPSHOT_DIGESTS = {
+    "full_scale_cleanup_emurel.spec": "b6ceeacee0b1269ff077ab1146bb2ac575b292b876956e76d8a5a79b57880f1e",
+    "full_scale_harvest_emurel_a2c.spec": "2af3a1f326731dede1674c73f66d60e05941ef2c2edbcce8524fb1c889e19555",
+    "mini_cleanup_baseline.spec": "f1e12c71e8265ce933b237f7eb34ba8e3d01ffce82eb9da3d952b22e435392fb",
+    "mini_cleanup_emurel.spec": "3fc5253f9dabd5c77629cbec2aef05b373fb1c760d6b0dd5027da97765becc05",
+    "mini_cleanup_ia.spec": "d8cead8283beb90dd48c3840f7e1ca13e0cf047c0f5dedd050ab902785360dcf",
+    "mini_harvest_a2c_baseline.spec": "055cd394b0a798cbc383dea9a43c3920bb1135bfb253f5736a5a102f0c8ba528",
+    "tiny": "f1f82698b90a50a23fe382c127078f0b9b683de34b5470a62dbc22ab0496264f",
+}
+
+SPECS_DIR = os.path.join(os.path.dirname(__file__), "..", "specs")
 
 EVAL_SPEC = """name = "golden-eval"
 seeds = [5]
@@ -207,6 +229,18 @@ def eval_replay_digests(greedy):
                 hashlib.sha256(stream.encode("utf-8")).hexdigest())
 
 
+def snapshot_digest(name):
+    """sha256 of the snapshot.spec text that `run_single_seed` writes for seed 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(SPECS_DIR, name)
+        if name == "tiny":
+            path = os.path.join(tmp, "tiny.spec")
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(TINY_SPEC.format(out="runs", mode="baseline"))
+        text = write_spec_text(spec_sections(resolve_spec(path), seed=1))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 CELLS = [(mode, algo) for mode in ("baseline", "ia", "emurel")
          for algo in ("ppo", "a2c_sync")]
 
@@ -254,6 +288,13 @@ def test_replay_matches_golden_digest(policy):
         f"numeric change")
 
 
+@pytest.mark.parametrize("name", sorted(SNAPSHOT_DIGESTS))
+def test_snapshot_matches_golden_digest(name):
+    assert snapshot_digest(name) == SNAPSHOT_DIGESTS[name], (
+        f"the snapshot of {name} moved; runs written before and after would no "
+        f"longer group together in summarize")
+
+
 if __name__ == "__main__":
     print(fingerprint())
     runs = {f"{mode}-{algo}": golden_digests(mode, algo) for mode, algo in CELLS}
@@ -271,3 +312,6 @@ if __name__ == "__main__":
     print("REPLAY_DIGESTS")
     for policy, (_, frames) in streams.items():
         print(f'    "{policy}": "{frames}",')
+    print("SNAPSHOT_DIGESTS")
+    for name in sorted(os.listdir(SPECS_DIR)) + ["tiny"]:
+        print(f'    "{name}": "{snapshot_digest(name)}",')

@@ -24,7 +24,6 @@ from ..envs.config import ConfigError
 from ..envs.env import NUM_CHANNELS
 from ..nn import ComputationGraph, Conv2d, Dense, LSTMCell, Tensor
 from ..nn import tensor as T
-from .memory import AgentMemory, RecurrentState
 
 
 @dataclass
@@ -124,14 +123,11 @@ class AgentNets:
             out.extend(graph.parameters())
         return out
 
-    def fresh_memory(self, episode_tag=0):
-        return AgentMemory.zeros(self.sizes.lstm_units, episode_tag)
-
     # -- the stacks: arrays for rollouts, Tensors for the tape -------------
     #
     # Rows lie along leading axes. Training passes flat (B, n) minibatches.
-    # Rollouts pass a lockstep stack of W windows (W, V, V, C) with a stacked
-    # memory (AgentMemory.stack), and shape every input (W, 1, n), so each row
+    # Rollouts pass a lockstep stack of W windows (W, V, V, C) with (W, U)
+    # LSTM state arrays, and shape every input (W, 1, n), so each row
     # goes through the same BLAS call as a lone window and gets the same bits.
     # `act` and `value_only` take stacks only: a lone window is the W = 1
     # stack.
@@ -176,41 +172,38 @@ class AgentNets:
         x = T.concat([feat_prev, feat_curr, u_h], axis=-1)
         return self.inv_out.apply(self.inv_fc1.apply(x))
 
-    def act(self, obs, memory, rng, greedy=False, feat=None):
-        """Sample one action per row of a lockstep stack; advances the
-        actor-critic LSTM state only.
+    def act(self, obs, v_h, v_c, rng, greedy=False, feat=None):
+        """Sample one action per row of a lockstep stack; returns
+        (PolicyOutput, v_h', v_c'), the advanced actor-critic LSTM state.
 
         `rng` holds one Generator per row. `feat`, when given, is
         window_features(obs), computed once by the caller.
         """
         feat = self.window_features(obs) if feat is None else feat
-        logits, value, v_h, v_c = self.run_actor_critic(
-            *_one_row(feat, memory.v.hidden, memory.v.cell))
+        logits, value, v_h, v_c = self.run_actor_critic(*_one_row(feat, v_h, v_c))
         logits, value = logits[..., 0, :], value[..., 0, 0]
         if not np.isfinite(logits).all():
             raise FloatingPointError(f"non-finite policy logits for seed {self.seed}")
         probs = stable_softmax(logits)
-        new_mem = AgentMemory(v=RecurrentState(v_h[..., 0, :], v_c[..., 0, :]),
-                              u=memory.u.copy(), episode_tag=memory.episode_tag)
         if greedy:
             action = np.argmax(probs, axis=-1)
         else:
             action = np.array([sample_from_probs(p, r) for p, r in zip(probs, rng)])
-        return PolicyOutput(action=action, probs=probs, value=value), new_mem
+        return (PolicyOutput(action=action, probs=probs, value=value),
+                v_h[..., 0, :], v_c[..., 0, :])
 
-    def value_only(self, obs, memory):
+    def value_only(self, obs, v_h, v_c):
         """Value estimates of a lockstep stack, without sampling, state
         advance, or RNG use."""
-        _, value, _, _ = self.run_actor_critic(
-            *_one_row(self.window_features(obs), memory.v.hidden, memory.v.cell))
+        _, value, _, _ = self.run_actor_critic(*_one_row(self.window_features(obs), v_h, v_c))
         return value[..., 0, 0]
 
-    def moa_predict(self, obs, joint_action_onehot, memory, feat=None):
+    def moa_predict(self, obs, joint_action_onehot, u_h, u_c, feat=None):
         """Predict the other agents' next actions; advances the MOA LSTM.
 
         joint_action_onehot: flat (N*|A|,) one-hot stacking of the most
         recent joint action, one per row for a stack. Returns
-        ((..., N-1, |A|) probabilities, memory'). `feat` is as in `act`.
+        ((..., N-1, |A|) probabilities, u_h', u_c'). `feat` is as in `act`.
         """
         feat = self.window_features(obs) if feat is None else feat
         joint = np.asarray(joint_action_onehot, dtype=np.float64)
@@ -218,15 +211,10 @@ class AgentNets:
         if joint.shape != feat.shape[:-1] + (want,):
             raise ValueError(f"joint action one-hot must have {want} entries, "
                              f"got {joint.shape}")
-        logits, u_h, u_c = self.run_moa(*_one_row(feat, joint, memory.u.hidden,
-                                                  memory.u.cell))
+        logits, u_h, u_c = self.run_moa(*_one_row(feat, joint, u_h, u_c))
         logits = logits[..., 0, :].reshape(
             joint.shape[:-1] + (self.num_agents - 1, self.num_actions))
-        probs = stable_softmax(logits, axis=-1)
-        new_mem = AgentMemory(v=memory.v.copy(),
-                              u=RecurrentState(u_h[..., 0, :], u_c[..., 0, :]),
-                              episode_tag=memory.episode_tag)
-        return probs, new_mem
+        return stable_softmax(logits, axis=-1), u_h[..., 0, :], u_c[..., 0, :]
 
 
 def _one_row(*arrays):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import shutil
 import traceback
 import typing
 from dataclasses import dataclass, field
@@ -167,10 +168,16 @@ def run_single_seed(spec: ExperimentSpec, seed, force=False):
     metrics_path = os.path.join(run_dir, "metrics.csv")
     if os.path.exists(metrics_path) and not force:
         raise FileExistsError(f"{run_dir} already holds a run; use --force to overwrite")
+    # A forced rerun rewrites metrics.csv and events.jsonl; what it may not
+    # rewrite, or rewrites only on success, goes first, so no earlier run's
+    # file outlives it.
+    if os.path.isdir(os.path.join(run_dir, "checkpoints")):
+        shutil.rmtree(os.path.join(run_dir, "checkpoints"))
+    for name in ("FAILED", "shaping_audit.csv", "summary.json"):
+        if os.path.exists(os.path.join(run_dir, name)):
+            os.remove(os.path.join(run_dir, name))
     os.makedirs(run_dir, exist_ok=True)
     failed_marker = os.path.join(run_dir, "FAILED")
-    if os.path.exists(failed_marker):
-        os.remove(failed_marker)
 
     snapshot = write_spec_text(spec_sections(spec, seed=seed))
     with open(os.path.join(run_dir, "snapshot.spec"), "w", encoding="utf-8") as f:

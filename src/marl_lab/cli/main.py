@@ -51,7 +51,12 @@ def cmd_run(args):
     output_dir = args.output_dir or os.environ.get("MARL_LAB_OUTPUT_DIR")
     workers = args.workers
     if workers is None and os.environ.get("MARL_LAB_WORKERS"):
-        workers = int(os.environ["MARL_LAB_WORKERS"])
+        value = os.environ["MARL_LAB_WORKERS"]
+        try:
+            workers = int(value)
+        except ValueError:
+            raise ConfigError(f"MARL_LAB_WORKERS={value!r} is not an integer",
+                              "workers") from None
     results = run_experiment(args.spec, force=args.force, output_dir=output_dir,
                              workers=workers)
     for run_dir, summary in results:

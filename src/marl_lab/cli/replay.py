@@ -7,6 +7,7 @@ import os
 import re
 
 from ..agents import AgentNets
+from ..envs import ConfigError
 from ..nn import CheckpointError, load_checkpoint, read_manifest
 from ..shaping import ShapingConfig
 from ..training.rollout import RolloutWorker, lockstep_step
@@ -57,6 +58,9 @@ def replay(ckpt_dir, env_spec_path, episodes, seed, greedy=False, sink=None):
     """Roll trained agents, one baseline-shaped worker per episode; frames go
     to sink(text) per step. Returns per-episode (collective reward, per-agent
     returns, event counts)."""
+    if episodes < 1:
+        raise ConfigError(f"--episodes {episodes}: replay needs at least one episode",
+                          "episodes")
     spec = resolve_spec(env_spec_path)
     env_config = spec.env
     agents = load_agents_for_env(ckpt_dir, env_config, spec.net)

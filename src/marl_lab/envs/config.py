@@ -52,6 +52,13 @@ class EnvConfig:
         if not (0.0 <= self.initial_waste_fraction <= 1.0):
             raise ConfigError("initial_waste_fraction must lie in [0, 1]",
                               "initial_waste_fraction")
+        if not (0.0 < self.cleanup_depletion_threshold <= 1.0):
+            raise ConfigError("cleanup_depletion_threshold must lie in (0, 1]",
+                              "cleanup_depletion_threshold")
+        for key in ("waste_spawn_prob", "cleanup_max_spawn_rate", "harvest_low_rate",
+                    "harvest_mid_rate", "harvest_high_rate"):
+            if not (0.0 <= getattr(self, key) <= 1.0):
+                raise ConfigError(f"{key} must lie in [0, 1]", key)
         if self.beam_length < 1:
             raise ConfigError("beam_length must be >= 1", "beam_length")
         if self.beam_width < 1 or self.beam_width % 2 == 0:

@@ -35,9 +35,6 @@ class ComputationGraph:
         self._layers.append((layer.name, layer))
         return layer
 
-    def layers(self):
-        return list(self._layers)
-
     def parameters(self):
         """Ordered (qualified_name, Tensor) pairs over all layers."""
         out = []

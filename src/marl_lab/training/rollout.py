@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..agents.memory import AgentMemory
 from ..agents.nets import joint_one_hot
 from ..eicm import impact_row
 from ..envs import SSDEnv
@@ -40,10 +39,17 @@ _EVAL_ACTION_STREAM = 37
 EVENT_COUNTS = ("apple_collected", "beam_fired", "agent_hit", "waste_cleaned",
                 "clean_beams")
 
+# The LSTM states a worker carries, named as the RolloutBuffer fields that
+# store them: actor-critic (v) and MOA (u), hidden and cell.
+LSTM_STATE = ("v_h", "v_c", "u_h", "u_c")
+
 
 class RolloutWorker:
-    """Owns one env instance plus per-agent memories and shaping state; state
-    persists across collections so episodes may span batch boundaries."""
+    """Owns one env instance, its current observations `obs` (N, V, V, C),
+    the agents' LSTM states (one (N, U) array per LSTM_STATE name) and the
+    shaping state. State persists across collections so episodes may span
+    batch boundaries; only `reset` zeros the LSTM state and only
+    `lockstep_step` advances it."""
 
     def __init__(self, env_config, shaping_config, run_seed, worker_idx):
         self.env = SSDEnv(env_config)
@@ -52,7 +58,7 @@ class RolloutWorker:
         self.worker_idx = worker_idx
         self.num_agents = env_config.num_agents
         self.episode_idx = -1
-        self.memories = None
+        self.v_h = self.v_c = self.u_h = self.u_c = None
         self.action_rngs = None
         self.shaper = RewardShaper(shaping_config, self.num_agents)
         self.obs = None
@@ -70,11 +76,12 @@ class RolloutWorker:
         k's action draws from action_seeds[k]."""
         self.episode_idx += 1
         self.env.reset(seed=env_seed)
-        self.memories = [a.fresh_memory(episode_tag=self.episode_idx) for a in agents]
+        for name in LSTM_STATE:
+            setattr(self, name, np.zeros((self.num_agents, agents[0].sizes.lstm_units)))
         self.action_rngs = [np.random.default_rng(np.random.SeedSequence(seed))
                             for seed in action_seeds]
         self.shaper.reset()
-        self.obs = [self.env.observe(k) for k in range(self.num_agents)]
+        self.obs = self._observe()
         self.episode_returns = np.zeros(self.num_agents)
         self.episode_events = dict.fromkeys(EVENT_COUNTS, 0)
 
@@ -86,8 +93,6 @@ class RolloutWorker:
             self.reset(agents, self.episode_env_seed(episode),
                        [self.episode_action_seed(episode, k)
                         for k in range(self.num_agents)])
-        for memory in self.memories:
-            memory.check_tag(self.episode_idx)
         return fresh
 
     def finish_step(self, actions, impacts):
@@ -101,7 +106,7 @@ class RolloutWorker:
             self.episode_events[event["kind"]] += 1
             if event["kind"] == "beam_fired" and event["beam"] == "clean":
                 self.episode_events["clean_beams"] += 1
-        self.obs = [self.env.observe(k) for k in range(self.num_agents)]
+        self.obs = self._observe()
         stat = None
         if self.env.done:
             clamped = np.maximum(self.episode_returns, 0.0)
@@ -113,11 +118,16 @@ class RolloutWorker:
                 events=self.episode_events)
         return e, i, r, stat
 
+    def _observe(self):
+        return np.stack([self.env.observe(k) for k in range(self.num_agents)])
+
 
 def lockstep_step(workers, agents, greedy=False):
-    """Step every worker once, in lockstep. Each agent's nets run once on the
-    W-row stack: encode, act and, in emurel mode, the impact rows and the MOA
-    advance. Then each worker steps its env and shapes its rewards.
+    """Step every worker once, in lockstep. The workers' `obs` and LSTM
+    states are stacked once each to (W, N, ...), and agent k's nets run once
+    on column [:, k]: encode, act and, in emurel mode, the impact rows and
+    the MOA advance. The advanced states go into copies, whose row w becomes
+    worker w's state. Then each worker steps its env and shapes its rewards.
 
     Returns ({RolloutBuffer field: (W, ...) array of this step},
     [EpisodeStat or None per worker]).
@@ -125,23 +135,19 @@ def lockstep_step(workers, agents, greedy=False):
     W, N = len(workers), len(agents)
     emurel = workers[0].shaping_config.mode == "emurel"
     rows = np.arange(W)
-    obs = [np.stack([worker.obs[k] for worker in workers]) for k in range(N)]
-    mems = [AgentMemory.stack([worker.memories[k] for worker in workers])
-            for k in range(N)]
-    arrays = {"obs": np.stack(obs, axis=1),
-              "v_h": np.stack([m.v.hidden for m in mems], axis=1),
-              "v_c": np.stack([m.v.cell for m in mems], axis=1),
-              "u_h": np.stack([m.u.hidden for m in mems], axis=1),
-              "u_c": np.stack([m.u.cell for m in mems], axis=1)}
+    arrays = {name: np.stack([getattr(worker, name) for worker in workers])
+              for name in ("obs",) + LSTM_STATE}
+    obs = arrays["obs"]
+    state = {name: arrays[name].copy() for name in LSTM_STATE}
 
     actions = np.zeros((W, N), dtype=np.int64)
     logp, values = np.zeros((W, N)), np.zeros((W, N))
     phis = []
     for k in range(N):
-        phis.append(agents[k].window_features(obs[k]))
-        out, mems[k] = agents[k].act(obs[k], mems[k],
-                                     [worker.action_rngs[k] for worker in workers],
-                                     greedy=greedy, feat=phis[k])
+        phis.append(agents[k].window_features(obs[:, k]))
+        out, state["v_h"][:, k], state["v_c"][:, k] = agents[k].act(
+            obs[:, k], arrays["v_h"][:, k], arrays["v_c"][:, k],
+            [worker.action_rngs[k] for worker in workers], greedy=greedy, feat=phis[k])
         actions[:, k] = out.action
         logp[:, k] = np.log(out.probs[rows, out.action])
         values[:, k] = out.value
@@ -150,13 +156,15 @@ def lockstep_step(workers, agents, greedy=False):
     if emurel:
         joint = joint_one_hot(actions, workers[0].env.num_actions)
         for k in range(N):
-            impacts[:, k], _ = impact_row(agents[k], phis[k], mems[k].u.hidden, joint, k)
-            _, mems[k] = agents[k].moa_predict(obs[k], joint, mems[k], feat=phis[k])
+            u_h, u_c = arrays["u_h"][:, k], arrays["u_c"][:, k]
+            impacts[:, k], _ = impact_row(agents[k], phis[k], u_h, joint, k)
+            _, state["u_h"][:, k], state["u_c"][:, k] = agents[k].moa_predict(
+                obs[:, k], joint, u_h, u_c, feat=phis[k])
 
-    per_agent = [m.unstack() for m in mems]
     rewards, stats = [], []
     for w, worker in enumerate(workers):
-        worker.memories = [per_agent[k][w] for k in range(N)]
+        for name in LSTM_STATE:
+            setattr(worker, name, state[name][w])
         e, i, r, stat = worker.finish_step(actions[w], impacts[w])
         rewards.append((e, i, r))
         stats.append(stat)
@@ -184,7 +192,7 @@ def collect_rollouts(workers, agents, batch_steps, view_size, channels, lstm_uni
         arrays, step_stats = lockstep_step(workers, agents)
         for name, value in arrays.items():
             getattr(buffer, name)[:, t] = value
-        buffer.next_obs[:, t] = [np.stack(worker.obs) for worker in workers]
+        buffer.next_obs[:, t] = [worker.obs for worker in workers]
         for w, stat in enumerate(step_stats):
             if stat is not None:
                 stats[w].append(stat)
@@ -192,10 +200,11 @@ def collect_rollouts(workers, agents, batch_steps, view_size, channels, lstm_uni
     buffer.episode_stats = [s for per_worker in stats for s in per_worker]
     live = [w for w, worker in enumerate(workers) if not worker.env.done]
     if live:
+        obs, v_h, v_c = (np.stack([getattr(workers[w], name) for w in live])
+                         for name in ("obs", "v_h", "v_c"))
         for k in range(N):
             buffer.bootstrap_values[live, k] = agents[k].value_only(
-                np.stack([workers[w].obs[k] for w in live]),
-                AgentMemory.stack([workers[w].memories[k] for w in live]))
+                obs[:, k], v_h[:, k], v_c[:, k])
     buffer.finalize_moa_targets()
     return buffer
 

@@ -4,7 +4,7 @@ import ...` would then pick whichever was imported first."""
 
 import numpy as np
 
-from marl_lab.agents import AgentMemory, PolicyOutput
+from marl_lab.agents import NetSizes, PolicyOutput
 
 
 # cleanup_mini with a third spawn point, so impact rows have two fellows and
@@ -75,14 +75,14 @@ def conv_linear_response(x, kernel, bias):
 
 
 class StatelessPolicy:
-    """A policy with no nets and no recurrent state. Like AgentNets.act, its
-    `act` takes a lockstep stack of W windows and returns W actions."""
+    """A policy with no nets whose one-unit LSTM state stays zero. Like
+    AgentNets.act, its `act` takes a lockstep stack of W windows and returns
+    W actions and the state it was given."""
+
+    sizes = NetSizes(lstm_units=1)
 
     def __init__(self, num_actions):
         self.num_actions = num_actions
-
-    def fresh_memory(self, episode_tag=0):
-        return AgentMemory.zeros(1, episode_tag)
 
     def window_features(self, obs):
         return None     # no encoder: `act` ignores feat
@@ -92,11 +92,11 @@ class UniformRandomPolicy(StatelessPolicy):
     """Baseline reference: uniform action draws, one per row from that row's
     generator."""
 
-    def act(self, obs, memory, rng, greedy=False, feat=None):
+    def act(self, obs, v_h, v_c, rng, greedy=False, feat=None):
         rows = len(obs)
         probs = np.full((rows, self.num_actions), 1.0 / self.num_actions)
         action = np.array([r.integers(self.num_actions) for r in rng])
-        return PolicyOutput(action=action, probs=probs, value=np.zeros(rows)), memory
+        return PolicyOutput(action=action, probs=probs, value=np.zeros(rows)), v_h, v_c
 
 
 class ScriptedPolicy(StatelessPolicy):
@@ -106,9 +106,9 @@ class ScriptedPolicy(StatelessPolicy):
         super().__init__(num_actions)
         self.action = action
 
-    def act(self, obs, memory, rng, greedy=False, feat=None):
+    def act(self, obs, v_h, v_c, rng, greedy=False, feat=None):
         rows = len(obs)
         probs = np.zeros((rows, self.num_actions))
         probs[:, self.action] = 1.0
         action = np.full(rows, self.action)
-        return PolicyOutput(action=action, probs=probs, value=np.zeros(rows)), memory
+        return PolicyOutput(action=action, probs=probs, value=np.zeros(rows)), v_h, v_c

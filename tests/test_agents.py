@@ -4,9 +4,7 @@ training, recurrent-state discipline."""
 import numpy as np
 import pytest
 
-from marl_lab.agents import (
-    AgentMemory, AgentNets, EpisodeMixError, NetSizes, joint_one_hot,
-)
+from marl_lab.agents import AgentNets, NetSizes, joint_one_hot
 from marl_lab.eicm import moa_loss_tape
 from marl_lab.nn import Optimizer, OptimizerConfig, Tensor, gradients
 
@@ -27,9 +25,11 @@ def random_obs(rng, view=5):
     return obs
 
 
-def stacked_memory(nets):
-    """A fresh memory as the W = 1 stack that `act` takes."""
-    return AgentMemory.stack([nets.fresh_memory()])
+def zero_state(rows=()):
+    """A zero LSTM state pair (h, c): (U,) for a lone window, (W, U) for a
+    lockstep stack of W windows."""
+    shape = tuple(rows) + (SMALL.lstm_units,)
+    return np.zeros(shape), np.zeros(shape)
 
 
 class TestAct:
@@ -38,78 +38,78 @@ class TestAct:
         obs = random_obs(rng)
         for seed in range(100):
             nets = small_nets(seed=seed)
-            out, _ = nets.act(obs[None], stacked_memory(nets), [np.random.default_rng(1)])
+            out, _, _ = nets.act(obs[None], *zero_state([1]), [np.random.default_rng(1)])
             assert out.probs.max() / out.probs.min() < 1.5
 
     def test_identical_inputs_give_identical_outputs(self):
         nets = small_nets()
         obs = random_obs(np.random.default_rng(3))
-        mem = stacked_memory(nets)
-        o1, m1 = nets.act(obs[None], mem, [np.random.default_rng(7)])
-        o2, m2 = nets.act(obs[None], mem, [np.random.default_rng(7)])
+        v = zero_state([1])
+        o1, h1, _ = nets.act(obs[None], *v, [np.random.default_rng(7)])
+        o2, h2, _ = nets.act(obs[None], *v, [np.random.default_rng(7)])
         assert o1.action == o2.action and o1.value == o2.value
         np.testing.assert_array_equal(o1.probs, o2.probs)
-        np.testing.assert_array_equal(m1.v.hidden, m2.v.hidden)
+        np.testing.assert_array_equal(h1, h2)
 
     def test_probs_are_distribution(self):
         nets = small_nets()
         rng = np.random.default_rng(5)
-        mem = stacked_memory(nets)
+        v_h, v_c = zero_state([1])
         for _ in range(10):
-            out, mem = nets.act(random_obs(rng)[None], mem, [rng])
+            out, v_h, v_c = nets.act(random_obs(rng)[None], v_h, v_c, [rng])
             assert abs(out.probs.sum() - 1.0) < 1e-9
             assert np.all(out.probs >= 0)
 
     def test_act_advances_v_only(self):
         nets = small_nets()
-        mem = stacked_memory(nets)
-        _, mem2 = nets.act(random_obs(np.random.default_rng(0))[None], mem,
-                           [np.random.default_rng(1)])
-        np.testing.assert_array_equal(mem2.u.hidden, mem.u.hidden)
-        assert not np.array_equal(mem2.v.hidden, mem.v.hidden)
+        v_h, v_c = zero_state([1])
+        _, h2, c2 = nets.act(random_obs(np.random.default_rng(0))[None], v_h, v_c,
+                             [np.random.default_rng(1)])
+        np.testing.assert_array_equal(v_h, 0.0)
+        np.testing.assert_array_equal(v_c, 0.0)
+        assert h2.shape == c2.shape == v_h.shape
+        assert not np.array_equal(h2, v_h)
+        assert not np.array_equal(c2, v_c)
 
     def test_nan_logits_abort(self):
         nets = small_nets()
         nets.policy_head.bias.data[:] = np.nan
         with pytest.raises(FloatingPointError):
-            nets.act(random_obs(np.random.default_rng(0))[None], stacked_memory(nets),
+            nets.act(random_obs(np.random.default_rng(0))[None], *zero_state([1]),
                      [np.random.default_rng(1)])
-
-    def test_episode_tag_mismatch_detected(self):
-        nets = small_nets()
-        mem = nets.fresh_memory(episode_tag=3)
-        with pytest.raises(EpisodeMixError):
-            mem.check_tag(4)
 
 
 class TestMoaPredict:
     def test_blocks_are_distributions(self):
         nets = small_nets(n=4)
         joint = joint_one_hot([0, 3, 5, 8], 9)
-        probs, _ = nets.moa_predict(random_obs(np.random.default_rng(2)), joint,
-                                    nets.fresh_memory())
+        probs, _, _ = nets.moa_predict(random_obs(np.random.default_rng(2)), joint,
+                                       *zero_state())
         assert probs.shape == (3, 9)
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_two_agents_one_block(self):
         nets = small_nets(n=2)
-        probs, _ = nets.moa_predict(random_obs(np.random.default_rng(2)),
-                                    joint_one_hot([1, 2], 9), nets.fresh_memory())
+        probs, _, _ = nets.moa_predict(random_obs(np.random.default_rng(2)),
+                                       joint_one_hot([1, 2], 9), *zero_state())
         assert probs.shape == (1, 9)
 
     def test_wrong_joint_arity_rejected(self):
         nets = small_nets(n=2)
         with pytest.raises(ValueError):
             nets.moa_predict(random_obs(np.random.default_rng(2)),
-                             joint_one_hot([1, 2, 3], 9), nets.fresh_memory())
+                             joint_one_hot([1, 2, 3], 9), *zero_state())
 
     def test_moa_advances_u_only(self):
         nets = small_nets()
-        mem = nets.fresh_memory()
-        _, mem2 = nets.moa_predict(random_obs(np.random.default_rng(0)),
-                                   joint_one_hot([0, 1], 9), mem)
-        np.testing.assert_array_equal(mem2.v.hidden, mem.v.hidden)
-        assert not np.array_equal(mem2.u.hidden, mem.u.hidden)
+        u_h, u_c = zero_state()
+        _, h2, c2 = nets.moa_predict(random_obs(np.random.default_rng(0)),
+                                     joint_one_hot([0, 1], 9), u_h, u_c)
+        np.testing.assert_array_equal(u_h, 0.0)
+        np.testing.assert_array_equal(u_c, 0.0)
+        assert h2.shape == c2.shape == u_h.shape
+        assert not np.array_equal(h2, u_h)
+        assert not np.array_equal(c2, u_c)
 
     def test_overfits_scripted_partner(self):
         # partner always moves up (action 0); MOA should learn p(up) > 0.9
@@ -133,7 +133,7 @@ class TestMoaPredict:
             for g, opt in zip(graphs, opts):
                 opt.step({n: grads[n] for n, _ in g.parameters()})
 
-        probs, _ = nets.moa_predict(observations[0], joints[0], nets.fresh_memory())
+        probs, _, _ = nets.moa_predict(observations[0], joints[0], *zero_state())
         assert probs[0, 0] > 0.9
 
 

@@ -1,6 +1,7 @@
 """CLI harness: spec parsing diagnostics, run artifacts, aggregation table,
 checkpoint replay, and exit codes."""
 
+import json
 import os
 
 import numpy as np
@@ -92,9 +93,25 @@ class TestSpecfile:
          "grad_clip_norm must be positive"),
         ('mode = "baseline"', 'mode = "galactic"', "mode 'galactic'"),
         ("updates = 2", "updates = 0", "updates must be at least 1"),
+        ("initial_waste_fraction = 0.2",
+         "initial_waste_fraction = 0.2\ncleanup_depletion_threshold = 0.0",
+         "cleanup_depletion_threshold must lie in (0, 1]"),
+        ("initial_waste_fraction = 0.2", "initial_waste_fraction = 0.2\nwaste_spawn_prob = 1.5",
+         "waste_spawn_prob must lie in [0, 1]"),
+        ("initial_waste_fraction = 0.2",
+         "initial_waste_fraction = 0.2\ncleanup_max_spawn_rate = -0.2",
+         "cleanup_max_spawn_rate must lie in [0, 1]"),
+        ("initial_waste_fraction = 0.2", "initial_waste_fraction = 0.2\nharvest_low_rate = 2.0",
+         "harvest_low_rate must lie in [0, 1]"),
+        ("initial_waste_fraction = 0.2", "initial_waste_fraction = 0.2\nharvest_mid_rate = -1.0",
+         "harvest_mid_rate must lie in [0, 1]"),
+        ("initial_waste_fraction = 0.2", "initial_waste_fraction = 0.2\nharvest_high_rate = 1.1",
+         "harvest_high_rate must lie in [0, 1]"),
     ], ids=["spawns", "map", "eval-episodes", "eval-interval", "checkpoint-interval",
             "workers", "batch-steps", "smoothing-lambda", "lstm-units", "optimizer",
-            "grad-clip-norm", "mode", "updates"])
+            "grad-clip-norm", "mode", "updates", "depletion-threshold",
+            "waste-spawn-prob", "max-spawn-rate", "harvest-low-rate", "harvest-mid-rate",
+            "harvest-high-rate"])
     def test_setting_error_points_at_its_key(self, tmp_path, capsys, old, new, message):
         text = TINY_SPEC.format(out=str(tmp_path / "runs"), mode="baseline")
         assert old in text
@@ -199,6 +216,20 @@ class TestRun:
         assert main(["run", spec]) == 2   # already exists, no --force
         assert main(["run", spec, "--force"]) == 0
 
+    def test_force_leaves_only_the_new_runs_files(self, tmp_path, capsys):
+        spec = tmp_path / "tiny.spec"
+        text = TINY_SPEC.format(out=str(tmp_path / "runs"), mode="baseline")
+        spec.write_text(text.replace('name = "tiny"', 'name = "tiny"\naudit_shaping = true'))
+        assert main(["run", str(spec)]) == 0                  # updates = 2: step 80
+        spec.write_text(text.replace("updates = 2", "updates = 1"))
+        assert main(["run", str(spec), "--force"]) == 0       # step 40, no audit
+        run_dir = tmp_path / "runs" / "tiny" / "baseline" / "1"
+        assert sorted(os.listdir(run_dir / "checkpoints")) == [
+            "agent0_step0000000040.ckpt", "agent1_step0000000040.ckpt"]
+        assert not (run_dir / "shaping_audit.csv").exists()
+        assert sorted(os.listdir(tmp_path / "runs" / "tiny" / "baseline")) == ["1"]
+        assert json.loads((run_dir / "summary.json").read_text())["updates"] == 1
+
     @pytest.mark.parametrize("workers", ["3", "0"])
     def test_bad_workers_override_exits_2_before_the_run(self, tmp_path, capsys,
                                                          workers):
@@ -207,6 +238,16 @@ class TestRun:
         assert main(["run", spec, "--workers", workers]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--workers" in err
+        assert not (tmp_path / "runs").exists()
+
+    def test_non_integer_workers_env_exits_2_before_the_run(self, tmp_path, capsys,
+                                                            monkeypatch):
+        spec = write_tiny_spec(tmp_path)
+        monkeypatch.setenv("MARL_LAB_WORKERS", "two")
+        capsys.readouterr()
+        assert main(["run", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "MARL_LAB_WORKERS" in err
         assert not (tmp_path / "runs").exists()
 
     def test_spawn_shortage_is_a_spec_error(self, tmp_path):
@@ -231,6 +272,16 @@ class TestRun:
         assert (run_dir / "FAILED").exists()
         assert "induced failure" in (run_dir / "FAILED").read_text()
         assert (run_dir / "metrics.csv").exists()   # partial artifact remains
+
+    def test_failed_forced_rerun_leaves_no_earlier_summary(self, tmp_path, monkeypatch):
+        from marl_lab.training import Trainer
+        spec = write_tiny_spec(tmp_path)
+        (run_dir, _), = run_experiment(spec)
+        monkeypatch.setattr(Trainer, "one_update", lambda self: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            run_experiment(spec, force=True)
+        assert sorted(os.listdir(run_dir)) == [
+            "FAILED", "events.jsonl", "metrics.csv", "snapshot.spec"]
 
 
 def synth_run(tmp_path, method, seed, rewards, name="synth"):
@@ -330,6 +381,15 @@ class TestReplay:
             assert main(["replay", str(ckpt_dir), spec, "--episodes", "1",
                          "--seed", "1"]) == 2
             assert capsys.readouterr().err.startswith("error:")
+
+    def test_zero_episodes_exits_2(self, tmp_path, capsys):
+        ckpt_dir, env_spec = self._trained_dir(tmp_path)
+        capsys.readouterr()
+        assert main(["replay", ckpt_dir, env_spec, "--episodes", "0",
+                     "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "--episodes" in captured.err
+        assert captured.out == ""
 
     def test_env_mismatch_rejected(self, tmp_path):
         ckpt_dir, env_spec = self._trained_dir(tmp_path)

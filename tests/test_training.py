@@ -42,6 +42,23 @@ def mini_trainer(mode="baseline", algo="ppo", seed=1, **tkw):
                    sizes=SMALL)
 
 
+def three_agent_cleanup(mode):
+    """3 agents, so impact rows are not all ones, on 9-step episodes: 14
+    steps per worker per collection end collections mid-episode."""
+    env = EnvConfig(kind="cleanup", map_rows=THREE_AGENT_CLEANUP, num_agents=3,
+                    episode_length=9, view_size=7, initial_waste_fraction=0.2)
+    shaping = ShapingConfig(mode=mode, alpha=0.0 if mode == "baseline" else 5.0,
+                            beta=0.05)
+    agents = [AgentNets(7, env.num_actions, 3, seed=[4, k], sizes=SMALL)
+              for k in range(3)]
+    return env, shaping, agents
+
+
+def collect_steps(workers, agents, steps):
+    """Collect `steps` lockstep steps per worker on the three-agent setup."""
+    return collect_rollouts(workers, agents, steps * len(workers), 7, 8, SMALL.lstm_units)
+
+
 class TestCollectRollouts:
     def test_baseline_mode_zero_intrinsic(self):
         tr = mini_trainer("baseline")
@@ -105,6 +122,23 @@ class TestCollectRollouts:
                                       buffer.actions[w, t + 1, 1:])
         assert not buffer.moa_valid[w, 19]   # episode-final step has no target
 
+    def test_episodes_start_from_zero_lstm_state(self):
+        env, shaping, agents = three_agent_cleanup("emurel")
+        workers = [RolloutWorker(env, shaping, 9, w) for w in range(3)]
+        first = collect_steps(workers, agents, 14)
+        second = collect_steps(workers, agents, 14)   # resumes open episodes
+        states = ("v_h", "v_c", "u_h", "u_c")
+        for buffer in (first, second):
+            w, t = np.nonzero(buffer.episode_starts)
+            assert len(w) == 6      # two episode starts per worker per collection
+            for name in states:
+                assert np.all(getattr(buffer, name)[w, t] == 0.0), name
+        continuing = np.flatnonzero(~second.episode_starts[:, 0])
+        assert len(continuing) == 3
+        for name in states:
+            rows = getattr(second, name)[continuing, 0]     # (workers, N, U)
+            assert np.all((rows != 0.0).any(axis=-1)), name
+
 
 class TestLockstepBatching:
     """Workers stepped in lockstep with batched nets fill each worker's slice
@@ -115,31 +149,16 @@ class TestLockstepBatching:
               "dones", "episode_starts", "moa_targets", "moa_valid",
               "bootstrap_values")
 
-    def setup(self, mode):
-        # 3 agents, so impact rows are not all ones; 14 steps per worker per
-        # collection against 9-step episodes, so collections end mid-episode
-        # and the bootstrap values are exercised.
-        env = EnvConfig(kind="cleanup", map_rows=THREE_AGENT_CLEANUP, num_agents=3,
-                        episode_length=9, view_size=7, initial_waste_fraction=0.2)
-        shaping = ShapingConfig(mode=mode, alpha=0.0 if mode == "baseline" else 5.0,
-                                beta=0.05)
-        agents = [AgentNets(7, env.num_actions, 3, seed=[4, k], sizes=SMALL)
-                  for k in range(3)]
-        return env, shaping, agents
-
-    def collect(self, workers, agents, steps):
-        return collect_rollouts(workers, agents, steps * len(workers), 7,
-                                8, SMALL.lstm_units)
-
     @pytest.mark.parametrize("mode", ["baseline", "ia", "emurel"])
     def test_each_worker_slice_equals_its_lone_collection(self, mode):
-        env, shaping, agents = self.setup(mode)
+        # Collections end mid-episode, so the bootstrap values are exercised.
+        env, shaping, agents = three_agent_cleanup(mode)
         steps, W = 14, 3
         together = [RolloutWorker(env, shaping, 9, w) for w in range(W)]
         alone = [RolloutWorker(env, shaping, 9, w) for w in range(W)]
         for _ in range(2):      # the second collection resumes open episodes
-            batched = self.collect(together, agents, steps)
-            singles = [self.collect([worker], agents, steps) for worker in alone]
+            batched = collect_steps(together, agents, steps)
+            singles = [collect_steps([worker], agents, steps) for worker in alone]
             assert not batched.dones[:, -1].all()
             for name in self.ARRAYS:
                 got = getattr(batched, name)

@@ -54,8 +54,10 @@ def stable_softmax(logits, axis=-1):
 
 
 def sample_from_probs(probs, rng):
-    """Inverse-CDF draw; consumes exactly one uniform per call."""
-    return int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+    """Inverse-CDF draw; consumes exactly one uniform per call. A uniform
+    past the cumsum's end, which may fall short of 1.0, draws the last action."""
+    return min(int(np.searchsorted(np.cumsum(probs), rng.random(), side="right")),
+               len(probs) - 1)
 
 
 class AgentNets:

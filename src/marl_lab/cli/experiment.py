@@ -68,6 +68,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.seeds:
             raise ConfigError("seeds must be a nonempty list", "seeds")
+        if min(self.seeds) < 0:
+            raise ConfigError("seeds must not be negative", "seeds")
 
 
 _TYPE_TAGS = {int: ("int",), float: ("float",), str: ("str",), bool: ("bool",),

@@ -61,6 +61,8 @@ def replay(ckpt_dir, env_spec_path, episodes, seed, greedy=False, sink=None):
     if episodes < 1:
         raise ConfigError(f"--episodes {episodes}: replay needs at least one episode",
                           "episodes")
+    if seed < 0:
+        raise ConfigError(f"--seed {seed}: seeds must not be negative", "seed")
     spec = resolve_spec(env_spec_path)
     env_config = spec.env
     agents = load_agents_for_env(ckpt_dir, env_config, spec.net)

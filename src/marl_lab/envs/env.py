@@ -50,7 +50,6 @@ class EnvState:
     grid: np.ndarray                # (H, W) cell codes
     positions: np.ndarray           # (N, 2) row, col
     orientations: np.ndarray        # (N,)
-    alive: np.ndarray               # (N,) bool
     rng: np.random.Generator
     t: int = 0
     beam_cells: set = field(default_factory=set)   # cells covered by beams last step
@@ -102,7 +101,7 @@ class SSDEnv:
         positions = np.array([self.parsed.spawns[i] for i in spawn_idx], dtype=np.int64)
         orientations = rng.integers(0, 4, size=cfg.num_agents)
         self.state = EnvState(grid=grid, positions=positions, orientations=orientations,
-                              alive=np.ones(cfg.num_agents, dtype=bool), rng=rng)
+                              rng=rng)
         return self.state
 
     # -- dynamics ------------------------------------------------------------
@@ -264,7 +263,7 @@ class SSDEnv:
     # -- observation ---------------------------------------------------------
 
     def observe(self, k):
-        """Egocentric one-hot window for agent k, rotated to face up.
+        """Egocentric uint8 one-hot window for agent k, rotated to face up.
         Out-of-map cells read as wall."""
         st = self.state
         V = self.config.view_size
@@ -274,7 +273,7 @@ class SSDEnv:
         r, c = st.positions[k]
         window = padded[r:r + V, c:c + V]
 
-        obs = np.zeros((V, V, NUM_CHANNELS))
+        obs = np.zeros((V, V, NUM_CHANNELS), dtype=np.uint8)
         obs[:, :, C_EMPTY] = (window == EMPTY) | (window == SPAWN)
         obs[:, :, C_WALL] = window == WALL
         obs[:, :, C_APPLE] = window == APPLE

@@ -1,8 +1,9 @@
-"""Rollout storage: (workers, steps, agents) arrays plus episode accounting.
+"""Rollout storage: (workers, steps, ...) arrays plus episode accounting.
 
-Observations are stored as uint8 one-hot stacks and cast to float64 per
-minibatch. Recurrent-state snapshots hold the LSTM states as they were
-*before* each step, which is what the stored-state update path replays.
+Each field takes its shape and dtype from the first step it records. The
+uint8 observations are cast to float64 where a net encodes them. Recurrent
+state snapshots hold the LSTM states as they were *before* each step, which
+is what the stored-state update path replays.
 """
 
 from __future__ import annotations
@@ -23,28 +24,18 @@ class EpisodeStat:
 
 
 class RolloutBuffer:
-    def __init__(self, workers, steps, num_agents, view_size, channels, lstm_units):
-        W, S, N, V, U = workers, steps, num_agents, view_size, lstm_units
-        self.workers, self.steps, self.num_agents = W, S, N
-        self.obs = np.zeros((W, S, N, V, V, channels), dtype=np.uint8)
-        self.next_obs = np.zeros((W, S, N, V, V, channels), dtype=np.uint8)
-        self.actions = np.zeros((W, S, N), dtype=np.int64)
-        self.behavior_logp = np.zeros((W, S, N))
-        self.values = np.zeros((W, S, N))
-        self.v_h = np.zeros((W, S, N, U))
-        self.v_c = np.zeros((W, S, N, U))
-        self.u_h = np.zeros((W, S, N, U))
-        self.u_c = np.zeros((W, S, N, U))
-        self.extrinsic = np.zeros((W, S, N))
-        self.intrinsic = np.zeros((W, S, N))
-        self.reshaped = np.zeros((W, S, N))
-        self.impact_rows = np.zeros((W, S, N, max(N - 1, 1)))
-        self.dones = np.zeros((W, S), dtype=bool)
-        self.episode_starts = np.zeros((W, S), dtype=bool)
-        self.moa_targets = np.zeros((W, S, N, max(N - 1, 1)), dtype=np.int64)
-        self.moa_valid = np.zeros((W, S), dtype=bool)
-        self.bootstrap_values = np.zeros((W, N))
+    def __init__(self, workers, steps, num_agents):
+        self.workers, self.steps, self.num_agents = workers, steps, num_agents
         self.episode_stats: list[EpisodeStat] = []
+
+    def record(self, t, arrays):
+        """Store step t's {field: (W, ...) array}. A field's first record
+        allocates it as (W, S) + value.shape[1:], with the value's dtype."""
+        for name, value in arrays.items():
+            if name not in vars(self):
+                setattr(self, name, np.zeros((self.workers, self.steps) + value.shape[1:],
+                                             dtype=value.dtype))
+            getattr(self, name)[:, t] = value
 
     @property
     def total_samples(self):
@@ -53,12 +44,14 @@ class RolloutBuffer:
     def finalize_moa_targets(self):
         """Targets are the other agents' actions one step later; the final
         step of an episode (or of the buffer) has no target."""
-        N = self.num_agents
+        W, S, N = self.workers, self.steps, self.num_agents
         others = np.array([[j for j in range(N) if j != k] for k in range(N)],
                           dtype=np.int64).reshape(N, N - 1)
         valid = ~self.dones[:, :-1]
+        self.moa_valid = np.zeros((W, S), dtype=bool)
         self.moa_valid[:, :-1] = valid
         nxt = self.actions[:, 1:][:, :, others]         # (W, S-1, N, N-1)
+        self.moa_targets = np.zeros((W, S, N, max(N - 1, 1)), dtype=np.int64)
         self.moa_targets[:, :-1, :, :N - 1] = np.where(valid[..., None, None], nxt, 0)
 
     def flat(self, arr):

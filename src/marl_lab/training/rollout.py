@@ -176,28 +176,29 @@ def lockstep_step(workers, agents, greedy=False):
     return arrays, stats
 
 
-def collect_rollouts(workers, agents, batch_steps, view_size, channels, lstm_units):
+def collect_rollouts(workers, agents, batch_steps):
     """Step every worker batch_steps/len(workers) times in lockstep into one
-    buffer; worker w fills slice [w]."""
+    buffer; worker w fills slice [w]. Each step records `lockstep_step`'s
+    arrays plus `episode_starts` and `next_obs`."""
     W = len(workers)
     if batch_steps % W != 0:
         raise ValueError(f"batch_steps {batch_steps} not divisible by {W} workers")
     steps = batch_steps // W
     N = workers[0].num_agents
-    buffer = RolloutBuffer(W, steps, N, view_size, channels, lstm_units)
+    buffer = RolloutBuffer(W, steps, N)
     stats = [[] for _ in workers]
 
     for t in range(steps):
-        buffer.episode_starts[:, t] = [worker.begin_step(agents) for worker in workers]
+        starts = np.array([worker.begin_step(agents) for worker in workers])
         arrays, step_stats = lockstep_step(workers, agents)
-        for name, value in arrays.items():
-            getattr(buffer, name)[:, t] = value
-        buffer.next_obs[:, t] = [worker.obs for worker in workers]
+        buffer.record(t, dict(arrays, episode_starts=starts,
+                              next_obs=np.stack([worker.obs for worker in workers])))
         for w, stat in enumerate(step_stats):
             if stat is not None:
                 stats[w].append(stat)
 
     buffer.episode_stats = [s for per_worker in stats for s in per_worker]
+    buffer.bootstrap_values = np.zeros((W, N))
     live = [w for w, worker in enumerate(workers) if not worker.env.done]
     if live:
         obs, v_h, v_c = (np.stack([getattr(workers[w], name) for w in live])

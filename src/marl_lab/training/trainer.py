@@ -10,7 +10,6 @@ import numpy as np
 
 from ..agents import AgentNets
 from ..envs.config import ConfigError
-from ..envs.env import NUM_CHANNELS
 from ..nn import Optimizer, OptimizerConfig
 from .advantages import compute_advantages
 from .rollout import RolloutWorker, collect_rollouts
@@ -89,14 +88,11 @@ class Trainer:
             np.random.SeedSequence([trainer_config.seed, 7919]))
         self.update_idx = 0
         self.env_steps = 0
-        self.lstm_units = self.agents[0].sizes.lstm_units
 
     def one_update(self):
         """Collect one batch, apply one update, return the metrics row."""
         cfg = self.cfg
-        buffer = collect_rollouts(self.workers, self.agents, cfg.batch_steps,
-                                  self.env_config.view_size, NUM_CHANNELS,
-                                  self.lstm_units)
+        buffer = collect_rollouts(self.workers, self.agents, cfg.batch_steps)
         advantages, targets = compute_advantages(buffer, cfg.discount, cfg.gae_lambda)
         mode = self.shaping_config.mode
         if cfg.algo == "ppo":

@@ -1,11 +1,13 @@
-"""Parameter updates: the composite loss, PPO-clip epochs, and synchronous
-advantage-actor-critic with per-worker gradient averaging.
+"""Parameter updates: the composite loss, and one learner loop that runs
+both PPO-clip epochs and synchronous advantage actor-critic.
 
 The composite objective per agent is
     policy term + value_coef * value MSE - entropy_coef * entropy
     (+ moa_coef * MOA cross-entropy + forward_coef * L_F + inverse_coef * L_I
      in emurel mode),
-recomputed from stored observations and recurrent-state snapshots.
+recomputed from stored observations and recurrent-state snapshots. PPO and
+A2C differ only in that policy term, in advantage normalization and in their
+schedule: a list of steps, each a list of index sets into the flat buffer.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from ..nn import tensor as T
 
 
 def minibatch_views(buffer, idx):
-    """Flattened sample views for index array idx, shared across agents."""
+    """Flattened sample views for index array idx, shared across agents.
+    Observations stay uint8; the Tensor a loss encodes casts its column."""
     take = lambda arr: buffer.flat(arr)[idx]
     return {
-        "obs": take(buffer.obs).astype(np.float64),
-        "next_obs": take(buffer.next_obs).astype(np.float64),
+        "obs": take(buffer.obs),
+        "next_obs": take(buffer.next_obs),
         "actions": take(buffer.actions),
         "behavior_logp": take(buffer.behavior_logp),
         "values": take(buffer.values),
@@ -95,56 +98,52 @@ def normalize_advantages(adv):
 
 
 def ppo_update(agents, buffer, advantages, value_targets, cfg, mode, optimizers, rng):
-    """Clipped-surrogate epochs over shuffled minibatches; one optimizer step
-    per minibatch per agent. Returns averaged loss terms and gradient norm."""
+    """Clipped-surrogate epochs: one step per minibatch, cut from one
+    permutation per epoch."""
+    B = buffer.total_samples
+    schedule = []
+    for _ in range(cfg.ppo_epochs):
+        perm = rng.permutation(B)
+        schedule += [[perm[lo:lo + cfg.minibatch_steps]]
+                     for lo in range(0, B, cfg.minibatch_steps)]
+    return _run_schedule(agents, buffer, advantages, value_targets, cfg, mode,
+                         optimizers, schedule, ppo=True)
+
+
+def a2c_sync_update(agents, buffer, advantages, value_targets, cfg, mode, optimizers):
+    """One step on the mean of the W worker-slice gradients. Advantages enter
+    unnormalized (gae_lambda defaults to 1)."""
+    S = buffer.steps
+    schedule = [[np.arange(w * S, (w + 1) * S) for w in range(buffer.workers)]]
+    return _run_schedule(agents, buffer, advantages, value_targets, cfg, mode,
+                         optimizers, schedule, ppo=False)
+
+
+def _run_schedule(agents, buffer, advantages, value_targets, cfg, mode, optimizers,
+                  schedule, ppo):
+    """Per step and agent: the mean gradient over the step's index sets, then
+    one optimizer step; PPO normalizes each set's advantages. Returns the
+    loss terms averaged over (step, agent, set) and the mean gradient norm."""
     B = buffer.total_samples
     adv_flat = advantages.reshape(B, -1)
     tgt_flat = value_targets.reshape(B, -1)
     sums, count = {}, 0
     grad_norms = []
-    for _ in range(cfg.ppo_epochs):
-        perm = rng.permutation(B)
-        for lo in range(0, B, cfg.minibatch_steps):
-            idx = perm[lo:lo + cfg.minibatch_steps]
-            view = minibatch_views(buffer, idx)
-            for k, nets in enumerate(agents):
-                adv = normalize_advantages(adv_flat[idx, k])
+    for index_sets in schedule:
+        views = [minibatch_views(buffer, idx) for idx in index_sets]
+        for k, nets in enumerate(agents):
+            mean = {}
+            for idx, view in zip(index_sets, views):
+                adv = normalize_advantages(adv_flat[idx, k]) if ppo else adv_flat[idx, k]
                 loss, terms = composite_loss(nets, k, view, adv, tgt_flat[idx, k],
-                                             cfg, mode, ppo=True)
-                grads = gradients(nets.parameters(), loss)
-                grad_norms.append(optimizers[k].step(grads))
+                                             cfg, mode, ppo=ppo)
+                for name, g in gradients(nets.parameters(), loss).items():
+                    g = g / len(index_sets)
+                    mean[name] = mean[name] + g if name in mean else g
                 for key, val in terms.items():
                     sums[key] = sums.get(key, 0.0) + val
                 count += 1
-    out = {key: val / max(count, 1) for key, val in sums.items()}
-    out["grad_norm"] = float(np.mean(grad_norms)) if grad_norms else 0.0
-    return out
-
-
-def a2c_sync_update(agents, buffer, advantages, value_targets, cfg, mode, optimizers):
-    """One pass: per-worker gradients averaged, then a single optimizer step
-    per agent. Advantages enter unnormalized (gae_lambda defaults to 1)."""
-    W, S = buffer.workers, buffer.steps
-    sums, count = {}, 0
-    grad_norms = []
-    for k, nets in enumerate(agents):
-        avg = None
-        for w in range(W):
-            idx = np.arange(w * S, (w + 1) * S)
-            view = minibatch_views(buffer, idx)
-            adv = advantages[w, :, k]
-            loss, terms = composite_loss(nets, k, view, adv, value_targets[w, :, k],
-                                         cfg, mode, ppo=False)
-            grads = gradients(nets.parameters(), loss)
-            if avg is None:
-                avg = {name: g / W for name, g in grads.items()}
-            else:
-                for name, g in grads.items():
-                    avg[name] += g / W
-            for key, val in terms.items():
-                sums[key] = sums.get(key, 0.0) + val
-            count += 1
-        grad_norms.append(optimizers[k].step(avg))
+            grad_norms.append(optimizers[k].step(mean))
     out = {key: val / max(count, 1) for key, val in sums.items()}
     out["grad_norm"] = float(np.mean(grad_norms)) if grad_norms else 0.0
     return out

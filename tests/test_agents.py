@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from marl_lab.agents import AgentNets, NetSizes, joint_one_hot
+from marl_lab.agents.nets import sample_from_probs, stable_softmax
 from marl_lab.eicm import moa_loss_tape
 from marl_lab.nn import Optimizer, OptimizerConfig, Tensor, gradients
 
@@ -77,6 +78,31 @@ class TestAct:
         with pytest.raises(FloatingPointError):
             nets.act(random_obs(np.random.default_rng(0))[None], *zero_state([1]),
                      [np.random.default_rng(1)])
+
+
+class FixedUniform:
+    """A generator stub that draws the uniform `u`."""
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+class TestSampleFromProbs:
+    def test_cumsum_short_of_one_draws_the_last_action(self):
+        rng = np.random.default_rng(11)
+        rows = stable_softmax(rng.normal(size=(200, 9)) * 3.0)
+        top = np.nextafter(1.0, 0.0)        # the largest uniform a Generator draws
+        short = [p for p in rows if np.cumsum(p)[-1] <= top]
+        assert short, "no softmax row whose cumsum ends below the largest uniform"
+        for probs in short:
+            assert sample_from_probs(probs, FixedUniform(top)) == 8
+
+    def test_in_range_draws_follow_the_cumsum(self):
+        probs = np.array([0.25, 0.25, 0.5])
+        for u, want in ((0.0, 0), (0.2499, 0), (0.25, 1), (0.5, 2), (0.9999, 2)):
+            assert sample_from_probs(probs, FixedUniform(u)) == want
 
 
 class TestMoaPredict:

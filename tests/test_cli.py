@@ -107,11 +107,12 @@ class TestSpecfile:
          "harvest_mid_rate must lie in [0, 1]"),
         ("initial_waste_fraction = 0.2", "initial_waste_fraction = 0.2\nharvest_high_rate = 1.1",
          "harvest_high_rate must lie in [0, 1]"),
+        ("seeds = [1]", "seeds = [1, -1]", "seeds must not be negative"),
     ], ids=["spawns", "map", "eval-episodes", "eval-interval", "checkpoint-interval",
             "workers", "batch-steps", "smoothing-lambda", "lstm-units", "optimizer",
             "grad-clip-norm", "mode", "updates", "depletion-threshold",
             "waste-spawn-prob", "max-spawn-rate", "harvest-low-rate", "harvest-mid-rate",
-            "harvest-high-rate"])
+            "harvest-high-rate", "seeds-negative"])
     def test_setting_error_points_at_its_key(self, tmp_path, capsys, old, new, message):
         text = TINY_SPEC.format(out=str(tmp_path / "runs"), mode="baseline")
         assert old in text
@@ -389,6 +390,15 @@ class TestReplay:
                      "--seed", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "--episodes" in captured.err
+        assert captured.out == ""
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        ckpt_dir, env_spec = self._trained_dir(tmp_path)
+        capsys.readouterr()
+        assert main(["replay", ckpt_dir, env_spec, "--episodes", "1",
+                     "--seed", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "--seed" in captured.err
         assert captured.out == ""
 
     def test_env_mismatch_rejected(self, tmp_path):

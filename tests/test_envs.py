@@ -70,7 +70,6 @@ class TestReset:
         env = SSDEnv(EnvConfig(map="cleanup_mini", num_agents=2,
                                initial_waste_fraction=0.5))
         env.reset()
-        assert np.all(env.state.alive)
         assert env.state.t == 0
         # shipped mini map has a 12-cell river; half filled -> density 0.5
         assert len(env._river) == 12
@@ -387,7 +386,6 @@ class TestRender:
         state = EnvState(grid=np.zeros((2, 2), dtype=np.uint8),
                          positions=np.zeros((0, 2), dtype=np.int64),
                          orientations=np.zeros(0, dtype=np.int64),
-                         alive=np.ones(0, dtype=bool),
                          rng=np.random.default_rng(0))
         text = render_ascii(state)
         assert text.splitlines()[:2] == ["..", ".."]

@@ -3,9 +3,12 @@ a small training matrix, and of the evaluation and replay streams.
 
 Every cell of {baseline, ia, emurel} x {ppo, a2c_sync} runs two updates of a
 three-agent mini Cleanup with small nets, writes its rows with `MetricsWriter`
-and saves each agent with `save_agents`, exactly as `marl-lab run` does. The
-digests pin every bit of every metric and every parameter, so a change that
-moves any number fails here and must re-pin in the same diff, saying why.
+and saves each agent with `save_agents`, exactly as `marl-lab run` does. Two
+Harvest cells, baseline and emurel with `a2c_sync`, do the same on two-agent
+`harvest_mini`, with regrowth rates high enough that apples regrow during the
+run. The digests pin every bit of every metric and every parameter, so a
+change that moves any number fails here and must re-pin in the same diff,
+saying why.
 
 The emurel-ppo cell also runs from a spec file through `run_single_seed` with
 an evaluation after every update, sampled and greedy; its `events.jsonl` is
@@ -64,9 +67,11 @@ DIGESTS = {
     "ia-a2c_sync": "02c4e981317f62dae05c87b5368ed9c9f87c7aa88370e1e41414eb60969fb887",
     "emurel-ppo": "69579707cc65d2ca6569a5b8a2a1704e993dd808e7607b13a44df1a114708d0a",
     "emurel-a2c_sync": "355de84051a19cc0b78e6e0c5957b844db083d605f0bd48448279696a2c15761",
+    "harvest-baseline-a2c_sync": "c6026f423deac31cfb173d33d6d09c45881a9243231742cfac87cbedf20e2a3f",
+    "harvest-emurel-a2c_sync": "0974666c9b470d7a1a835a053736c2cc10839521f5df6784ca8addf64a44cdd7",
 }
 
-# Final checkpoint of agent 0, 1, 2, as `save_agents` writes it.
+# Final checkpoint of each agent, in agent order, as `save_agents` writes it.
 CHECKPOINT_DIGESTS = {
     "baseline-ppo": [
         "1e6201cc5d485dd53758f451e1f868235deacc37aad7333a83bb78a4acd5724f",
@@ -97,6 +102,14 @@ CHECKPOINT_DIGESTS = {
         "74e96ea844e89a09b1bd23e4d95f1a185f28608b82eac73e5d9e32ba4577ecb2",
         "2051b353b01800de70e8afb8cc04213177445f77eb4cfc4f8d7636c893e779b7",
         "1d36470671a3f266d77bbab7d3ead2a77fa8742856412af5b54ebcf68e7fcb9b",
+    ],
+    "harvest-baseline-a2c_sync": [
+        "f5da6c2d1ab1457e6be57d49ff5044c0cedd8f6a342f33f69cfc69060e56b992",
+        "c5f091be9233d94a0b728bef7144848a8142b99ab355cb177b95505607071607",
+    ],
+    "harvest-emurel-a2c_sync": [
+        "c813ff8865f0f9b834a401100768b3289577e51c411b1e1942b1fa452819983f",
+        "a5c2027f7b0bc50da68a23a4c3cac84d2a5e68e4a02ecd90cd03c7d937d4b42c",
     ],
 }
 
@@ -176,9 +189,18 @@ def fingerprint():
             "cpu": cpu}
 
 
-def golden_trainer(mode, algo):
-    env = EnvConfig(kind="cleanup", map_rows=THREE_AGENT_CLEANUP, num_agents=3,
-                    episode_length=15, view_size=7, initial_waste_fraction=0.2, seed=5)
+def golden_trainer(cell):
+    """The trainer of one cell: "<mode>-<algo>" on Cleanup, or
+    "harvest-<mode>-<algo>"."""
+    *kind, mode, algo = cell.split("-")
+    if kind == ["harvest"]:
+        env = EnvConfig(kind="harvest", map="harvest_mini", num_agents=2,
+                        episode_length=15, view_size=7, harvest_low_rate=0.3,
+                        harvest_mid_rate=0.6, harvest_high_rate=0.9, seed=5)
+    else:
+        env = EnvConfig(kind="cleanup", map_rows=THREE_AGENT_CLEANUP, num_agents=3,
+                        episode_length=15, view_size=7, initial_waste_fraction=0.2,
+                        seed=5)
     shaping = ShapingConfig(mode=mode, alpha=0.0 if mode == "baseline" else 5.0,
                             beta=0.05)
     cfg = TrainerConfig(algo=algo, batch_steps=64, minibatch_steps=32, ppo_epochs=2,
@@ -193,12 +215,12 @@ def sha256_of(path):
 
 
 @functools.lru_cache(maxsize=None)
-def golden_digests(mode, algo, updates=2):
+def golden_digests(cell, updates=2):
     """(metrics.csv digest, [final checkpoint digest per agent]) of one cell."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "metrics.csv")
         writer = MetricsWriter(path)
-        trainer = golden_trainer(mode, algo)
+        trainer = golden_trainer(cell)
         try:
             trainer.run(updates, on_update=lambda row, *_: writer.write_row(row))
         finally:
@@ -241,28 +263,29 @@ def snapshot_digest(name):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-CELLS = [(mode, algo) for mode in ("baseline", "ia", "emurel")
-         for algo in ("ppo", "a2c_sync")]
+CELLS = [f"{mode}-{algo}" for mode in ("baseline", "ia", "emurel")
+         for algo in ("ppo", "a2c_sync")] + [
+    "harvest-baseline-a2c_sync", "harvest-emurel-a2c_sync"]
 
 
-@pytest.mark.parametrize("mode,algo", CELLS)
-def test_metrics_csv_matches_golden_digest(mode, algo):
+@pytest.mark.parametrize("cell", CELLS)
+def test_metrics_csv_matches_golden_digest(cell):
     here = fingerprint()
     if here != FINGERPRINT:
         pytest.skip(f"digests were pinned on {FINGERPRINT}; this build is {here}")
-    got, _ = golden_digests(mode, algo)
-    assert got == DIGESTS[f"{mode}-{algo}"], (
-        f"metrics.csv of {mode}-{algo} moved; re-pin only for a deliberate numeric change")
+    got, _ = golden_digests(cell)
+    assert got == DIGESTS[cell], (
+        f"metrics.csv of {cell} moved; re-pin only for a deliberate numeric change")
 
 
-@pytest.mark.parametrize("mode,algo", CELLS)
-def test_final_checkpoints_match_golden_digest(mode, algo):
+@pytest.mark.parametrize("cell", CELLS)
+def test_final_checkpoints_match_golden_digest(cell):
     here = fingerprint()
     if here != FINGERPRINT:
         pytest.skip(f"digests were pinned on {FINGERPRINT}; this build is {here}")
-    _, got = golden_digests(mode, algo)
-    assert got == CHECKPOINT_DIGESTS[f"{mode}-{algo}"], (
-        f"final checkpoints of {mode}-{algo} moved; re-pin only for a deliberate "
+    _, got = golden_digests(cell)
+    assert got == CHECKPOINT_DIGESTS[cell], (
+        f"final checkpoints of {cell} moved; re-pin only for a deliberate "
         f"numeric change")
 
 
@@ -297,7 +320,7 @@ def test_snapshot_matches_golden_digest(name):
 
 if __name__ == "__main__":
     print(fingerprint())
-    runs = {f"{mode}-{algo}": golden_digests(mode, algo) for mode, algo in CELLS}
+    runs = {cell: golden_digests(cell) for cell in CELLS}
     print("DIGESTS")
     for cell, (metrics, _) in runs.items():
         print(f'    "{cell}": "{metrics}",')

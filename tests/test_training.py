@@ -56,7 +56,7 @@ def three_agent_cleanup(mode):
 
 def collect_steps(workers, agents, steps):
     """Collect `steps` lockstep steps per worker on the three-agent setup."""
-    return collect_rollouts(workers, agents, steps * len(workers), 7, 8, SMALL.lstm_units)
+    return collect_rollouts(workers, agents, steps * len(workers))
 
 
 class TestCollectRollouts:
@@ -70,6 +70,7 @@ class TestCollectRollouts:
         tr = mini_trainer("baseline")
         _, buffer = tr.one_update()
         assert buffer.obs.shape[:3] == (2, 40, 2)
+        assert buffer.obs.dtype == buffer.next_obs.dtype == np.uint8
         assert buffer.actions.shape == (2, 40, 2)
         buffer.consistency_check()
 
@@ -207,9 +208,9 @@ class TestVectorisedIndexing:
     @pytest.mark.parametrize("N", [2, 3, 4])
     def test_finalize_moa_targets_matches_per_sample(self, N):
         rng = np.random.default_rng(N)
-        buffer = RolloutBuffer(3, 17, N, 5, 8, 4)
-        buffer.actions[:] = rng.integers(0, 9, size=buffer.actions.shape)
-        buffer.dones[:] = rng.random(buffer.dones.shape) < 0.2
+        buffer = RolloutBuffer(3, 17, N)
+        buffer.actions = rng.integers(0, 9, size=(3, 17, N))
+        buffer.dones = rng.random((3, 17)) < 0.2
         buffer.finalize_moa_targets()
         targets, valid = moa_targets_per_sample(buffer)
         assert buffer.moa_targets.tobytes() == targets.tobytes()
@@ -219,11 +220,11 @@ class TestVectorisedIndexing:
 class TestComputeAdvantages:
     def _buffer_with_rewards(self, rewards, values, dones, bootstrap=0.0):
         S = len(rewards)
-        buf = RolloutBuffer(1, S, 1, 3, 8, 4)
-        buf.reshaped[0, :, 0] = rewards
-        buf.values[0, :, 0] = values
-        buf.dones[0, :] = dones
-        buf.bootstrap_values[0, 0] = bootstrap
+        buf = RolloutBuffer(1, S, 1)
+        buf.reshaped = np.asarray(rewards, dtype=np.float64).reshape(1, S, 1)
+        buf.values = np.asarray(values, dtype=np.float64).reshape(1, S, 1)
+        buf.dones = np.asarray(dones, dtype=bool).reshape(1, S)
+        buf.bootstrap_values = np.full((1, 1), bootstrap)
         return buf
 
     def test_all_zero_rewards_and_values(self):
@@ -283,9 +284,7 @@ class TestComputeAdvantages:
 class TestPPOUpdate:
     def test_ratios_are_one_before_any_update(self):
         tr = mini_trainer("baseline")
-        from marl_lab.envs.env import NUM_CHANNELS
-        from marl_lab.training import collect_rollouts
-        buffer = collect_rollouts(tr.workers, tr.agents, 80, 7, NUM_CHANNELS, 8)
+        buffer = collect_rollouts(tr.workers, tr.agents, 80)
         view = minibatch_views(buffer, np.arange(20))
         nets = tr.agents[0]
         feat = nets.encode(Tensor(view["obs"][:, 0]))

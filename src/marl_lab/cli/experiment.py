@@ -70,6 +70,9 @@ class ExperimentSpec:
             raise ConfigError("seeds must be a nonempty list", "seeds")
         if min(self.seeds) < 0:
             raise ConfigError("seeds must not be negative", "seeds")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError("seeds must not repeat: each seed is one run directory",
+                              "seeds")
 
 
 _TYPE_TAGS = {int: ("int",), float: ("float",), str: ("str",), bool: ("bool",),

@@ -27,7 +27,7 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "needs_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "needs_grad", "_parents", "_vjp", "__weakref__")
 
     def __init__(self, data, needs_grad=False, _parents=(), _vjp=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -70,19 +70,29 @@ class Tensor:
 
     def backward(self):
         """Reverse-accumulate gradients from this scalar into every
-        reachable tensor with needs_grad=True."""
+        reachable tensor with needs_grad=True.
+
+        Backward consumes the tape, as PyTorch's default retain_graph=False
+        does: each node drops its vjp and parents once its gradient has
+        passed through, so the activations its closure held are freed as
+        the pass goes, and the root no longer keeps the graph alive. A graph
+        is backpropagated once; every caller builds a fresh one per call.
+        """
         if self.data.size != 1:
             raise ShapeError(f"backward requires a scalar, got shape {self.data.shape}")
         order = _toposort(self)
         grads = {id(self): np.ones_like(self.data)}
-        for node in order:
+        while order:
+            node = order.pop()
             g = grads.pop(id(node), None)
-            if g is None or node._vjp is None:
-                if g is not None and node._vjp is None:
-                    node.grad = g if node.grad is None else node.grad + g
+            vjp, parents = node._vjp, node._parents
+            node._vjp, node._parents = None, ()
+            if g is None:
                 continue
-            parent_grads = node._vjp(g)
-            for parent, pg in zip(node._parents, parent_grads):
+            if vjp is None:
+                node.grad = g if node.grad is None else node.grad + g
+                continue
+            for parent, pg in zip(parents, vjp(g)):
                 if pg is None or not parent.needs_grad:
                     continue
                 prev = grads.get(id(parent))
@@ -98,7 +108,7 @@ def _data(x):
 
 
 def _toposort(root):
-    """Iterative DFS topological order, children before parents reversed."""
+    """Iterative DFS post-order: every node after its parents, the root last."""
     order, visited, stack = [], set(), [(root, False)]
     while stack:
         node, expanded = stack.pop()
@@ -112,7 +122,7 @@ def _toposort(root):
         for p in node._parents:
             if p.needs_grad and id(p) not in visited:
                 stack.append((p, False))
-    return list(reversed(order))
+    return order
 
 
 def _unbroadcast(grad, shape):
@@ -375,9 +385,9 @@ def conv2d(x, kernel, bias):
         return out
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
 
-    def vjp(g):
+    def vjp(g):     # rebuilds the patch copy from the view rather than holding it
         gmat = g.reshape(-1, cout)
-        gk = ((patches.reshape(-1, 9 * C).T @ gmat).reshape(3, 3, C, cout)
+        gk = ((windows.reshape(-1, 9 * C).T @ gmat).reshape(3, 3, C, cout)
               if kernel.needs_grad else None)
         gb = gmat.sum(axis=0) if bias.needs_grad else None
         if not x.needs_grad:    # observations: skip the col2im input gradient

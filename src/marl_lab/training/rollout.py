@@ -46,10 +46,11 @@ LSTM_STATE = ("v_h", "v_c", "u_h", "u_c")
 
 class RolloutWorker:
     """Owns one env instance, its current observations `obs` (N, V, V, C),
-    the agents' LSTM states (one (N, U) array per LSTM_STATE name) and the
-    shaping state. State persists across collections so episodes may span
-    batch boundaries; only `reset` zeros the LSTM state and only
-    `lockstep_step` advances it."""
+    the agents' LSTM states (one (N, U) array per name in `lstm_state`: the
+    MOA's only in emurel mode, the one mode that reads it) and the shaping
+    state. State persists across collections so episodes may span batch
+    boundaries; only `reset` zeros the LSTM state and only `lockstep_step`
+    advances it."""
 
     def __init__(self, env_config, shaping_config, run_seed, worker_idx):
         self.env = SSDEnv(env_config)
@@ -57,6 +58,7 @@ class RolloutWorker:
         self.run_seed = run_seed
         self.worker_idx = worker_idx
         self.num_agents = env_config.num_agents
+        self.lstm_state = LSTM_STATE if shaping_config.mode == "emurel" else LSTM_STATE[:2]
         self.episode_idx = -1
         self.v_h = self.v_c = self.u_h = self.u_c = None
         self.action_rngs = None
@@ -76,7 +78,7 @@ class RolloutWorker:
         k's action draws from action_seeds[k]."""
         self.episode_idx += 1
         self.env.reset(seed=env_seed)
-        for name in LSTM_STATE:
+        for name in self.lstm_state:
             setattr(self, name, np.zeros((self.num_agents, agents[0].sizes.lstm_units)))
         self.action_rngs = [np.random.default_rng(np.random.SeedSequence(seed))
                             for seed in action_seeds]
@@ -134,11 +136,12 @@ def lockstep_step(workers, agents, greedy=False):
     """
     W, N = len(workers), len(agents)
     emurel = workers[0].shaping_config.mode == "emurel"
+    carried = workers[0].lstm_state
     rows = np.arange(W)
     arrays = {name: np.stack([getattr(worker, name) for worker in workers])
-              for name in ("obs",) + LSTM_STATE}
+              for name in ("obs",) + carried}
     obs = arrays["obs"]
-    state = {name: arrays[name].copy() for name in LSTM_STATE}
+    state = {name: arrays[name].copy() for name in carried}
 
     actions = np.zeros((W, N), dtype=np.int64)
     logp, values = np.zeros((W, N)), np.zeros((W, N))
@@ -163,7 +166,7 @@ def lockstep_step(workers, agents, greedy=False):
 
     rewards, stats = [], []
     for w, worker in enumerate(workers):
-        for name in LSTM_STATE:
+        for name in carried:
             setattr(worker, name, state[name][w])
         e, i, r, stat = worker.finish_step(actions[w], impacts[w])
         rewards.append((e, i, r))
@@ -179,20 +182,24 @@ def lockstep_step(workers, agents, greedy=False):
 def collect_rollouts(workers, agents, batch_steps):
     """Step every worker batch_steps/len(workers) times in lockstep into one
     buffer; worker w fills slice [w]. Each step records `lockstep_step`'s
-    arrays plus `episode_starts` and `next_obs`."""
+    arrays plus `episode_starts` and, in emurel mode, whose auxiliary losses
+    read it, `next_obs`."""
     W = len(workers)
     if batch_steps % W != 0:
         raise ValueError(f"batch_steps {batch_steps} not divisible by {W} workers")
     steps = batch_steps // W
     N = workers[0].num_agents
+    emurel = workers[0].shaping_config.mode == "emurel"
     buffer = RolloutBuffer(W, steps, N)
     stats = [[] for _ in workers]
 
     for t in range(steps):
         starts = np.array([worker.begin_step(agents) for worker in workers])
         arrays, step_stats = lockstep_step(workers, agents)
-        buffer.record(t, dict(arrays, episode_starts=starts,
-                              next_obs=np.stack([worker.obs for worker in workers])))
+        arrays["episode_starts"] = starts
+        if emurel:
+            arrays["next_obs"] = np.stack([worker.obs for worker in workers])
+        buffer.record(t, arrays)
         for w, stat in enumerate(step_stats):
             if stat is not None:
                 stats[w].append(stat)

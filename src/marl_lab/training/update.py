@@ -12,6 +12,9 @@ schedule: a list of steps, each a list of index sets into the flat buffer.
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 
 from ..agents.nets import joint_one_hot
@@ -20,21 +23,19 @@ from ..nn import Tensor, gradients
 from ..nn import tensor as T
 
 
+# The buffer fields a loss reads; baseline and IA buffers hold no MOA state
+# (u_h, u_c) and no next_obs.
+VIEW_FIELDS = ("obs", "next_obs", "actions", "behavior_logp", "v_h", "v_c", "u_h", "u_c",
+               "moa_targets", "moa_valid")
+
+
 def minibatch_views(buffer, idx):
-    """Flattened sample views for index array idx, shared across agents.
-    Observations stay uint8; the Tensor a loss encodes casts its column."""
-    take = lambda arr: buffer.flat(arr)[idx]
-    return {
-        "obs": take(buffer.obs),
-        "next_obs": take(buffer.next_obs),
-        "actions": take(buffer.actions),
-        "behavior_logp": take(buffer.behavior_logp),
-        "values": take(buffer.values),
-        "v_h": take(buffer.v_h), "v_c": take(buffer.v_c),
-        "u_h": take(buffer.u_h), "u_c": take(buffer.u_c),
-        "moa_targets": take(buffer.moa_targets),
-        "moa_valid": take(buffer.moa_valid),
-    }
+    """Flattened sample views for an index array or slice idx, shared across
+    agents, of every VIEW_FIELDS field the buffer holds. A slice makes
+    views, not copies. Observations stay uint8; the Tensor a loss encodes
+    casts its column."""
+    held = vars(buffer)
+    return {name: buffer.flat(held[name])[idx] for name in VIEW_FIELDS if name in held}
 
 
 def composite_loss(nets, k, view, adv, targets, cfg, mode, ppo=True):
@@ -114,7 +115,7 @@ def a2c_sync_update(agents, buffer, advantages, value_targets, cfg, mode, optimi
     """One step on the mean of the W worker-slice gradients. Advantages enter
     unnormalized (gae_lambda defaults to 1)."""
     S = buffer.steps
-    schedule = [[np.arange(w * S, (w + 1) * S) for w in range(buffer.workers)]]
+    schedule = [[slice(w * S, (w + 1) * S) for w in range(buffer.workers)]]
     return _run_schedule(agents, buffer, advantages, value_targets, cfg, mode,
                          optimizers, schedule, ppo=False)
 
@@ -122,28 +123,77 @@ def a2c_sync_update(agents, buffer, advantages, value_targets, cfg, mode, optimi
 def _run_schedule(agents, buffer, advantages, value_targets, cfg, mode, optimizers,
                   schedule, ppo):
     """Per step and agent: the mean gradient over the step's index sets, then
-    one optimizer step; PPO normalizes each set's advantages. Returns the
-    loss terms averaged over (step, agent, set) and the mean gradient norm."""
+    one optimizer step; PPO normalizes each set's advantages. The agents of
+    a step learn side by side (see `_each_agent`); each tape is freed by its
+    backward. Returns the loss terms averaged over (step, agent, set), summed
+    in that order, and the mean gradient norm."""
     B = buffer.total_samples
     adv_flat = advantages.reshape(B, -1)
     tgt_flat = value_targets.reshape(B, -1)
+    threads = min(len(agents), _usable_cpus())
+
+    def learn(k, index_sets, views):
+        nets, mean, terms = agents[k], {}, []
+        for idx, view in zip(index_sets, views):
+            adv = normalize_advantages(adv_flat[idx, k]) if ppo else adv_flat[idx, k]
+            loss, set_terms = composite_loss(nets, k, view, adv, tgt_flat[idx, k],
+                                             cfg, mode, ppo=ppo)
+            for name, g in gradients(nets.parameters(), loss).items():
+                g = g / len(index_sets)
+                mean[name] = mean[name] + g if name in mean else g
+            terms.append(set_terms)
+        return terms, optimizers[k].step(mean)
+
     sums, count = {}, 0
     grad_norms = []
     for index_sets in schedule:
         views = [minibatch_views(buffer, idx) for idx in index_sets]
-        for k, nets in enumerate(agents):
-            mean = {}
-            for idx, view in zip(index_sets, views):
-                adv = normalize_advantages(adv_flat[idx, k]) if ppo else adv_flat[idx, k]
-                loss, terms = composite_loss(nets, k, view, adv, tgt_flat[idx, k],
-                                             cfg, mode, ppo=ppo)
-                for name, g in gradients(nets.parameters(), loss).items():
-                    g = g / len(index_sets)
-                    mean[name] = mean[name] + g if name in mean else g
-                for key, val in terms.items():
+        per_agent = _each_agent(lambda k: learn(k, index_sets, views),
+                                len(agents), threads)
+        for terms, norm in per_agent:
+            for set_terms in terms:
+                for key, val in set_terms.items():
                     sums[key] = sums.get(key, 0.0) + val
                 count += 1
-            grad_norms.append(optimizers[k].step(mean))
+            grad_norms.append(norm)
     out = {key: val / max(count, 1) for key, val in sums.items()}
     out["grad_norm"] = float(np.mean(grad_norms)) if grad_norms else 0.0
     return out
+
+
+def _usable_cpus():
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _each_agent(fn, n, threads):
+    """[fn(0), ..., fn(n-1)] on `threads` threads: thread j runs agents j,
+    j + threads, ... in order, and the calling thread is thread 0, so one
+    thread means a plain loop. Independent learners share no array they
+    write, and numpy releases the GIL inside gemms, ufuncs and copies.
+
+    Every thread is joined before this returns. If calls raised, the error
+    of the lowest agent is raised, as a sequential loop would raise it; a
+    thread stops at its first error."""
+    results, errors = [None] * n, [None] * n
+
+    def share(j):
+        for k in range(j, n, threads):
+            try:
+                results[k] = fn(k)
+            except BaseException as exc:    # re-raised below, after every join
+                errors[k] = exc
+                return
+
+    helpers = [threading.Thread(target=share, args=(j,)) for j in range(1, threads)]
+    for thread in helpers:
+        thread.start()
+    share(0)
+    for thread in helpers:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results

@@ -2,9 +2,27 @@
 suite collects a second conftest (perfbench/tests), and `from conftest
 import ...` would then pick whichever was imported first."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 
+import marl_lab
 from marl_lab.agents import NetSizes, PolicyOutput
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_python(code, **env):
+    """stdout of `python -c code` in a fresh interpreter that imports this
+    marl_lab and the tests' modules, with the BLAS thread variables unset
+    unless given in env."""
+    paths = [os.path.dirname(os.path.dirname(marl_lab.__file__)), os.path.dirname(__file__)]
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    base["PYTHONPATH"] = os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, "-c", code], env=dict(base, **env), check=True,
+                          capture_output=True, text=True).stdout
 
 
 # cleanup_mini with a third spawn point, so impact rows have two fellows and

@@ -108,11 +108,12 @@ class TestSpecfile:
         ("initial_waste_fraction = 0.2", "initial_waste_fraction = 0.2\nharvest_high_rate = 1.1",
          "harvest_high_rate must lie in [0, 1]"),
         ("seeds = [1]", "seeds = [1, -1]", "seeds must not be negative"),
+        ("seeds = [1]", "seeds = [1, 2, 1]", "seeds must not repeat"),
     ], ids=["spawns", "map", "eval-episodes", "eval-interval", "checkpoint-interval",
             "workers", "batch-steps", "smoothing-lambda", "lstm-units", "optimizer",
             "grad-clip-norm", "mode", "updates", "depletion-threshold",
             "waste-spawn-prob", "max-spawn-rate", "harvest-low-rate", "harvest-mid-rate",
-            "harvest-high-rate", "seeds-negative"])
+            "harvest-high-rate", "seeds-negative", "seeds-duplicate"])
     def test_setting_error_points_at_its_key(self, tmp_path, capsys, old, new, message):
         text = TINY_SPEC.format(out=str(tmp_path / "runs"), mode="baseline")
         assert old in text

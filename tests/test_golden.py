@@ -49,7 +49,7 @@ from marl_lab.shaping import ShapingConfig
 from marl_lab.training import Trainer, TrainerConfig
 from marl_lab.training.metrics import MetricsWriter
 
-from helpers import THREE_AGENT_CLEANUP, TINY_SPEC
+from helpers import THREE_AGENT_CLEANUP, TINY_SPEC, run_python
 
 SMALL = NetSizes(conv_filters=2, fc_units=8, lstm_units=8, eicm_hidden=8)
 
@@ -287,6 +287,23 @@ def test_final_checkpoints_match_golden_digest(cell):
     assert got == CHECKPOINT_DIGESTS[cell], (
         f"final checkpoints of {cell} moved; re-pin only for a deliberate "
         f"numeric change")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_one_cpu_reproduces_golden_cell():
+    # The learner runs agents on min(N, usable CPUs) threads. Pinned to one
+    # CPU (its own process only), it runs them on one: the bytes must hold.
+    here = fingerprint()
+    if here != FINGERPRINT:
+        pytest.skip(f"digests were pinned on {FINGERPRINT}; this build is {here}")
+    code = ("import json, os\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from test_golden import golden_digests\n"
+            "print(json.dumps([len(os.sched_getaffinity(0)), golden_digests('emurel-ppo')]))")
+    cpus, (metrics, checkpoints) = json.loads(run_python(code))
+    assert cpus == 1
+    assert metrics == DIGESTS["emurel-ppo"]
+    assert checkpoints == CHECKPOINT_DIGESTS["emurel-ppo"]
 
 
 @pytest.mark.parametrize("policy", ["sampled", "greedy"])

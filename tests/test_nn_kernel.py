@@ -5,6 +5,7 @@ holds in `.data`), softmax normalization, optimizer updates, checkpoint round
 trips and truncated checkpoint files."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -247,6 +248,38 @@ class TestOneForwardDefinition:
             for p, t in zip(plain, traced):
                 assert type(p) is np.ndarray and isinstance(t, Tensor), name
                 assert p.tobytes() == t.data.tobytes() and p.shape == t.data.shape, name
+
+
+class TestTapeLifetime:
+    """Backward consumes the tape: each node drops its vjp and parents."""
+
+    def test_backward_releases_every_recorded_node(self, rng):
+        w = Tensor(rng.normal(size=(4, 3)), needs_grad=True)
+        hidden = T.relu(T.matmul(Tensor(rng.normal(size=(5, 4))), w))
+        loss = T.tsum(T.mul(hidden, hidden))
+        ref = weakref.ref(hidden)
+        del hidden
+        loss.backward()
+        assert ref() is None
+        assert loss._parents == () and loss._vjp is None
+        assert w.grad is not None
+
+    @pytest.mark.parametrize("shape", [(3, 5, 5, 2), (4, 1, 5, 5, 2)],
+                             ids=["update_batch", "rollout_stack"])
+    def test_conv_kernel_gradient_is_the_im2col_product(self, rng, shape):
+        # the vjp rebuilds the patch matrix from its strided view of the input
+        x, k, b = rng.normal(size=shape), rng.normal(size=(3, 3, 2, 3)), rng.normal(size=3)
+        kernel = Tensor(k, needs_grad=True)
+        out = T.conv2d(Tensor(x), kernel, Tensor(b, needs_grad=True))
+        g = rng.normal(size=out.shape)
+        T.tsum(T.mul(out, T.constant(g))).backward()
+        H, W, C = shape[-3:]
+        images = x.reshape((-1, H, W, C))
+        patches = np.array([images[n, i:i + 3, j:j + 3, :].reshape(-1)
+                            for n in range(images.shape[0])
+                            for i in range(H - 2) for j in range(W - 2)])
+        want = (patches.T @ g.reshape(-1, 3)).reshape(3, 3, 2, 3)
+        assert kernel.grad.tobytes() == want.tobytes()
 
 
 class TestSoftmax:

@@ -1,6 +1,10 @@
 """Training-stack contracts: rollout buffers, GAE oracles, PPO/A2C update
 mechanics, evaluation, and full-loop determinism."""
 
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
@@ -11,12 +15,17 @@ from marl_lab.nn import tensor as T
 from marl_lab.shaping import ShapingConfig
 from marl_lab.training import (
     RolloutBuffer, Trainer, TrainerConfig, RolloutWorker, collect_rollouts,
-    composite_loss, compute_advantages, evaluate, minibatch_views,
+    composite_loss, compute_advantages, evaluate, minibatch_views, ppo_update,
 )
+from marl_lab.training.update import _each_agent
 
-from helpers import THREE_AGENT_CLEANUP, ScriptedPolicy, UniformRandomPolicy
+from helpers import THREE_AGENT_CLEANUP, ScriptedPolicy, UniformRandomPolicy, run_python
 
 SMALL = NetSizes(conv_filters=2, fc_units=8, lstm_units=8, eicm_hidden=8)
+
+
+# Buffer fields recorded in emurel mode only.
+MOA_ONLY = ("u_h", "u_c", "next_obs")
 
 
 def mini_env_config(**kw):
@@ -67,12 +76,18 @@ class TestCollectRollouts:
         np.testing.assert_array_equal(buffer.reshaped, buffer.extrinsic)
 
     def test_buffer_lengths_match_requested_steps(self):
-        tr = mini_trainer("baseline")
-        _, buffer = tr.one_update()
-        assert buffer.obs.shape[:3] == (2, 40, 2)
-        assert buffer.obs.dtype == buffer.next_obs.dtype == np.uint8
-        assert buffer.actions.shape == (2, 40, 2)
-        buffer.consistency_check()
+        for mode in ("baseline", "emurel"):
+            tr = mini_trainer(mode)
+            _, buffer = tr.one_update()
+            assert buffer.obs.shape[:3] == (2, 40, 2)
+            assert buffer.obs.dtype == np.uint8
+            assert buffer.actions.shape == (2, 40, 2)
+            buffer.consistency_check()
+            # only emurel's auxiliary losses read the MOA state and next_obs
+            for name in MOA_ONLY:
+                assert hasattr(buffer, name) == (mode == "emurel"), (mode, name)
+        assert buffer.next_obs.dtype == np.uint8
+        assert buffer.u_h.shape == buffer.u_c.shape == (2, 40, 2, SMALL.lstm_units)
 
     def test_replaying_stored_actions_reproduces_rewards(self):
         tr = mini_trainer("baseline")
@@ -161,7 +176,11 @@ class TestLockstepBatching:
             batched = collect_steps(together, agents, steps)
             singles = [collect_steps([worker], agents, steps) for worker in alone]
             assert not batched.dones[:, -1].all()
+            for name in MOA_ONLY:
+                assert hasattr(batched, name) == (mode == "emurel"), name
             for name in self.ARRAYS:
+                if name in MOA_ONLY and mode != "emurel":
+                    continue
                 got = getattr(batched, name)
                 for w, single in enumerate(singles):
                     want = getattr(single, name)[0]
@@ -336,15 +355,87 @@ class TestPPOUpdate:
                                       np.zeros_like(grads["value_head.weight"]))
 
 
+def tape_refs(root):
+    """Weak references to every recorded node reachable from root."""
+    refs, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._vjp is None:
+            continue
+        seen.add(id(node))
+        refs.append(weakref.ref(node))
+        stack.extend(node._parents)
+    return refs
+
+
+class TestThreadedLearner:
+    """Agents learn side by side on up to min(N, CPUs) threads."""
+
+    def test_composite_loss_tape_is_freed_by_gradients(self):
+        tr = mini_trainer("emurel")
+        _, buffer = tr.one_update()
+        view = minibatch_views(buffer, np.arange(10))
+        nets = tr.agents[0]
+        loss, _ = composite_loss(nets, 0, view, np.linspace(-1, 1, 10), np.ones(10),
+                                 tr.cfg, "emurel")
+        refs = tape_refs(loss)
+        assert len(refs) > 100
+        gradients(nets.parameters(), loss)
+        # backward consumed the tape: only the loss itself is still held
+        assert [ref() for ref in refs if ref() is not None] == [loss]
+        del loss
+        assert all(ref() is None for ref in refs)
+
+    def test_error_in_agent_one_propagates_and_no_thread_outlives_it(self):
+        tr = mini_trainer("baseline")
+        buffer = collect_rollouts(tr.workers, tr.agents, tr.cfg.batch_steps)
+        adv, tgt = compute_advantages(buffer, tr.cfg.discount, tr.cfg.gae_lambda)
+        for _, p in tr.agents[1].parameters():
+            p.data[...] = np.nan
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="for agent 1"):
+            ppo_update(tr.agents, buffer, adv, tgt, tr.cfg, "baseline", tr.optimizers,
+                       np.random.default_rng(0))
+        assert threading.active_count() == before
+
+    def test_each_agent_keeps_agent_order_and_raises_the_lowest_error(self):
+        # more threads than cores, switching often: each result lands at its
+        # agent's index, from read-only shared input
+        shared = np.random.default_rng(0).normal(size=(64, 64))
+        work = lambda k: float((shared @ shared.T).sum()) + k
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert _each_agent(work, 8, 4) == [work(k) for k in range(8)]
+        finally:
+            sys.setswitchinterval(interval)
+        before = threading.active_count()
+
+        def fail_late(k):
+            if k >= 2:
+                raise ValueError(f"agent {k}")
+            return k
+
+        with pytest.raises(ValueError, match="agent 2"):
+            _each_agent(fail_late, 5, 3)
+        assert threading.active_count() == before
+
+    def test_import_holds_blas_at_one_thread_unless_set(self):
+        code = "import os, marl_lab; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert run_python(code).strip() == "1"
+        assert run_python(code, OPENBLAS_NUM_THREADS="2").strip() == "2"
+
+
 class TestA2CUpdate:
     def _duplicated_worker_buffer(self):
         tr = mini_trainer("baseline", algo="a2c_sync")
         _, buffer = tr.one_update()
+        # a baseline buffer holds no MOA state and no next_obs
+        assert not any(hasattr(buffer, name) for name in MOA_ONLY)
         # copy worker 0's slice over worker 1 so the two are identical
-        for name in ("obs", "next_obs", "actions", "behavior_logp", "values",
-                     "v_h", "v_c", "u_h", "u_c", "extrinsic", "intrinsic",
-                     "reshaped", "impact_rows", "dones", "episode_starts",
-                     "moa_targets", "moa_valid", "bootstrap_values"):
+        for name in ("obs", "actions", "behavior_logp", "values", "v_h", "v_c",
+                     "extrinsic", "intrinsic", "reshaped", "impact_rows", "dones",
+                     "episode_starts", "moa_targets", "moa_valid", "bootstrap_values"):
             arr = getattr(buffer, name)
             arr[1] = arr[0]
         return tr, buffer

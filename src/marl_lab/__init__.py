@@ -3,14 +3,35 @@ gridworlds with inequity-aversion and impact-scaled reward shaping."""
 
 import ctypes
 import os
+import sys
 
-# The learner runs independent agents on their own threads (see
-# training.update), so BLAS is held at one thread of its own: OpenBLAS's
-# default pool would oversubscribe the cores. This takes effect only when
-# numpy has not been loaded yet, and an explicit setting wins.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-del _var
+
+def _hold_blas_at_one_thread():
+    """The learner runs independent agents on their own threads (see
+    training.update), so BLAS is held at one thread of its own: OpenBLAS's
+    default pool would oversubscribe the cores. An explicit setting wins.
+    The variables act only if numpy has not been loaded yet. If it has, and
+    none was set, numpy's bundled OpenBLAS is told directly; with any other
+    BLAS that is a no-op."""
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    preset = any(name in os.environ for name in names)
+    for name in names:
+        os.environ.setdefault(name, "1")
+    numpy = sys.modules.get("numpy")
+    if preset or numpy is None:
+        return
+    import glob
+    libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
+        try:
+            set_threads = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+        set_threads(1)
+
+
+_hold_blas_at_one_thread()
 
 
 def _keep_freed_pages():

@@ -28,9 +28,19 @@ NORTH, EAST, SOUTH, WEST = range(4)
 ORIENT_NAMES = "NESW"
 _DIRS = {NORTH: (-1, 0), EAST: (0, 1), SOUTH: (1, 0), WEST: (0, -1)}
 
-# Observation channels
+# Observation channels. In `observe`, channel i is bit i of a cell's byte.
 C_EMPTY, C_WALL, C_APPLE, C_RIVER, C_WASTE, C_SELF, C_OTHER, C_BEAM = range(8)
 NUM_CHANNELS = 8
+
+# The channel of each cell code, and its bit, indexed by code.
+_CELL_CHANNEL = {EMPTY: C_EMPTY, SPAWN: C_EMPTY, WALL: C_WALL, APPLE: C_APPLE,
+                 RIVER: C_RIVER, WASTE: C_WASTE}
+_CELL_BITS = np.array([1 << _CELL_CHANNEL[code] for code in range(len(_CELL_CHANNEL))],
+                      dtype=np.uint8)
+
+# Harvest regrowth counts apples at these offsets: the L1 radius-2 neighbourhood.
+_NEIGHBOURHOOD = [(dr, dc) for dr in range(-2, 3) for dc in range(-2, 3)
+                  if 0 < abs(dr) + abs(dc) <= 2]
 
 PUNISH_HIT_REWARD = -50.0
 PUNISH_FIRE_COST = -1.0
@@ -78,6 +88,37 @@ class SSDEnv:
         self._river = sorted(self.parsed.river)
         self.state = None
 
+        # observe: cell bits on the map padded by R wall cells, and the flat
+        # offsets of a window from its top-left corner, rotated so that each
+        # orientation faces up.
+        V = config.view_size
+        R = V // 2
+        self._bits = np.full((self.height + 2 * R, self.width + 2 * R), 1 << C_WALL,
+                             dtype=np.uint8)
+        pw = self.width + 2 * R
+        window = np.arange(V)[:, None] * pw + np.arange(V)
+        # np.rot90(window, k) for k = 0..3, taken as views before one copy
+        self._windows = np.stack([window, window.T[::-1], window[::-1, ::-1],
+                                  window.T[:, ::-1]])
+
+        # step: orchard and river cells as flat grid indices.
+        self._orchard_flat = np.array([r * self.width + c for r, c in self._orchard],
+                                      dtype=np.int64)
+        self._river_flat = np.array([r * self.width + c for r, c in self._river],
+                                    dtype=np.int64)
+        self._orchard_index = {cell: i for i, cell in enumerate(self._orchard)}
+        # Harvest: each orchard cell's neighbours as flat indices into an
+        # apple mask padded by 2, and the regrowth probability of each count.
+        hw = self.width + 4
+        self._apples = np.zeros((self.height + 4, hw), dtype=np.uint8)
+        rows, cols = np.divmod(self._orchard_flat, self.width)
+        offsets = np.array([dr * hw + dc for dr, dc in _NEIGHBOURHOOD])
+        self._neighbours = ((rows + 2) * hw + cols + 2)[:, None] + offsets
+        self._regrowth = np.array([
+            harvest_regrowth_prob(count, config.harvest_low_rate,
+                                  config.harvest_mid_rate, config.harvest_high_rate)
+            for count in range(len(_NEIGHBOURHOOD) + 1)])
+
     # -- lifecycle -----------------------------------------------------------
 
     def reset(self, seed=None):
@@ -109,7 +150,7 @@ class SSDEnv:
     def waste_density(self):
         if not self._river:
             return 0.0
-        return float(np.sum(self.state.grid == WASTE)) / len(self._river)
+        return float(np.count_nonzero(self.state.grid == WASTE)) / len(self._river)
 
     def _beam_footprint(self, pos, orient):
         """Cells covered by a beam from the agent's facing cell: length cells
@@ -141,120 +182,108 @@ class SSDEnv:
         actions = np.asarray(actions, dtype=np.int64)
         if actions.shape != (cfg.num_agents,):
             raise ValueError(f"expected {cfg.num_agents} actions, got shape {actions.shape}")
-        if np.any(actions < 0) or np.any(actions >= self.num_actions):
+        actions = actions.tolist()
+        if min(actions) < 0 or max(actions) >= self.num_actions:
             raise ValueError(f"action index out of range for {cfg.kind} "
                              f"({self.num_actions} actions)")
 
-        rewards = np.zeros(cfg.num_agents)
+        # Poses are read once as Python ints and written back after movement.
+        grid = st.grid
+        positions = [tuple(p) for p in st.positions.tolist()]
+        orientations = st.orientations.tolist()
+        rewards = [0.0] * cfg.num_agents
         events = []
         st.beam_cells = set()
 
         # Phase 1: beams, simultaneous from current poses.
-        for k in range(cfg.num_agents):
-            a = actions[k]
+        for k, a in enumerate(actions):
             if a == FIRE_PUNISH:
                 rewards[k] += PUNISH_FIRE_COST
-                cells = self._beam_footprint(st.positions[k], st.orientations[k])
+                cells = self._beam_footprint(positions[k], orientations[k])
                 st.beam_cells.update(cells)
                 events.append({"kind": "beam_fired", "agent": k, "beam": "punish"})
                 cellset = set(cells)
                 for j in range(cfg.num_agents):
-                    if j != k and tuple(st.positions[j]) in cellset:
+                    if j != k and positions[j] in cellset:
                         rewards[j] += PUNISH_HIT_REWARD
                         events.append({"kind": "agent_hit", "agent": j, "by": k})
             elif a == FIRE_CLEAN:
-                cells = self._beam_footprint(st.positions[k], st.orientations[k])
+                cells = self._beam_footprint(positions[k], orientations[k])
                 st.beam_cells.update(cells)
                 events.append({"kind": "beam_fired", "agent": k, "beam": "clean"})
-                for (r, c) in cells:
-                    if st.grid[r, c] == WASTE:
-                        st.grid[r, c] = RIVER
+                for cell in cells:
+                    if grid[cell] == WASTE:
+                        grid[cell] = RIVER
                         events.append({"kind": "waste_cleaned", "agent": k,
-                                       "cell": (r, c)})
+                                       "cell": cell})
 
         # Phase 2: movement in a per-step random permutation; a move into an
         # occupied or just-claimed cell becomes a noop.
         order = st.rng.permutation(cfg.num_agents)
-        occupied = {tuple(p) for p in st.positions}
-        for k in order:
+        occupied = set(positions)
+        for k in order.tolist():
             a = actions[k]
             if a == TURN_CW:
-                st.orientations[k] = (st.orientations[k] + 1) % 4
+                orientations[k] = (orientations[k] + 1) % 4
                 continue
             if a == TURN_CCW:
-                st.orientations[k] = (st.orientations[k] - 1) % 4
+                orientations[k] = (orientations[k] - 1) % 4
                 continue
             if a not in (MOVE_UP, MOVE_DOWN, MOVE_LEFT, MOVE_RIGHT):
                 continue
-            fwd = _DIRS[st.orientations[k]]
+            fwd = _DIRS[orientations[k]]
             delta = {MOVE_UP: fwd, MOVE_DOWN: (-fwd[0], -fwd[1]),
                      MOVE_LEFT: _rotate_ccw(fwd), MOVE_RIGHT: _rotate_cw(fwd)}[a]
-            tgt = (st.positions[k][0] + delta[0], st.positions[k][1] + delta[1])
+            tgt = (positions[k][0] + delta[0], positions[k][1] + delta[1])
             if not (0 <= tgt[0] < self.height and 0 <= tgt[1] < self.width):
                 continue
-            if st.grid[tgt] not in _WALKABLE or tgt in occupied:
+            if grid[tgt] not in _WALKABLE or tgt in occupied:
                 continue
-            occupied.discard(tuple(st.positions[k]))
+            occupied.discard(positions[k])
             occupied.add(tgt)
-            st.positions[k] = tgt
+            positions[k] = tgt
+        st.positions[:] = positions
+        st.orientations[:] = orientations
 
         # Phase 3: apple pickup.
-        for k in range(cfg.num_agents):
-            pos = tuple(st.positions[k])
-            if st.grid[pos] == APPLE:
-                st.grid[pos] = EMPTY
+        for k, cell in enumerate(positions):
+            if grid[cell] == APPLE:
+                grid[cell] = EMPTY
                 rewards[k] += APPLE_REWARD
-                events.append({"kind": "apple_collected", "agent": k, "cell": pos})
+                events.append({"kind": "apple_collected", "agent": k, "cell": cell})
 
-        # Phase 4: regrowth on unoccupied empty orchard cells.
-        occupied = {tuple(p) for p in st.positions}
-        if cfg.kind == "cleanup":
-            rate = cleanup_spawn_rate(self.waste_density(),
-                                      cfg.cleanup_depletion_threshold,
-                                      cfg.cleanup_max_spawn_rate)
-            candidates = [cell for cell in self._orchard
-                          if st.grid[cell] == EMPTY and cell not in occupied]
-            if candidates:
-                draws = st.rng.random(len(candidates))
-                for cell, u in zip(candidates, draws):
-                    if u < rate:
-                        st.grid[cell] = APPLE
-        else:
-            snapshot = st.grid == APPLE
-            candidates = [cell for cell in self._orchard
-                          if st.grid[cell] == EMPTY and cell not in occupied]
-            if candidates:
-                draws = st.rng.random(len(candidates))
-                for cell, u in zip(candidates, draws):
-                    prob = harvest_regrowth_prob(
-                        self._nearby_apples(snapshot, cell),
-                        cfg.harvest_low_rate, cfg.harvest_mid_rate, cfg.harvest_high_rate)
-                    if u < prob:
-                        st.grid[cell] = APPLE
+        # Phase 4: regrowth on unoccupied empty orchard cells, one draw each in
+        # orchard order. Harvest counts apples as they stand before regrowth.
+        free = grid.take(self._orchard_flat) == EMPTY
+        for cell in positions:
+            i = self._orchard_index.get(cell)
+            if i is not None:
+                free[i] = False
+        candidates = self._orchard_flat[free]
+        if len(candidates):
+            draws = st.rng.random(len(candidates))
+            if cfg.kind == "cleanup":
+                prob = cleanup_spawn_rate(self.waste_density(),
+                                          cfg.cleanup_depletion_threshold,
+                                          cfg.cleanup_max_spawn_rate)
+            else:
+                prob = self._regrowth[self._apple_counts(grid == APPLE)[free]]
+            grid.put(candidates[draws < prob], APPLE)
 
         # Phase 5: Cleanup waste spawning, one cell per step below saturation.
         if cfg.kind == "cleanup" and self._river:
-            clean = [cell for cell in self._river if st.grid[cell] == RIVER]
-            if clean and st.rng.random() < cfg.waste_spawn_prob:
-                cell = clean[int(st.rng.integers(len(clean)))]
-                st.grid[cell] = WASTE
+            clean = self._river_flat[grid.take(self._river_flat) == RIVER]
+            if len(clean) and st.rng.random() < cfg.waste_spawn_prob:
+                grid.put(clean[int(st.rng.integers(len(clean)))], WASTE)
 
         st.t += 1
-        return st, StepOutcome(extrinsic=rewards, events=events)
+        return st, StepOutcome(extrinsic=np.array(rewards), events=events)
 
-    @staticmethod
-    def _nearby_apples(apple_mask, cell):
-        r0, c0 = cell
-        count = 0
-        H, W = apple_mask.shape
-        for dr in range(-2, 3):
-            for dc in range(-2, 3):
-                if dr == 0 and dc == 0 or abs(dr) + abs(dc) > 2:
-                    continue
-                r, c = r0 + dr, c0 + dc
-                if 0 <= r < H and 0 <= c < W and apple_mask[r, c]:
-                    count += 1
-        return count
+    def _apple_counts(self, apple_mask):
+        """Apples of `apple_mask` in each orchard cell's L1 radius-2
+        neighbourhood, in orchard order."""
+        self._apples[2:-2, 2:-2] = apple_mask
+        return self._apples.take(self._neighbours).sum(axis=1)
 
     @property
     def done(self):
@@ -262,37 +291,26 @@ class SSDEnv:
 
     # -- observation ---------------------------------------------------------
 
-    def observe(self, k):
-        """Egocentric uint8 one-hot window for agent k, rotated to face up.
-        Out-of-map cells read as wall."""
+    def observe(self):
+        """Egocentric uint8 one-hot windows of all agents, (N, V, V, C), each
+        rotated so that its agent faces up. Out-of-map cells read as wall.
+
+        Every cell of the padded map gets its channel bits in one byte; one
+        gather cuts and rotates the N windows, and the bytes unpack into the
+        channel axis."""
         st = self.state
-        V = self.config.view_size
-        R = V // 2
-        padded = np.full((self.height + 2 * R, self.width + 2 * R), WALL, dtype=np.uint8)
-        padded[R:R + self.height, R:R + self.width] = st.grid
-        r, c = st.positions[k]
-        window = padded[r:r + V, c:c + V]
-
-        obs = np.zeros((V, V, NUM_CHANNELS), dtype=np.uint8)
-        obs[:, :, C_EMPTY] = (window == EMPTY) | (window == SPAWN)
-        obs[:, :, C_WALL] = window == WALL
-        obs[:, :, C_APPLE] = window == APPLE
-        obs[:, :, C_RIVER] = window == RIVER
-        obs[:, :, C_WASTE] = window == WASTE
-        obs[R, R, C_SELF] = 1.0
-        for j in range(self.config.num_agents):
-            if j == k:
-                continue
-            dr = st.positions[j][0] - r
-            dc = st.positions[j][1] - c
-            if abs(dr) <= R and abs(dc) <= R:
-                obs[R + dr, R + dc, C_OTHER] = 1.0
-        for (br, bc) in st.beam_cells:
-            dr, dc = br - r, bc - c
-            if abs(dr) <= R and abs(dc) <= R:
-                obs[R + dr, R + dc, C_BEAM] = 1.0
-
-        return np.rot90(obs, k=int(st.orientations[k]), axes=(0, 1)).copy()
+        R = self.config.view_size // 2
+        bits = self._bits
+        bits[R:R + self.height, R:R + self.width] = _CELL_BITS[st.grid]
+        flat = bits.reshape(-1)
+        pw = bits.shape[1]
+        if st.beam_cells:
+            flat[[(r + R) * pw + c + R for r, c in st.beam_cells]] |= 1 << C_BEAM
+        corners = np.array([r * pw + c for r, c in st.positions.tolist()])
+        flat[corners + (R * pw + R)] |= 1 << C_OTHER
+        windows = flat[corners[:, None, None] + self._windows[st.orientations]]
+        windows[:, R, R] ^= (1 << C_OTHER) | (1 << C_SELF)
+        return np.unpackbits(windows[..., None], axis=-1, bitorder="little")
 
     # -- rendering -----------------------------------------------------------
 

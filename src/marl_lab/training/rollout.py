@@ -83,7 +83,7 @@ class RolloutWorker:
         self.action_rngs = [np.random.default_rng(np.random.SeedSequence(seed))
                             for seed in action_seeds]
         self.shaper.reset()
-        self.obs = self._observe()
+        self.obs = self.env.observe()
         self.episode_returns = np.zeros(self.num_agents)
         self.episode_events = dict.fromkeys(EVENT_COUNTS, 0)
 
@@ -108,7 +108,7 @@ class RolloutWorker:
             self.episode_events[event["kind"]] += 1
             if event["kind"] == "beam_fired" and event["beam"] == "clean":
                 self.episode_events["clean_beams"] += 1
-        self.obs = self._observe()
+        self.obs = self.env.observe()
         stat = None
         if self.env.done:
             clamped = np.maximum(self.episode_returns, 0.0)
@@ -119,9 +119,6 @@ class RolloutWorker:
                 per_agent_returns=self.episode_returns.copy(),
                 events=self.episode_events)
         return e, i, r, stat
-
-    def _observe(self):
-        return np.stack([self.env.observe(k) for k in range(self.num_agents)])
 
 
 def lockstep_step(workers, agents, greedy=False):

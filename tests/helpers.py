@@ -10,6 +10,10 @@ import numpy as np
 
 import marl_lab
 from marl_lab.agents import NetSizes, PolicyOutput
+from marl_lab.envs.env import (
+    APPLE, C_APPLE, C_BEAM, C_EMPTY, C_OTHER, C_RIVER, C_SELF, C_WALL, C_WASTE, EMPTY,
+    NUM_CHANNELS, RIVER, SPAWN, WALL, WASTE,
+)
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -81,6 +85,40 @@ fc_units = 8
 lstm_units = 8
 eicm_hidden = 8
 """
+
+
+def reference_observe(env, k):
+    """Agent k's egocentric window, built for that agent alone from one-hot
+    planes and `np.rot90`: an independent oracle for row k of
+    `SSDEnv.observe()`."""
+    st = env.state
+    V = env.config.view_size
+    R = V // 2
+    padded = np.full((env.height + 2 * R, env.width + 2 * R), WALL, dtype=np.uint8)
+    padded[R:R + env.height, R:R + env.width] = st.grid
+    r, c = st.positions[k]
+    window = padded[r:r + V, c:c + V]
+
+    obs = np.zeros((V, V, NUM_CHANNELS), dtype=np.uint8)
+    obs[:, :, C_EMPTY] = (window == EMPTY) | (window == SPAWN)
+    obs[:, :, C_WALL] = window == WALL
+    obs[:, :, C_APPLE] = window == APPLE
+    obs[:, :, C_RIVER] = window == RIVER
+    obs[:, :, C_WASTE] = window == WASTE
+    obs[R, R, C_SELF] = 1.0
+    for j in range(env.config.num_agents):
+        if j == k:
+            continue
+        dr = st.positions[j][0] - r
+        dc = st.positions[j][1] - c
+        if abs(dr) <= R and abs(dc) <= R:
+            obs[R + dr, R + dc, C_OTHER] = 1.0
+    for (br, bc) in st.beam_cells:
+        dr, dc = br - r, bc - c
+        if abs(dr) <= R and abs(dc) <= R:
+            obs[R + dr, R + dc, C_BEAM] = 1.0
+
+    return np.rot90(obs, k=int(st.orientations[k]), axes=(0, 1)).copy()
 
 
 def conv_linear_response(x, kernel, bias):

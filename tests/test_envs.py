@@ -1,6 +1,8 @@
 """Gridworld semantics: reward values, beam geometry, movement, observation
 encoding, regrowth dynamics, determinism and conservation properties."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,10 @@ from marl_lab.envs import (
     TURN_CW, WASTE, cleanup_spawn_rate, harvest_regrowth_prob, parse_render,
     render_ascii,
 )
-from marl_lab.envs.env import EAST, NORTH, SOUTH, WEST
+from marl_lab.envs.env import EAST, NORTH, NUM_CHANNELS, SOUTH, WEST
+from marl_lab.envs.maps import BUILTIN_MAPS, load_map
+
+from helpers import reference_observe
 
 
 def make_env(rows, kind="cleanup", n=1, seed=0, **kw):
@@ -22,6 +27,19 @@ def make_env(rows, kind="cleanup", n=1, seed=0, **kw):
     env = SSDEnv(EnvConfig(kind=kind, map_rows=rows, num_agents=n, seed=seed, **kw))
     env.reset()
     return env
+
+
+def brute_force_apple_count(apple_mask, cell):
+    """Apples within L1 distance 2 of cell, not counting the cell itself."""
+    r0, c0 = cell
+    H, W = apple_mask.shape
+    return sum(1 for r in range(r0 - 2, r0 + 3) for c in range(c0 - 2, c0 + 3)
+               if 0 < abs(r - r0) + abs(c - c0) <= 2
+               and 0 <= r < H and 0 <= c < W and apple_mask[r, c])
+
+
+def builtin_map_kind(name):
+    return "harvest" if name.startswith("harvest") else "cleanup"
 
 
 class TestRates:
@@ -233,7 +251,7 @@ class TestObserve:
     def test_corner_agent_sees_walls_outside(self):
         env = make_env(["####", "#P #", "####"], view_size=5)
         env.state.orientations[0] = NORTH
-        obs = env.observe(0)
+        obs = env.observe()[0]
         # top-left of the window lies outside the map -> wall channel
         assert obs[0, 0, 1] == 1.0
         total = obs[:, :, :5].sum(axis=-1)
@@ -242,7 +260,10 @@ class TestObserve:
     def test_observation_deterministic(self):
         env = SSDEnv(EnvConfig(map="cleanup_mini", num_agents=2, seed=5))
         env.reset()
-        np.testing.assert_array_equal(env.observe(0), env.observe(0))
+        np.testing.assert_array_equal(env.observe()[0], env.observe()[0])
+        # the env's padded buffer carries no bits from one call to the next
+        env.step([FIRE_PUNISH, FIRE_CLEAN])
+        np.testing.assert_array_equal(env.observe(), env.observe())
 
     @pytest.mark.parametrize("orient", [NORTH, EAST, SOUTH, WEST])
     def test_faced_apple_appears_above_center(self, orient):
@@ -251,7 +272,7 @@ class TestObserve:
         env.state.orientations[0] = orient
         dr, dc = {NORTH: (-1, 0), EAST: (0, 1), SOUTH: (1, 0), WEST: (0, -1)}[orient]
         env.state.grid[2 + dr, 2 + dc] = APPLE
-        obs = env.observe(0)
+        obs = env.observe()[0]
         assert obs[0, 1, 2] == 1.0   # row above center, apple channel
 
     def test_self_and_other_channels(self):
@@ -259,7 +280,7 @@ class TestObserve:
         env.state.positions[0] = (1, 1)
         env.state.positions[1] = (1, 3)
         env.state.orientations[:] = NORTH
-        obs = env.observe(0)
+        obs = env.observe()[0]
         assert obs[2, 2, 5] == 1.0
         assert obs[2, 4, 6] == 1.0
 
@@ -272,8 +293,7 @@ class TestObserve:
         rng = np.random.default_rng(0)
         for _ in range(25):
             env.step(rng.integers(0, n_actions, size=2))
-            for k in range(2):
-                obs = env.observe(k)
+            for obs in env.observe():
                 np.testing.assert_array_equal(obs[:, :, :5].sum(axis=-1),
                                               np.ones((7, 7)))
                 assert obs[3, 3, 5] == 1.0   # self channel at center
@@ -284,8 +304,37 @@ class TestObserve:
         env.state.positions[1] = (1, 4)
         env.state.orientations[:] = EAST
         env.step([FIRE_PUNISH, NOOP])
-        obs = env.observe(0)
+        obs = env.observe()[0]
         assert obs[:, :, 7].sum() > 0
+
+    def test_all_windows_in_one_uint8_array(self):
+        env = make_env(["######", "#P  P#", "#P   #", "######"], n=3, view_size=7)
+        obs = env.observe()
+        assert obs.shape == (3, 7, 7, NUM_CHANNELS) and obs.dtype == np.uint8
+        assert obs.flags.c_contiguous
+
+    @pytest.mark.parametrize("map_name", BUILTIN_MAPS)
+    @pytest.mark.parametrize("view_size", [3, 7, 15])
+    def test_windows_equal_per_agent_reference(self, map_name, view_size):
+        spawns = len(load_map(map_name, builtin_map_kind(map_name)).spawns)
+        rng = np.random.default_rng(view_size)
+        beams = turns = 0
+        for n in range(1, spawns + 1):
+            env = SSDEnv(EnvConfig(kind=builtin_map_kind(map_name), map=map_name,
+                                   num_agents=n, view_size=view_size, episode_length=60,
+                                   seed=n))
+            env.reset()
+            seen = set()
+            while True:
+                reference = np.stack([reference_observe(env, k) for k in range(n)])
+                np.testing.assert_array_equal(env.observe(), reference)
+                beams += bool(env.state.beam_cells)
+                seen.update(env.state.orientations.tolist())
+                if env.done:
+                    break
+                env.step(rng.integers(0, env.num_actions, size=n))
+            turns += len(seen) == 4
+        assert beams > 0 and turns > 0     # beams and every orientation were seen
 
 
 class TestRegrowth:
@@ -305,9 +354,30 @@ class TestRegrowth:
         assert int(np.sum(env.state.grid == WASTE)) == 2
 
     def test_harvest_isolated_apple_draws_low_rate(self):
-        env = make_env(["#####", "#A P#", "#B  #", "#####"], kind="harvest")
+        env = make_env(["#####", "#A P#", "#B  #", "#####"], kind="harvest",
+                       harvest_low_rate=0.25)
         # (2,1) has one apple within L1 radius 2 -> low rate applies
-        assert env._nearby_apples(env.state.grid == APPLE, (2, 1)) == 1
+        mask = env.state.grid == APPLE
+        assert brute_force_apple_count(mask, (2, 1)) == 1
+        i = env._orchard.index((2, 1))
+        assert env._apple_counts(mask)[i] == 1
+        assert env._regrowth[1] == 0.25
+
+    @pytest.mark.parametrize("map_name", BUILTIN_MAPS)
+    def test_neighbour_table_counts_equal_brute_force(self, map_name):
+        env = SSDEnv(EnvConfig(kind=builtin_map_kind(map_name), map=map_name))
+        rng = np.random.default_rng(len(map_name))
+        for density in (0.0, 0.2, 0.5, 0.8, 1.0):
+            mask = rng.random((env.height, env.width)) < density
+            want = [brute_force_apple_count(mask, cell) for cell in env._orchard]
+            np.testing.assert_array_equal(env._apple_counts(mask), want)
+
+    def test_regrowth_table_equals_rate_function(self):
+        env = make_env(["#####", "#A P#", "#B  #", "#####"], kind="harvest",
+                       harvest_low_rate=0.125, harvest_mid_rate=0.375,
+                       harvest_high_rate=0.625)
+        want = [harvest_regrowth_prob(count, 0.125, 0.375, 0.625) for count in range(13)]
+        assert env._regrowth.tolist() == want
 
     def test_harvest_zero_density_is_permanent(self):
         rows = ["#####", "#AA #", "#A P#", "# AA#", "#####"]
@@ -362,6 +432,23 @@ class TestProperties:
                     elif e["kind"] == "beam_fired" and e["beam"] == "punish":
                         recon[e["agent"]] += -1.0
                 np.testing.assert_array_equal(recon, out.extrinsic)
+
+    @pytest.mark.parametrize("map_name", BUILTIN_MAPS)
+    def test_events_are_json_serialisable(self, map_name):
+        env = SSDEnv(EnvConfig(kind=builtin_map_kind(map_name), map=map_name,
+                               num_agents=2, seed=4, episode_length=300))
+        env.reset()
+        rng = np.random.default_rng(4)
+        kinds = set()
+        while not env.done:
+            _, out = env.step(rng.integers(0, env.num_actions, size=2))
+            assert json.loads(json.dumps(out.events)) == [
+                {key: list(v) if key == "cell" else v for key, v in event.items()}
+                for event in out.events]
+            kinds.update(event["kind"] for event in out.events)
+        assert {"apple_collected", "beam_fired"} <= kinds
+        if builtin_map_kind(map_name) == "cleanup":
+            assert "waste_cleaned" in kinds
 
     def test_occupancy_distinct_and_in_bounds(self):
         _, _, env = self._rollout(11, steps=100)

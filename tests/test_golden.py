@@ -15,6 +15,10 @@ an evaluation after every update, sampled and greedy; its `events.jsonl` is
 pinned, and so is `replay` of its final checkpoints: the frames and the
 per-episode results, as `marl-lab replay --out` and stdout carry them.
 
+The env alone is pinned on the two large maps, which no training cell runs:
+one digest per map over 1,500 seeded random-action steps, covering every
+observation, grid, pose, reward and event.
+
 The snapshot each shipped spec (and the CLI tests' tiny spec) writes for seed
 1 is pinned too. `summarize` groups runs by those bytes, so a change to how a
 spec resolves or is written out fails here. They are plain text, so these
@@ -23,6 +27,10 @@ digests hold on every build.
 float64 BLAS results may differ between builds and CPU kernels, so the digests
 are stored with the fingerprint of the build that produced them. On another
 build the test skips and prints both fingerprints; it never re-pins itself.
+The env digests use no float BLAS, only numpy's seeded generators, whose
+streams numpy may change between versions; they skip on another numpy
+version only.
+
 Print the digests of the current build with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -44,7 +52,7 @@ from marl_lab.cli.experiment import (
 )
 from marl_lab.cli.replay import replay
 from marl_lab.cli.specfile import write_spec_text
-from marl_lab.envs import EnvConfig
+from marl_lab.envs import EnvConfig, SSDEnv
 from marl_lab.shaping import ShapingConfig
 from marl_lab.training import Trainer, TrainerConfig
 from marl_lab.training.metrics import MetricsWriter
@@ -122,6 +130,14 @@ EVAL_DIGESTS = {
 REPLAY_DIGESTS = {
     "sampled": "0505349743ecff4286ffadc9401a3de024636506ad7d733e3b3ce7dcfcb97a7e",
     "greedy": "c15f717b7d24041e017a7c99f0eec8d54475f51d1cbef2af08417736b3d924c1",
+}
+
+# 1,500 random-action steps of one env on each large map: (kind, agents, digest).
+ENV_DIGESTS = {
+    "cleanup_large": ("cleanup", 5,
+                      "16e96ab274d89a6b1229b12a2be689a3797c6852678a9a6e9c4fd57eedf70cb9"),
+    "harvest_large": ("harvest", 4,
+                      "649fd2d2ef666b34a9eeb698cbb0a23cd71b6f84bd3946682efd5969eccb81c8"),
 }
 
 # snapshot.spec text of seed 1, keyed by spec file name ("tiny": the CLI tests'
@@ -251,6 +267,24 @@ def eval_replay_digests(greedy):
                 hashlib.sha256(stream.encode("utf-8")).hexdigest())
 
 
+def env_digest(map_name, kind, num_agents, steps=1500):
+    """sha256 over a seeded random-action episode of one env: the observations
+    after reset and after every step, and each step's grid, positions,
+    orientations, rewards and events (as JSON)."""
+    env = SSDEnv(EnvConfig(kind=kind, map=map_name, num_agents=num_agents,
+                           episode_length=steps, seed=3))
+    env.reset()
+    rng = np.random.default_rng(4)
+    digest = hashlib.sha256(env.observe().tobytes())
+    for _ in range(steps):
+        _, out = env.step(rng.integers(0, env.num_actions, size=num_agents))
+        st = env.state
+        for part in (env.observe(), st.grid, st.positions, st.orientations, out.extrinsic):
+            digest.update(part.tobytes())
+        digest.update(json.dumps(out.events, default=int).encode())
+    return digest.hexdigest()
+
+
 def snapshot_digest(name):
     """sha256 of the snapshot.spec text that `run_single_seed` writes for seed 1."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -328,6 +362,17 @@ def test_replay_matches_golden_digest(policy):
         f"numeric change")
 
 
+@pytest.mark.parametrize("map_name", sorted(ENV_DIGESTS))
+def test_large_map_env_matches_golden_digest(map_name):
+    if np.__version__ != FINGERPRINT["numpy"]:
+        pytest.skip(f"env digests were pinned on numpy {FINGERPRINT['numpy']}; "
+                    f"this is {np.__version__}")
+    kind, num_agents, want = ENV_DIGESTS[map_name]
+    assert env_digest(map_name, kind, num_agents) == want, (
+        f"the env on {map_name} moved; re-pin only for a deliberate change to its "
+        f"dynamics or observations")
+
+
 @pytest.mark.parametrize("name", sorted(SNAPSHOT_DIGESTS))
 def test_snapshot_matches_golden_digest(name):
     assert snapshot_digest(name) == SNAPSHOT_DIGESTS[name], (
@@ -352,6 +397,10 @@ if __name__ == "__main__":
     print("REPLAY_DIGESTS")
     for policy, (_, frames) in streams.items():
         print(f'    "{policy}": "{frames}",')
+    print("ENV_DIGESTS")
+    for map_name, (kind, num_agents, _) in ENV_DIGESTS.items():
+        print(f'    "{map_name}": ("{kind}", {num_agents}, '
+              f'"{env_digest(map_name, kind, num_agents)}"),')
     print("SNAPSHOT_DIGESTS")
     for name in sorted(os.listdir(SPECS_DIR)) + ["tiny"]:
         print(f'    "{name}": "{snapshot_digest(name)}",')

@@ -425,6 +425,22 @@ class TestThreadedLearner:
         assert run_python(code).strip() == "1"
         assert run_python(code, OPENBLAS_NUM_THREADS="2").strip() == "2"
 
+    def test_import_after_numpy_holds_openblas_at_one_thread_unless_set(self):
+        # numpy reads the variables when it loads, so marl_lab tells numpy's
+        # bundled OpenBLAS directly; the reading comes from the library.
+        code = ("import ctypes, glob, os, numpy, marl_lab\n"
+                "libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "
+                "'numpy.libs')\n"
+                "paths = glob.glob(os.path.join(libs, 'libscipy_openblas*.so'))\n"
+                "lib = ctypes.CDLL(paths[0]) if paths else None\n"
+                "print(lib.scipy_openblas_get_num_threads64_() "
+                "if hasattr(lib, 'scipy_openblas_get_num_threads64_') else 'none')")
+        unset = run_python(code).strip()
+        if unset == "none":
+            pytest.skip("numpy carries no bundled 64-bit scipy-openblas")
+        assert unset == "1"
+        assert run_python(code, OPENBLAS_NUM_THREADS="2").strip() == "2"
+
 
 class TestA2CUpdate:
     def _duplicated_worker_buffer(self):

@@ -15,6 +15,11 @@ an evaluation after every update, sampled and greedy; its `events.jsonl` is
 pinned, and so is `replay` of its final checkpoints: the frames and the
 per-episode results, as `marl-lab replay --out` and stdout carry them.
 
+A whole run directory is pinned too: the same spec with the shaping audit on
+and a checkpoint after every update, run through `run_single_seed`. Its file
+list is pinned, and the digest of every file but `snapshot.spec`, which holds
+the temporary output_dir and whose text SNAPSHOT_DIGESTS pins.
+
 The env alone is pinned on the two large maps, which no training cell runs:
 one digest per map over 1,500 seeded random-action steps, covering every
 observation, grid, pose, reward and event.
@@ -132,6 +137,35 @@ REPLAY_DIGESTS = {
     "greedy": "c15f717b7d24041e017a7c99f0eec8d54475f51d1cbef2af08417736b3d924c1",
 }
 
+# The run-directory cell: every file it writes, and the sha256 of each but
+# snapshot.spec, by path relative to the run directory.
+RUN_DIRECTORY_FILES = [
+    "checkpoints/agent0_step0000000064.ckpt",
+    "checkpoints/agent0_step0000000128.ckpt",
+    "checkpoints/agent1_step0000000064.ckpt",
+    "checkpoints/agent1_step0000000128.ckpt",
+    "checkpoints/agent2_step0000000064.ckpt",
+    "checkpoints/agent2_step0000000128.ckpt",
+    "events.jsonl",
+    "metrics.csv",
+    "shaping_audit.csv",
+    "snapshot.spec",
+    "summary.json",
+]
+
+RUN_DIRECTORY_DIGESTS = {
+    "checkpoints/agent0_step0000000064.ckpt": "750251ea5386cfab22c9e7b6894d5c3c412fb353608a8e51d564f4057707c771",
+    "checkpoints/agent0_step0000000128.ckpt": "42d22a26cd4e16fbd43b16cbab558b3fbd30a1a1f2f8a0c5ff7c5f751592e897",
+    "checkpoints/agent1_step0000000064.ckpt": "aeeeeb5c56e35a93c7bd7f255de2b0f9b3e6dc5eeaf69f89a2d5aa466f14b0ef",
+    "checkpoints/agent1_step0000000128.ckpt": "acf0e938d7b03690da27e14286cd19ec3bc521a2a53ccd5dec14a0a9b07ff79b",
+    "checkpoints/agent2_step0000000064.ckpt": "8801c73cb78e160176f54ae13a2ddd86792425c23748e5d48d00fbdda0fa9db7",
+    "checkpoints/agent2_step0000000128.ckpt": "4924fa81ed22df2750b13ffca2e0331a1f601f5a9d226f6092d454291bb43fdc",
+    "events.jsonl": "6d6329e2aec2406c5b58e5099f281f35ec5c07b45c780ff98d4dee91c88ce74a",
+    "metrics.csv": "69579707cc65d2ca6569a5b8a2a1704e993dd808e7607b13a44df1a114708d0a",
+    "shaping_audit.csv": "6b665e75eacf8dd117a30b15125bd3c6e26292c31dcb6abe9c306c089d7b74fc",
+    "summary.json": "7953938e750eb574219f4326f2ee6f9d56fffe7b7814cb37ff52d86a1bfd1663",
+}
+
 # 1,500 random-action steps of one env on each large map: (kind, agents, digest).
 ENV_DIGESTS = {
     "cleanup_large": ("cleanup", 5,
@@ -245,17 +279,29 @@ def golden_digests(cell, updates=2):
         return sha256_of(path), [sha256_of(p) for p in ckpts]
 
 
+def write_eval_spec(tmp, greedy, whole_run=False):
+    """Write the eval cell's map and spec under tmp and return the spec path.
+    whole_run adds the run-directory cell's shaping audit and a checkpoint
+    after every update."""
+    map_path = os.path.join(tmp, "three_agents.txt")
+    with open(map_path, "w", encoding="utf-8") as f:
+        f.write("\n".join(THREE_AGENT_CLEANUP) + "\n")
+    text = EVAL_SPEC.format(out=os.path.join(tmp, "runs"), map=map_path,
+                            greedy="true" if greedy else "false")
+    if whole_run:
+        text = text.replace("seeds = [5]\n", "seeds = [5]\naudit_shaping = true\n")
+        text = text.replace("[eval]\n", "[checkpoint]\ninterval = 1\n\n[eval]\n")
+    spec_path = os.path.join(tmp, "eval.spec")
+    with open(spec_path, "w", encoding="utf-8") as f:
+        f.write(text)
+    return spec_path
+
+
 @functools.lru_cache(maxsize=None)
 def eval_replay_digests(greedy):
     """(events.jsonl digest, replay digest) of the eval cell."""
     with tempfile.TemporaryDirectory() as tmp:
-        map_path = os.path.join(tmp, "three_agents.txt")
-        with open(map_path, "w", encoding="utf-8") as f:
-            f.write("\n".join(THREE_AGENT_CLEANUP) + "\n")
-        spec_path = os.path.join(tmp, "eval.spec")
-        with open(spec_path, "w", encoding="utf-8") as f:
-            f.write(EVAL_SPEC.format(out=os.path.join(tmp, "runs"), map=map_path,
-                                     greedy="true" if greedy else "false"))
+        spec_path = write_eval_spec(tmp, greedy)
         spec = resolve_spec(spec_path)
         run_dir, _ = run_single_seed(spec, spec.seeds[0])
         frames = []
@@ -265,6 +311,22 @@ def eval_replay_digests(greedy):
         stream += "".join(json.dumps(r, sort_keys=True) + "\n" for r in results)
         return (sha256_of(os.path.join(run_dir, "events.jsonl")),
                 hashlib.sha256(stream.encode("utf-8")).hexdigest())
+
+
+@functools.lru_cache(maxsize=None)
+def run_directory_digests():
+    """{path relative to the run directory: sha256} of every file the
+    run-directory cell writes, with None for snapshot.spec."""
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = resolve_spec(write_eval_spec(tmp, greedy=False, whole_run=True))
+        run_dir, _ = run_single_seed(spec, spec.seeds[0])
+        digests = {}
+        for root, _, names in os.walk(run_dir):
+            for name in names:
+                path = os.path.join(root, name)
+                rel = os.path.relpath(path, run_dir).replace(os.sep, "/")
+                digests[rel] = None if rel == "snapshot.spec" else sha256_of(path)
+        return digests
 
 
 def env_digest(map_name, kind, num_agents, steps=1500):
@@ -362,6 +424,21 @@ def test_replay_matches_golden_digest(policy):
         f"numeric change")
 
 
+def test_run_directory_holds_golden_files():
+    # File names do not depend on the build, so this holds on every build.
+    assert sorted(run_directory_digests()) == RUN_DIRECTORY_FILES
+
+
+@pytest.mark.parametrize("rel", sorted(RUN_DIRECTORY_DIGESTS))
+def test_run_directory_file_matches_golden_digest(rel):
+    here = fingerprint()
+    if here != FINGERPRINT:
+        pytest.skip(f"digests were pinned on {FINGERPRINT}; this build is {here}")
+    assert run_directory_digests().get(rel) == RUN_DIRECTORY_DIGESTS[rel], (
+        f"{rel} of the run-directory cell moved; re-pin only for a deliberate "
+        f"change to what a run writes")
+
+
 @pytest.mark.parametrize("map_name", sorted(ENV_DIGESTS))
 def test_large_map_env_matches_golden_digest(map_name):
     if np.__version__ != FINGERPRINT["numpy"]:
@@ -397,6 +474,14 @@ if __name__ == "__main__":
     print("REPLAY_DIGESTS")
     for policy, (_, frames) in streams.items():
         print(f'    "{policy}": "{frames}",')
+    files = run_directory_digests()
+    print("RUN_DIRECTORY_FILES")
+    for rel in sorted(files):
+        print(f'    "{rel}",')
+    print("RUN_DIRECTORY_DIGESTS")
+    for rel in sorted(files):
+        if files[rel] is not None:
+            print(f'    "{rel}": "{files[rel]}",')
     print("ENV_DIGESTS")
     for map_name, (kind, num_agents, _) in ENV_DIGESTS.items():
         print(f'    "{map_name}": ("{kind}", {num_agents}, '

@@ -10,6 +10,7 @@ import sys
 from ..envs import ConfigError
 from ..nn import CheckpointError
 from .specfile import SpecError
+from .summarize import SummarizeError
 
 
 def build_parser():
@@ -101,7 +102,7 @@ def main(argv=None):
         if args.command == "replay":
             return cmd_replay(args)
     except (SpecError, ConfigError, CheckpointError, FileExistsError,
-            FileNotFoundError) as exc:
+            FileNotFoundError, SummarizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:   # mid-run failure: partial artifact + marker exist

@@ -2,33 +2,13 @@
 
 from __future__ import annotations
 
-import glob
-import os
-import re
-
 from ..agents import AgentNets
 from ..envs import ConfigError
 from ..nn import CheckpointError, load_checkpoint, read_manifest
 from ..shaping import ShapingConfig
 from ..training.rollout import RolloutWorker, lockstep_step
 from .experiment import resolve_spec
-
-_CKPT_RE = re.compile(r"agent(\d+)_step(\d+)\.ckpt$")
-
-
-def find_agent_checkpoints(ckpt_dir):
-    """Latest checkpoint file per agent index under ckpt_dir."""
-    latest = {}
-    for path in glob.glob(os.path.join(ckpt_dir, "agent*_step*.ckpt")):
-        m = _CKPT_RE.search(os.path.basename(path))
-        if not m:
-            continue
-        agent, step = int(m.group(1)), int(m.group(2))
-        if agent not in latest or step > latest[agent][0]:
-            latest[agent] = (step, path)
-    if not latest:
-        raise CheckpointError(f"no agent checkpoints under {ckpt_dir}")
-    return [latest[k][1] for k in sorted(latest)]
+from .rundir import find_agent_checkpoints
 
 
 def load_agents_for_env(ckpt_dir, env_config, sizes):

@@ -10,6 +10,7 @@ import os
 import numpy as np
 
 from ..training import read_metrics_csv
+from .rundir import METRICS, SNAPSHOT, SUMMARY, window_mean
 from .specfile import parse_spec_text
 
 TABLE_COLUMNS = ["method", "runs", "mean_collective_reward", "variance",
@@ -21,26 +22,25 @@ class SummarizeError(ValueError):
 
 
 def discover_runs(paths):
-    """Collect run directories (holding metrics.csv) under the given paths."""
-    runs = []
-    for path in paths:
-        if os.path.isfile(os.path.join(path, "metrics.csv")):
-            runs.append(path)
-            continue
-        for root, _, files in sorted(os.walk(path)):
-            if "metrics.csv" in files:
-                runs.append(root)
+    """Collect run directories (holding metrics.csv) under the given paths.
+    Every one must have finished, so hold summary.json: a failed or killed
+    run never wrote one, and a forced rerun deletes the old one first."""
+    runs = sorted(root for path in paths for root, _, files in os.walk(path)
+                  if METRICS in files)
     if not runs:
         raise SummarizeError(f"no runs found under {list(paths)}")
-    return sorted(runs)
+    for run_dir in runs:
+        if not os.path.isfile(os.path.join(run_dir, SUMMARY)):
+            raise SummarizeError(f"{run_dir}: unfinished run, no {SUMMARY}")
+    return runs
 
 
 def _run_identity(run_dir):
     """(method, consistency key): the snapshot with seeds stripped must agree
     across everything being aggregated."""
-    snap_path = os.path.join(run_dir, "snapshot.spec")
+    snap_path = os.path.join(run_dir, SNAPSHOT)
     if not os.path.exists(snap_path):
-        raise SummarizeError(f"{run_dir}: missing snapshot.spec")
+        raise SummarizeError(f"{run_dir}: missing {SNAPSHOT}")
     with open(snap_path, encoding="utf-8") as f:
         text = f.read()
     doc = parse_spec_text(text, path=snap_path)
@@ -50,24 +50,6 @@ def _run_identity(run_dir):
     stripped = "\n".join(line for line in text.splitlines()
                          if not line.startswith(("seeds = ", "output_dir = ")))
     return method, stripped
-
-
-def window_mean(metrics, last_steps, run_dir):
-    """Mean collective reward and equality over the trailing last_steps
-    environment steps of run_dir's metrics stream, as `read_metrics_csv`
-    returns it."""
-    steps = np.asarray(metrics["env_steps"])
-    if steps.size == 0:
-        raise SummarizeError(f"{run_dir}: empty metrics stream")
-    cutoff = steps.max() - last_steps
-    mask = steps > cutoff
-    rew = np.asarray(metrics["collective_reward"])[mask]
-    eq = np.asarray(metrics["equality"])[mask]
-    rew = rew[~np.isnan(rew)]
-    eq = eq[~np.isnan(eq)]
-    if rew.size == 0:
-        raise SummarizeError(f"{run_dir}: no completed episodes inside the window")
-    return float(rew.mean()), (float(eq.mean()) if eq.size else float("nan"))
 
 
 def summarize(run_dirs, last_steps, trim=False):
@@ -88,8 +70,10 @@ def summarize(run_dirs, last_steps, trim=False):
     for method in sorted(by_method):
         values = []
         for rd in by_method[method]:
-            metrics = read_metrics_csv(os.path.join(rd, "metrics.csv"))
-            rew, eq = window_mean(metrics, last_steps, rd)
+            rew, eq = window_mean(read_metrics_csv(os.path.join(rd, METRICS)),
+                                  last_steps)
+            if rew is None:
+                raise SummarizeError(f"{rd}: no completed episodes inside the window")
             values.append((rew, eq))
         values.sort(key=lambda t: t[0])
         if trim:

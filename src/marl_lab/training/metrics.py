@@ -1,12 +1,10 @@
-"""Metrics streams: one CSV row per update, JSON-lines for events.
+"""Metrics rows: their columns, how each value is written, and reading them back.
 
-CSV writing is fully deterministic: fixed column order, floats rendered with
+Writing is fully deterministic: fixed column order, floats rendered with
 repr (shortest round-trip form), '.' decimal separator, no locale influence.
 """
 
 from __future__ import annotations
-
-import json
 
 METRIC_COLUMNS = [
     "update", "env_steps", "episodes_completed", "collective_reward", "equality",
@@ -22,38 +20,6 @@ def format_value(v):
     if isinstance(v, float):
         return repr(float(v))   # plain-float repr even for numpy scalars
     return str(v)
-
-
-class MetricsWriter:
-    def __init__(self, path):
-        self.path = path
-        self._f = open(path, "w", encoding="utf-8", newline="\n")
-        self._f.write(",".join(METRIC_COLUMNS) + "\n")
-
-    def write_row(self, row: dict):
-        missing = set(METRIC_COLUMNS) - set(row)
-        if missing:
-            raise KeyError(f"metrics row missing columns: {sorted(missing)}")
-        self._f.write(",".join(format_value(row[c]) for c in METRIC_COLUMNS) + "\n")
-        self._f.flush()
-
-    def close(self):
-        self._f.close()
-
-
-class EventLog:
-    def __init__(self, path):
-        self.path = path
-        self._f = open(path, "w", encoding="utf-8", newline="\n")
-
-    def write(self, kind, **fields):
-        rec = {"event": kind}
-        rec.update(fields)
-        self._f.write(json.dumps(rec, sort_keys=True) + "\n")
-        self._f.flush()
-
-    def close(self):
-        self._f.close()
 
 
 def read_metrics_csv(path):

@@ -285,6 +285,54 @@ class TestRun:
         assert sorted(os.listdir(run_dir)) == [
             "FAILED", "events.jsonl", "metrics.csv", "snapshot.spec"]
 
+    def test_interrupted_run_leaves_marker(self, tmp_path, monkeypatch):
+        from marl_lab.training import Trainer
+
+        def interrupt(self):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Trainer, "one_update", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(write_tiny_spec(tmp_path))
+        run_dir = tmp_path / "runs" / "tiny" / "baseline" / "1"
+        assert "KeyboardInterrupt" in (run_dir / "FAILED").read_text()
+        last = (run_dir / "events.jsonl").read_text().splitlines()[-1]
+        assert json.loads(last) == {"event": "run_failed"}
+
+    def test_every_seed_is_checked_before_any_trains(self, tmp_path, capsys):
+        spec = tmp_path / "tiny.spec"
+        text = TINY_SPEC.format(out=str(tmp_path / "runs"), mode="baseline")
+        spec.write_text(text.replace("seeds = [1]", "seeds = [2]"))
+        assert main(["run", str(spec)]) == 0
+        spec.write_text(text.replace("seeds = [1]", "seeds = [1, 2]"))
+        capsys.readouterr()
+        assert main(["run", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "already holds a run" in err
+        assert sorted(os.listdir(tmp_path / "runs" / "tiny" / "baseline")) == ["2"]
+
+    def test_summarize_refuses_a_failed_seed(self, tmp_path, capsys, monkeypatch):
+        from marl_lab.training import Trainer
+        spec = tmp_path / "tiny.spec"
+        spec.write_text(TINY_SPEC.format(out=str(tmp_path / "runs"), mode="baseline")
+                        .replace("seeds = [1]", "seeds = [1, 2]"))
+        one_update = Trainer.one_update
+
+        def fail_seed_2_at_update_2(self):
+            if self.cfg.seed == 2 and self.update_idx == 1:
+                raise RuntimeError("induced failure")
+            return one_update(self)
+
+        monkeypatch.setattr(Trainer, "one_update", fail_seed_2_at_update_2)
+        assert main(["run", str(spec)]) == 1
+        runs = tmp_path / "runs" / "tiny"
+        assert (runs / "baseline" / "2" / "FAILED").exists()
+        capsys.readouterr()
+        assert main(["summarize", str(runs), "--last-steps", "40"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {runs / 'baseline' / '2'}: unfinished run")
+        assert captured.out == ""
+
 
 def synth_run(tmp_path, method, seed, rewards, name="synth"):
     """Hand-built run dir with a fixed per-update reward stream."""
@@ -300,6 +348,7 @@ def synth_run(tmp_path, method, seed, rewards, name="synth"):
         lines.append(f"{i},{i * 100},2,{float(r)!r},1.0,0.0,0.0,0.0,0.0,0.0,0.0,"
                      f"0.0,0.0,0.0,0.0,0.0")
     (run_dir / "metrics.csv").write_text("\n".join(lines) + "\n")
+    (run_dir / "summary.json").write_text(json.dumps({"seed": seed}) + "\n")
     return str(run_dir)
 
 
@@ -341,6 +390,27 @@ class TestSummarize:
         open(snap, "w").write(text)
         with pytest.raises(SummarizeError):
             summarize([str(tmp_path / "synth")], last_steps=1000)
+
+    def test_run_without_summary_is_refused(self, tmp_path):
+        synth_run(tmp_path, "baseline", 1, [1.0])
+        rd2 = synth_run(tmp_path, "baseline", 2, [2.0])
+        os.remove(os.path.join(rd2, "summary.json"))   # killed before finishing
+        with pytest.raises(SummarizeError, match="unfinished run") as exc:
+            summarize([str(tmp_path / "synth")], last_steps=1000)
+        assert str(exc.value).startswith(rd2)
+
+    def test_summarize_errors_exit_2(self, tmp_path, capsys):
+        (tmp_path / "empty").mkdir()
+        capsys.readouterr()
+        assert main(["summarize", str(tmp_path / "empty"), "--last-steps", "10"]) == 2
+        assert capsys.readouterr().err.startswith("error: no runs found under")
+        for seed in (1, 2):
+            synth_run(tmp_path, "baseline", seed, [1.0])
+        assert main(["summarize", str(tmp_path / "synth"), "--last-steps", "10",
+                     "--trim"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: method 'baseline': trimming needs")
+        assert captured.out == ""
 
     def test_methods_grouped_separately(self, tmp_path):
         synth_run(tmp_path, "baseline", 1, [5.0])

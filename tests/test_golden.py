@@ -2,8 +2,8 @@
 a small training matrix, and of the evaluation and replay streams.
 
 Every cell of {baseline, ia, emurel} x {ppo, a2c_sync} runs two updates of a
-three-agent mini Cleanup with small nets, writes its rows with `MetricsWriter`
-and saves each agent with `save_agents`, exactly as `marl-lab run` does. Two
+three-agent mini Cleanup with small nets into a `RunDirectory`, which writes
+its rows and saves each agent exactly as `marl-lab run` does. Two
 Harvest cells, baseline and emurel with `a2c_sync`, do the same on two-agent
 `harvest_mini`, with regrowth rates high enough that apples regrow during the
 run. The digests pin every bit of every metric and every parameter, so a
@@ -52,15 +52,12 @@ import numpy as np
 import pytest
 
 from marl_lab.agents import NetSizes
-from marl_lab.cli.experiment import (
-    resolve_spec, run_single_seed, save_agents, spec_sections,
-)
+from marl_lab.cli.experiment import ExperimentSpec, resolve_spec, run_single_seed
 from marl_lab.cli.replay import replay
-from marl_lab.cli.specfile import write_spec_text
+from marl_lab.cli.rundir import RunDirectory
 from marl_lab.envs import EnvConfig, SSDEnv
 from marl_lab.shaping import ShapingConfig
 from marl_lab.training import Trainer, TrainerConfig
-from marl_lab.training.metrics import MetricsWriter
 
 from helpers import THREE_AGENT_CLEANUP, TINY_SPEC, run_python
 
@@ -84,7 +81,8 @@ DIGESTS = {
     "harvest-emurel-a2c_sync": "0974666c9b470d7a1a835a053736c2cc10839521f5df6784ca8addf64a44cdd7",
 }
 
-# Final checkpoint of each agent, in agent order, as `save_agents` writes it.
+# Final checkpoint of each agent, in agent order, as `RunDirectory.finish`
+# writes it.
 CHECKPOINT_DIGESTS = {
     "baseline-ppo": [
         "1e6201cc5d485dd53758f451e1f868235deacc37aad7333a83bb78a4acd5724f",
@@ -268,15 +266,18 @@ def sha256_of(path):
 def golden_digests(cell, updates=2):
     """(metrics.csv digest, [final checkpoint digest per agent]) of one cell."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "metrics.csv")
-        writer = MetricsWriter(path)
         trainer = golden_trainer(cell)
-        try:
-            trainer.run(updates, on_update=lambda row, *_: writer.write_row(row))
-        finally:
-            writer.close()
-        ckpts = save_agents(trainer, os.path.join(tmp, "checkpoints"), trainer.env_steps)
-        return sha256_of(path), [sha256_of(p) for p in ckpts]
+        spec = ExperimentSpec(name=cell, seeds=[5], output_dir=tmp,
+                              env=trainer.env_config, method=trainer.shaping_config,
+                              trainer=trainer.cfg, net=SMALL)
+        run_dir = RunDirectory(spec, 5)
+        run_dir.create(force=False)
+        trainer.run(updates, on_update=run_dir.record)
+        run_dir.finish(trainer)
+        ckpt_dir = os.path.join(run_dir.path, "checkpoints")
+        return (sha256_of(os.path.join(run_dir.path, "metrics.csv")),
+                [sha256_of(os.path.join(ckpt_dir, name))
+                 for name in sorted(os.listdir(ckpt_dir))])
 
 
 def write_eval_spec(tmp, greedy, whole_run=False):
@@ -355,7 +356,7 @@ def snapshot_digest(name):
             path = os.path.join(tmp, "tiny.spec")
             with open(path, "w", encoding="utf-8") as f:
                 f.write(TINY_SPEC.format(out="runs", mode="baseline"))
-        text = write_spec_text(spec_sections(resolve_spec(path), seed=1))
+        text = resolve_spec(path).snapshot(seed=1)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

@@ -5,8 +5,7 @@ from __future__ import annotations
 from ..agents import AgentNets
 from ..envs import ConfigError
 from ..nn import CheckpointError, load_checkpoint, read_manifest
-from ..shaping import ShapingConfig
-from ..training.rollout import RolloutWorker, lockstep_step
+from ..training.rollout import episode_batch, lockstep_step
 from .experiment import resolve_spec
 from .rundir import find_agent_checkpoints
 
@@ -35,7 +34,7 @@ def load_agents_for_env(ckpt_dir, env_config, sizes):
 
 
 def replay(ckpt_dir, env_spec_path, episodes, seed, greedy=False, sink=None):
-    """Roll trained agents, one baseline-shaped worker per episode; frames go
+    """Roll trained agents, each episode a baseline-shaped batch of one; frames go
     to sink(text) per step. Returns per-episode (collective reward, per-agent
     returns, event counts)."""
     if episodes < 1:
@@ -48,13 +47,11 @@ def replay(ckpt_dir, env_spec_path, episodes, seed, greedy=False, sink=None):
     agents = load_agents_for_env(ckpt_dir, env_config, spec.net)
     results = []
     for ep in range(episodes):
-        worker = RolloutWorker(env_config, ShapingConfig(), seed, ep)
-        worker.reset(agents, [seed, ep, 41],
-                     [[seed, ep, k, 43] for k in range(env_config.num_agents)])
-        while not worker.env.done:
-            _, (stat,) = lockstep_step([worker], agents, greedy=greedy)
+        workers = episode_batch(agents, env_config, seed, [ep], replay=True)
+        while not workers.envs[0].done:
+            _, (stat,) = lockstep_step(workers, agents, greedy=greedy)
             if sink is not None:
-                sink(worker.env.render_ascii())
+                sink(workers.envs[0].render_ascii())
         results.append({"episode": ep, "collective_reward": stat.collective_reward,
                         "per_agent": stat.per_agent_returns.tolist(),
                         "events": stat.events})

@@ -74,14 +74,18 @@ def window_mean(metrics, last_steps):
 
 
 def find_agent_checkpoints(ckpt_dir):
-    """Latest checkpoint file per agent index under ckpt_dir."""
+    """The checkpoint files of the latest save under ckpt_dir, in agent
+    order: the highest step that every agent index present holds a file for,
+    so agents from different saves are never paired."""
     names = os.listdir(ckpt_dir) if os.path.isdir(ckpt_dir) else []
-    found = sorted((int(m[1]), int(m[2]), m[0])
-                   for m in map(_CKPT_NAME.fullmatch, names) if m)
-    latest = {agent: os.path.join(ckpt_dir, name) for agent, _, name in found}
-    if not latest:
+    found = {(int(m[1]), int(m[2])): m[0] for m in map(_CKPT_NAME.fullmatch, names) if m}
+    if not found:
         raise CheckpointError(f"no agent checkpoints under {ckpt_dir}")
-    return [latest[k] for k in sorted(latest)]
+    agents = sorted({agent for agent, _ in found})
+    whole = [step for _, step in found if all((agent, step) in found for agent in agents)]
+    if not whole:
+        raise CheckpointError(f"no save under {ckpt_dir} holds all of agents {agents}")
+    return [os.path.join(ckpt_dir, found[agent, max(whole)]) for agent in agents]
 
 
 class RunDirectory:

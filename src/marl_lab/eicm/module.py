@@ -14,6 +14,7 @@ import numpy as np
 
 from ..agents.nets import stable_softmax
 from ..nn import tensor as T
+from ..shaping import fellows
 
 
 def forward_predict(nets, phi_prev, u_prev, joint_onehot):
@@ -70,7 +71,7 @@ def impact_row(nets, phi_prev, u_prev, joint_onehot, k):
         raise ValueError(f"agent index {k} out of range for N={nets.num_agents}")
     joint = np.asarray(joint_onehot, dtype=np.float64)
     joints = np.stack([joint] + [eliminate(nets, joint, j)
-                                 for j in range(nets.num_agents) if j != k], axis=-2)
+                                 for j in fellows(nets.num_agents)[k]], axis=-2)
     rows = joints.shape[:-1]
     phi, u = (np.broadcast_to(np.asarray(v)[..., None, :], rows + np.shape(v)[-1:])
               for v in (phi_prev, u_prev))

@@ -64,9 +64,11 @@ class EnvConfig:
         if self.beam_width < 1 or self.beam_width % 2 == 0:
             raise ConfigError("beam_width must be odd and >= 1", "beam_width")
         try:
-            spawns = len(load_map(self.map_rows or self.map, self.kind).spawns)
+            # not a field: every env built from this config reads it, no spec sees it
+            self.parsed_map = load_map(self.map_rows or self.map, self.kind)
         except ConfigError as exc:
             raise ConfigError(str(exc), "map", "kind") from None
+        spawns = len(self.parsed_map.spawns)
         if spawns < self.num_agents:
             raise ConfigError(f"map has {spawns} spawn points for "
                               f"{self.num_agents} agents", "num_agents", "map")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import EnvConfig
-from .maps import APPLE, CELL_GLYPHS, EMPTY, RIVER, SPAWN, WALL, WASTE, load_map
+from .maps import APPLE, CELL_GLYPHS, EMPTY, RIVER, SPAWN, WALL, WASTE
 from .rates import cleanup_spawn_rate, harvest_regrowth_prob
 
 # Action indices; Harvest uses the first eight (no cleaning beam).
@@ -78,12 +78,10 @@ class SSDEnv:
 
     def __init__(self, config: EnvConfig):
         self.config = config
-        self.parsed = load_map(config.map_rows if config.map_rows else config.map,
-                               config.kind)
+        self.parsed = config.parsed_map
         self.height = self.parsed.height
         self.width = self.parsed.width
-        self.actions = CLEANUP_ACTIONS if config.kind == "cleanup" else HARVEST_ACTIONS
-        self.num_actions = len(self.actions)
+        self.num_actions = config.num_actions
         self._orchard = sorted(self.parsed.orchard)
         self._river = sorted(self.parsed.river)
         self.state = None

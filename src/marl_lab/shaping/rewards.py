@@ -2,8 +2,8 @@
 impact-scaled intrinsic rewards, linear reward combination, and the Gini
 equality metric.
 
-All functions are pure float64 arithmetic on small per-agent vectors; the only
-state is the smoothed-reward vector carried across a single episode.
+All functions are pure float64 arithmetic on per-agent vectors, stacked along
+any leading axes; the only state is the smoothed rewards of running episodes.
 """
 
 from __future__ import annotations
@@ -48,30 +48,35 @@ def update_smoothed(w, extrinsic, gamma, lam):
     return gamma * lam * w + e
 
 
+def fellows(n):
+    """(n, n-1) indices: row k lists agent k's fellows, ascending."""
+    j = np.arange(n - 1)
+    return j + (j >= np.arange(n)[:, None])
+
+
 def inequity_intrinsics(w, impact_rows, alpha, beta):
     """Impact-scaled inequity-aversion intrinsic rewards of all N agents.
 
-    w: (N,) smoothed rewards. impact_rows: (N, N-1) entries in [0, 1]; row k
-    scales agent k's fellows, ordered by ascending fellow index, before the
-    comparison. Each agent averages envy (fellows ahead) and guilt (fellows
-    behind) gaps over its N-1 fellows, each weighted by its aversion
+    w: (..., N) smoothed rewards. impact_rows: (..., N, N-1) entries in
+    [0, 1]; row k scales agent k's fellows, ordered as `fellows(N)[k]`, before
+    the comparison. Each agent averages envy (fellows ahead) and guilt
+    (fellows behind) gaps over its N-1 fellows, each weighted by its aversion
     parameter, negated. Plain inequity aversion is the all-ones case, since
-    1.0 * w is exact.
+    1.0 * w is exact. Leading axes are independent rows.
     """
     w = np.asarray(w, dtype=np.float64)
     d = np.asarray(impact_rows, dtype=np.float64)
-    n = w.shape[0]
+    n = w.shape[-1]
     if n < 2:
         raise ValueError("inequity aversion needs at least two agents")
-    if d.shape != (n, n - 1):
-        raise ValueError(f"impact rows must have shape ({n}, {n - 1}), got {d.shape}")
+    if d.shape != w.shape + (n - 1,):
+        raise ValueError(f"impact rows must have shape {w.shape + (n - 1,)}, got {d.shape}")
     if np.any(d < 0.0) or np.any(d > 1.0):
         raise ValueError("impact values must lie in [0, 1]")
-    fellows = np.broadcast_to(w, (n, n))[~np.eye(n, dtype=bool)].reshape(n, n - 1)
-    scaled = d * fellows
-    mine = w[:, None]
-    envy = np.maximum(scaled - mine, 0.0).sum(axis=1)
-    guilt = np.maximum(mine - scaled, 0.0).sum(axis=1)
+    scaled = d * w[..., fellows(n)]
+    mine = w[..., None]
+    envy = np.maximum(scaled - mine, 0.0).sum(axis=-1)
+    guilt = np.maximum(mine - scaled, 0.0).sum(axis=-1)
     return -(alpha / (n - 1)) * envy - (beta / (n - 1)) * guilt
 
 
@@ -100,34 +105,35 @@ def gini_equality(returns):
 
 
 class RewardShaper:
-    """Per-environment shaping pipeline: smooth, compare, combine.
+    """Shaping pipeline of one env or of a batch: smooth, compare, combine.
 
-    Owns `w`, the smoothed extrinsic rewards, zeroed at episode start; `step`
-    consumes the per-agent extrinsic rewards and (in emurel mode) the
-    per-agent normalized impact rows, returning the per-agent (extrinsic,
-    intrinsic, reshaped) triple for the step.
+    Owns `w`, the smoothed extrinsic rewards, of `shape`: (N,) for one env or
+    (W, N) for W envs, one row each, zeroed at the row's episode start. `step`
+    returns the (extrinsic, intrinsic, reshaped) triple, each of `shape`.
     """
 
-    def __init__(self, config: ShapingConfig, num_agents):
-        if num_agents < 2 and config.mode != "baseline":
-            raise ValueError("ia/emurel modes need at least two agents")
+    def __init__(self, config: ShapingConfig, shape):
         self.config = config
-        self.num_agents = num_agents
-        self.w = np.zeros(num_agents)
+        self.w = np.zeros(shape)
+        self.num_agents = self.w.shape[-1]
+        if self.num_agents < 2 and config.mode != "baseline":
+            raise ValueError("ia/emurel modes need at least two agents")
 
-    def reset(self):
-        self.w[:] = 0.0
+    def reset(self, row=...):
+        """Zero the smoothed rewards of one row, or of all rows."""
+        self.w[row] = 0.0
 
     def step(self, extrinsic, impact_rows=None):
-        """impact_rows: (N, N-1) normalized impacts, agent k's row ordered by
-        ascending fellow index; required in emurel mode, ignored otherwise."""
+        """impact_rows: `shape` + (N-1,) normalized impacts, agent k's row
+        ordered by ascending fellow index; required in emurel mode, ignored
+        otherwise."""
         cfg = self.config
         e = np.asarray(extrinsic, dtype=np.float64)
         self.w = update_smoothed(self.w, e, cfg.smoothing_gamma, cfg.smoothing_lambda)
-        n = self.num_agents
-        intrinsic = np.zeros(n)
+        shape, n = self.w.shape, self.num_agents
+        intrinsic = np.zeros(shape)
         if cfg.mode == "ia":
-            intrinsic = inequity_intrinsics(self.w, np.ones((n, n - 1)), cfg.alpha, cfg.beta)
+            intrinsic = inequity_intrinsics(self.w, np.ones(shape + (n - 1,)), cfg.alpha, cfg.beta)
         elif cfg.mode == "emurel":
             if impact_rows is None:
                 raise ValueError("emurel mode requires impact rows")

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..shaping import fellows
+
 
 @dataclass
 class EpisodeStat:
@@ -45,12 +47,10 @@ class RolloutBuffer:
         """Targets are the other agents' actions one step later; the final
         step of an episode (or of the buffer) has no target."""
         W, S, N = self.workers, self.steps, self.num_agents
-        others = np.array([[j for j in range(N) if j != k] for k in range(N)],
-                          dtype=np.int64).reshape(N, N - 1)
         valid = ~self.dones[:, :-1]
         self.moa_valid = np.zeros((W, S), dtype=bool)
         self.moa_valid[:, :-1] = valid
-        nxt = self.actions[:, 1:][:, :, others]         # (W, S-1, N, N-1)
+        nxt = self.actions[:, 1:][:, :, fellows(N)]     # (W, S-1, N, N-1)
         self.moa_targets = np.zeros((W, S, N, max(N - 1, 1)), dtype=np.int64)
         self.moa_targets[:, :-1, :, :N - 1] = np.where(valid[..., None, None], nxt, 0)
 

@@ -1,22 +1,23 @@
-"""Rollout collection and evaluation: logical workers stepping independent
-env instances.
+"""Rollout collection and evaluation: one batch of logical workers, each
+stepping its own env instance.
 
-The W workers step in lockstep. Each step, the envs step one after another,
-and each agent's nets run once on a W-row batch: encode, act, the impact
-rows, the MOA advance, and at the end the bootstrap value. phi is encoded
+The W workers' state lives in (W, N, ...) arrays, and they step in lockstep.
+Each step, each agent's nets run once on a W-row batch (encode, act, the
+impact rows, the MOA advance, and at the end the bootstrap value), the envs
+step one after another, and one shaper step shapes every row. phi is encoded
 once per agent-step and shared by act, `impact_row` and the MOA advance.
 
 Every random stream (env dynamics, per-agent action sampling) derives from
-(run_seed, worker, episode) and is drawn only by its own worker, and each
-worker resets its own env when that env is done. The batched nets give every
-row the bits of a lone call (see `marl_lab.nn.layers`), and episode stats
-are kept in worker-major order. So a collection is a pure function of seeds
-and parameters, and a worker's slice of the buffer is the same whether it
-runs alone or beside others.
+(run_seed, worker id, episode) and is drawn only by its own row, and each row
+resets when its env is done. The batched nets and shaper give every row the
+bits of a lone call (see `marl_lab.nn.layers`), and episode stats are kept in
+worker-major order. So a collection is a pure function of seeds and
+parameters, and a worker's slice of the buffer is the same whether it runs
+alone or beside others.
 
 Evaluation and replay step through the same `lockstep_step`: their episodes
-are baseline-shaped workers, reset with their own seeds and stepped together
-to the end of the episode.
+are the rows of a baseline-shaped batch, reset with their own seeds and
+stepped together to the end of the episode.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from ..agents.nets import joint_one_hot
 from ..eicm import impact_row
-from ..envs import SSDEnv
+from ..envs import NUM_CHANNELS, SSDEnv
 from ..shaping import RewardShaper, ShapingConfig, gini_equality
 from .buffer import EpisodeStat, RolloutBuffer
 
@@ -33,6 +34,8 @@ _ENV_STREAM = 11
 _ACTION_STREAM = 23
 _EVAL_ENV_STREAM = 31
 _EVAL_ACTION_STREAM = 37
+_REPLAY_ENV_STREAM = 41
+_REPLAY_ACTION_STREAM = 43
 
 
 # Episode event counts, tallied from the env's step events.
@@ -44,135 +47,131 @@ EVENT_COUNTS = ("apple_collected", "beam_fired", "agent_hit", "waste_cleaned",
 LSTM_STATE = ("v_h", "v_c", "u_h", "u_c")
 
 
-class RolloutWorker:
-    """Owns one env instance, its current observations `obs` (N, V, V, C),
-    the agents' LSTM states (one (N, U) array per name in `lstm_state`: the
-    MOA's only in emurel mode, the one mode that reads it) and the shaping
-    state. State persists across collections so episodes may span batch
-    boundaries; only `reset` zeros the LSTM state and only `lockstep_step`
-    advances it."""
+class RolloutWorkers:
+    """W workers as one batch; row w is the worker with id ids[w], and owns
+    `envs[w]` and row w of each state array: `obs` (W, N, V, V, C) uint8, one
+    (W, N, U) array per name in `lstm_state` (the MOA's only in emurel mode,
+    the one mode that reads it), the running episode's `episode_idx`,
+    `episode_returns` and `episode_events` (counts in EVENT_COUNTS order),
+    agent k's action Generator `action_rngs[k][w]`, and the smoothed rewards
+    `shaper.w`. State persists across collections so episodes may span batch
+    boundaries; only `reset` zeros a row's LSTM state and only
+    `lockstep_step` advances it."""
 
-    def __init__(self, env_config, shaping_config, run_seed, worker_idx):
-        self.env = SSDEnv(env_config)
+    def __init__(self, env_config, shaping_config, run_seed, ids, lstm_units):
+        self.ids = [int(i) for i in ids]
+        self.envs = [SSDEnv(env_config) for _ in self.ids]
         self.shaping_config = shaping_config
         self.run_seed = run_seed
-        self.worker_idx = worker_idx
-        self.num_agents = env_config.num_agents
+        W, N, V = len(self.ids), env_config.num_agents, env_config.view_size
+        self.num_agents = N
         self.lstm_state = LSTM_STATE if shaping_config.mode == "emurel" else LSTM_STATE[:2]
-        self.episode_idx = -1
-        self.v_h = self.v_c = self.u_h = self.u_c = None
-        self.action_rngs = None
-        self.shaper = RewardShaper(shaping_config, self.num_agents)
-        self.obs = None
-        self.episode_returns = None
-        self.episode_events = None
-
-    def episode_env_seed(self, episode_idx):
-        return [self.run_seed, self.worker_idx, episode_idx, _ENV_STREAM]
-
-    def episode_action_seed(self, episode_idx, agent_idx):
-        return [self.run_seed, self.worker_idx, episode_idx, agent_idx, _ACTION_STREAM]
-
-    def reset(self, agents, env_seed, action_seeds):
-        """Start the worker's next episode: the env from env_seed, and agent
-        k's action draws from action_seeds[k]."""
-        self.episode_idx += 1
-        self.env.reset(seed=env_seed)
         for name in self.lstm_state:
-            setattr(self, name, np.zeros((self.num_agents, agents[0].sizes.lstm_units)))
-        self.action_rngs = [np.random.default_rng(np.random.SeedSequence(seed))
-                            for seed in action_seeds]
-        self.shaper.reset()
-        self.obs = self.env.observe()
-        self.episode_returns = np.zeros(self.num_agents)
-        self.episode_events = dict.fromkeys(EVENT_COUNTS, 0)
+            setattr(self, name, np.zeros((W, N, lstm_units)))
+        self.obs = np.zeros((W, N, V, V, NUM_CHANNELS), dtype=np.uint8)
+        self.episode_idx = np.full(W, -1)
+        self.episode_returns = np.zeros((W, N))
+        self.episode_events = np.zeros((W, len(EVENT_COUNTS)), dtype=np.int64)
+        self.action_rngs = [[None] * W for _ in range(N)]
+        self.shaper = RewardShaper(shaping_config, (W, N))
 
-    def begin_step(self, agents):
-        """Start a new episode if none is running; True when one started."""
-        fresh = self.episode_idx < 0 or self.env.done
-        if fresh:
-            episode = self.episode_idx + 1
-            self.reset(agents, self.episode_env_seed(episode),
-                       [self.episode_action_seed(episode, k)
+    def __len__(self):
+        return len(self.envs)
+
+    def episode_env_seed(self, w, episode):
+        return [self.run_seed, self.ids[w], episode, _ENV_STREAM]
+
+    def reset(self, w, env_seed, action_seeds):
+        """Start row w's next episode: the env from env_seed, and agent k's
+        action draws from action_seeds[k]."""
+        self.episode_idx[w] += 1
+        self.envs[w].reset(seed=env_seed)
+        for name in self.lstm_state:
+            getattr(self, name)[w] = 0.0
+        for rngs, seed in zip(self.action_rngs, action_seeds):
+            rngs[w] = np.random.default_rng(np.random.SeedSequence(seed))
+        self.shaper.reset(w)
+        self.obs[w] = self.envs[w].observe()
+        self.episode_returns[w] = 0.0
+        self.episode_events[w] = 0
+
+    def begin_step(self):
+        """Start a new episode in every row that has none running; returns
+        the (W,) mask of rows that started one."""
+        starts = (self.episode_idx < 0) | np.array([env.done for env in self.envs])
+        for w in np.flatnonzero(starts):
+            episode = int(self.episode_idx[w]) + 1
+            self.reset(w, self.episode_env_seed(w, episode),
+                       [[self.run_seed, self.ids[w], episode, k, _ACTION_STREAM]
                         for k in range(self.num_agents)])
-        return fresh
+        return starts
 
-    def finish_step(self, actions, impacts):
-        """Step the env on the joint action and shape its rewards (impact rows
-        count in emurel mode only); returns (extrinsic, intrinsic, reshaped,
-        EpisodeStat or None)."""
-        _, outcome = self.env.step(actions)
-        e, i, r = self.shaper.step(outcome.extrinsic, impacts)
-        self.episode_returns += e
-        for event in outcome.events:
-            self.episode_events[event["kind"]] += 1
-            if event["kind"] == "beam_fired" and event["beam"] == "clean":
-                self.episode_events["clean_beams"] += 1
-        self.obs = self.env.observe()
-        stat = None
-        if self.env.done:
-            clamped = np.maximum(self.episode_returns, 0.0)
-            stat = EpisodeStat(
-                worker=self.worker_idx, episode=self.episode_idx,
-                collective_reward=float(self.episode_returns.sum()),
-                equality=gini_equality(clamped),
-                per_agent_returns=self.episode_returns.copy(),
-                events=self.episode_events)
-        return e, i, r, stat
+    def episode_stat(self, w):
+        """The stats of row w's episode, which has just ended."""
+        returns = self.episode_returns[w].copy()
+        return EpisodeStat(
+            worker=self.ids[w], episode=int(self.episode_idx[w]),
+            collective_reward=float(returns.sum()),
+            equality=gini_equality(np.maximum(returns, 0.0)),
+            per_agent_returns=returns,
+            events=dict(zip(EVENT_COUNTS, self.episode_events[w].tolist())))
 
 
 def lockstep_step(workers, agents, greedy=False):
-    """Step every worker once, in lockstep. The workers' `obs` and LSTM
-    states are stacked once each to (W, N, ...), and agent k's nets run once
-    on column [:, k]: encode, act and, in emurel mode, the impact rows and
-    the MOA advance. The advanced states go into copies, whose row w becomes
-    worker w's state. Then each worker steps its env and shapes its rewards.
+    """Step every worker once, in lockstep. Agent k's nets run once on column
+    [:, k] of a pre-step copy of the workers' `obs` and LSTM states: encode,
+    act and, in emurel mode, the impact rows and the MOA advance. The advanced
+    states go straight into the workers' arrays. Then the envs step one after
+    another, each observing into its row, and one shaper step shapes every
+    row.
 
     Returns ({RolloutBuffer field: (W, ...) array of this step},
     [EpisodeStat or None per worker]).
     """
     W, N = len(workers), len(agents)
-    emurel = workers[0].shaping_config.mode == "emurel"
-    carried = workers[0].lstm_state
+    emurel = workers.shaping_config.mode == "emurel"
     rows = np.arange(W)
-    arrays = {name: np.stack([getattr(worker, name) for worker in workers])
-              for name in ("obs",) + carried}
+    arrays = {name: getattr(workers, name).copy() for name in ("obs",) + workers.lstm_state}
     obs = arrays["obs"]
-    state = {name: arrays[name].copy() for name in carried}
 
     actions = np.zeros((W, N), dtype=np.int64)
     logp, values = np.zeros((W, N)), np.zeros((W, N))
     phis = []
     for k in range(N):
         phis.append(agents[k].window_features(obs[:, k]))
-        out, state["v_h"][:, k], state["v_c"][:, k] = agents[k].act(
-            obs[:, k], arrays["v_h"][:, k], arrays["v_c"][:, k],
-            [worker.action_rngs[k] for worker in workers], greedy=greedy, feat=phis[k])
+        out, workers.v_h[:, k], workers.v_c[:, k] = agents[k].act(
+            obs[:, k], arrays["v_h"][:, k], arrays["v_c"][:, k], workers.action_rngs[k],
+            greedy=greedy, feat=phis[k])
         actions[:, k] = out.action
         logp[:, k] = np.log(out.probs[rows, out.action])
         values[:, k] = out.value
 
     impacts = np.zeros((W, N, max(N - 1, 1)))
     if emurel:
-        joint = joint_one_hot(actions, workers[0].env.num_actions)
+        joint = joint_one_hot(actions, agents[0].num_actions)
         for k in range(N):
             u_h, u_c = arrays["u_h"][:, k], arrays["u_c"][:, k]
             impacts[:, k], _ = impact_row(agents[k], phis[k], u_h, joint, k)
-            _, state["u_h"][:, k], state["u_c"][:, k] = agents[k].moa_predict(
+            _, workers.u_h[:, k], workers.u_c[:, k] = agents[k].moa_predict(
                 obs[:, k], joint, u_h, u_c, feat=phis[k])
 
-    rewards, stats = [], []
-    for w, worker in enumerate(workers):
-        for name in carried:
-            setattr(worker, name, state[name][w])
-        e, i, r, stat = worker.finish_step(actions[w], impacts[w])
-        rewards.append((e, i, r))
-        stats.append(stat)
-    extrinsic, intrinsic, reshaped = np.stack(rewards, axis=1)
+    extrinsic = np.zeros((W, N))
+    for w, env in enumerate(workers.envs):
+        _, outcome = env.step(actions[w])
+        extrinsic[w] = outcome.extrinsic
+        tally = workers.episode_events[w]
+        for event in outcome.events:
+            tally[EVENT_COUNTS.index(event["kind"])] += 1
+            if event["kind"] == "beam_fired" and event["beam"] == "clean":
+                tally[EVENT_COUNTS.index("clean_beams")] += 1
+        workers.obs[w] = env.observe()
+    extrinsic, intrinsic, reshaped = workers.shaper.step(extrinsic, impacts)
+    workers.episode_returns += extrinsic
+    dones = np.array([env.done for env in workers.envs])
+    stats = [workers.episode_stat(w) if done else None for w, done in enumerate(dones)]
     arrays.update(
         actions=actions, behavior_logp=logp, values=values, impact_rows=impacts,
-        extrinsic=extrinsic, intrinsic=intrinsic, reshaped=reshaped,
-        dones=np.array([stat is not None for stat in stats]))
+        extrinsic=extrinsic, intrinsic=intrinsic, reshaped=reshaped, dones=dones)
     return arrays, stats
 
 
@@ -185,17 +184,17 @@ def collect_rollouts(workers, agents, batch_steps):
     if batch_steps % W != 0:
         raise ValueError(f"batch_steps {batch_steps} not divisible by {W} workers")
     steps = batch_steps // W
-    N = workers[0].num_agents
-    emurel = workers[0].shaping_config.mode == "emurel"
+    N = workers.num_agents
+    emurel = workers.shaping_config.mode == "emurel"
     buffer = RolloutBuffer(W, steps, N)
-    stats = [[] for _ in workers]
+    stats = [[] for _ in range(W)]
 
     for t in range(steps):
-        starts = np.array([worker.begin_step(agents) for worker in workers])
+        starts = workers.begin_step()
         arrays, step_stats = lockstep_step(workers, agents)
         arrays["episode_starts"] = starts
         if emurel:
-            arrays["next_obs"] = np.stack([worker.obs for worker in workers])
+            arrays["next_obs"] = workers.obs
         buffer.record(t, arrays)
         for w, stat in enumerate(step_stats):
             if stat is not None:
@@ -203,35 +202,42 @@ def collect_rollouts(workers, agents, batch_steps):
 
     buffer.episode_stats = [s for per_worker in stats for s in per_worker]
     buffer.bootstrap_values = np.zeros((W, N))
-    live = [w for w, worker in enumerate(workers) if not worker.env.done]
+    live = [w for w, env in enumerate(workers.envs) if not env.done]
     if live:
-        obs, v_h, v_c = (np.stack([getattr(workers[w], name) for w in live])
-                         for name in ("obs", "v_h", "v_c"))
         for k in range(N):
             buffer.bootstrap_values[live, k] = agents[k].value_only(
-                obs[:, k], v_h[:, k], v_c[:, k])
+                workers.obs[live, k], workers.v_h[live, k], workers.v_c[live, k])
     buffer.finalize_moa_targets()
     return buffer
+
+
+def episode_batch(policies, env_config, seed, ids, replay=False):
+    """A baseline-shaped batch whose row w starts episode ids[w] of `seed`,
+    from evaluation's seed streams, or from replay's."""
+    env_stream, action_stream = ((_REPLAY_ENV_STREAM, _REPLAY_ACTION_STREAM) if replay
+                                 else (_EVAL_ENV_STREAM, _EVAL_ACTION_STREAM))
+    workers = RolloutWorkers(env_config, ShapingConfig(), seed, ids,
+                             policies[0].sizes.lstm_units)
+    for w, ep in enumerate(workers.ids):
+        workers.reset(w, [seed, ep, env_stream],
+                      [[seed, ep, k, action_stream] for k in range(workers.num_agents)])
+    return workers
 
 
 def evaluate(policies, env_config, episodes, seed, greedy=False):
     """Mean collective extrinsic reward and mean equality over fresh episodes.
 
-    The episodes run as baseline-shaped workers stepped in lockstep. Negative
-    per-agent returns are clamped at zero for the equality metric only;
-    collective reward keeps its sign.
+    The episodes run as the rows of one baseline-shaped batch, stepped in
+    lockstep. Negative per-agent returns are clamped at zero for the equality
+    metric only; collective reward keeps its sign.
     """
     if episodes < 1:
         raise ValueError("evaluate needs at least one episode")
     n = env_config.num_agents
     if len(policies) != n:
         raise ValueError(f"need {n} policies, got {len(policies)}")
-    workers = [RolloutWorker(env_config, ShapingConfig(), seed, ep)
-               for ep in range(episodes)]
-    for ep, worker in enumerate(workers):
-        worker.reset(policies, [seed, ep, _EVAL_ENV_STREAM],
-                     [[seed, ep, k, _EVAL_ACTION_STREAM] for k in range(n)])
-    while not workers[0].env.done:
+    workers = episode_batch(policies, env_config, seed, range(episodes))
+    while not workers.envs[0].done:
         _, stats = lockstep_step(workers, policies, greedy=greedy)
     return (float(np.mean([s.collective_reward for s in stats])),
             float(np.mean([s.equality for s in stats])))

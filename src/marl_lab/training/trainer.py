@@ -12,7 +12,7 @@ from ..agents import AgentNets
 from ..envs.config import ConfigError
 from ..nn import Optimizer, OptimizerConfig
 from .advantages import compute_advantages
-from .rollout import RolloutWorker, collect_rollouts
+from .rollout import RolloutWorkers, collect_rollouts
 from .update import a2c_sync_update, ppo_update
 
 
@@ -79,9 +79,9 @@ class Trainer:
         self.agents = [AgentNets(env_config.view_size, env_config.num_actions,
                                  n, seed=[trainer_config.seed, k], sizes=sizes)
                        for k in range(n)]
-        self.workers = [RolloutWorker(env_config, shaping_config,
-                                      trainer_config.seed, w)
-                        for w in range(trainer_config.workers)]
+        self.workers = RolloutWorkers(env_config, shaping_config, trainer_config.seed,
+                                      range(trainer_config.workers),
+                                      self.agents[0].sizes.lstm_units)
         opt_cfg = trainer_config.optimizer_config()
         self.optimizers = [Optimizer(a, opt_cfg) for a in self.agents]
         self._shuffle_rng = np.random.default_rng(

@@ -13,7 +13,7 @@ schedule: a list of steps, each a list of index sets into the flat buffer.
 from __future__ import annotations
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -169,31 +169,11 @@ def _usable_cpus():
 
 
 def _each_agent(fn, n, threads):
-    """[fn(0), ..., fn(n-1)] on `threads` threads: thread j runs agents j,
-    j + threads, ... in order, and the calling thread is thread 0, so one
-    thread means a plain loop. Independent learners share no array they
-    write, and numpy releases the GIL inside gemms, ufuncs and copies.
+    """[fn(0), ..., fn(n-1)] on a pool of `threads` threads. Independent
+    learners share no array they write, and numpy releases the GIL inside
+    gemms, ufuncs and copies.
 
     Every thread is joined before this returns. If calls raised, the error
-    of the lowest agent is raised, as a sequential loop would raise it; a
-    thread stops at its first error."""
-    results, errors = [None] * n, [None] * n
-
-    def share(j):
-        for k in range(j, n, threads):
-            try:
-                results[k] = fn(k)
-            except BaseException as exc:    # re-raised below, after every join
-                errors[k] = exc
-                return
-
-    helpers = [threading.Thread(target=share, args=(j,)) for j in range(1, threads)]
-    for thread in helpers:
-        thread.start()
-    share(0)
-    for thread in helpers:
-        thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
+    of the lowest agent is raised, as a sequential loop would raise it."""
+    with ThreadPoolExecutor(threads) as pool:
+        return list(pool.map(fn, range(n)))

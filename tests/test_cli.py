@@ -13,6 +13,7 @@ from marl_lab.cli import (
 )
 from marl_lab.cli.main import main
 from marl_lab.cli.replay import replay
+from marl_lab.cli.rundir import find_agent_checkpoints
 from marl_lab.cli.specfile import validate
 from marl_lab.nn import CheckpointError
 
@@ -479,3 +480,16 @@ class TestReplay:
         bad_path.write_text(bad)
         with pytest.raises(CheckpointError):
             replay(ckpt_dir, str(bad_path), episodes=1, seed=1, sink=lambda f: None)
+
+    def test_agents_are_paired_from_one_save(self, tmp_path):
+        # agent 0 saved at step 128 but agent 1 not: the latest whole save is 64
+        names = ("agent0_step0000000128.ckpt", "agent0_step0000000064.ckpt",
+                 "agent1_step0000000064.ckpt")
+        for name in names:
+            (tmp_path / name).write_bytes(b"")
+        assert find_agent_checkpoints(str(tmp_path)) == [
+            str(tmp_path / names[1]), str(tmp_path / names[2])]
+        os.remove(tmp_path / names[2])
+        (tmp_path / "agent1_step0000000032.ckpt").write_bytes(b"")
+        with pytest.raises(CheckpointError, match="no save"):
+            find_agent_checkpoints(str(tmp_path))

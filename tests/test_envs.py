@@ -1,6 +1,7 @@
 """Gridworld semantics: reward values, beam geometry, movement, observation
 encoding, regrowth dynamics, determinism and conservation properties."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ from marl_lab.envs import (
     TURN_CW, WASTE, cleanup_spawn_rate, harvest_regrowth_prob, parse_render,
     render_ascii,
 )
+from marl_lab.envs import env as env_module, maps
 from marl_lab.envs.env import EAST, NORTH, NUM_CHANNELS, SOUTH, WEST
 from marl_lab.envs.maps import BUILTIN_MAPS, load_map
 
@@ -79,6 +81,23 @@ class TestReset:
         np.testing.assert_array_equal(s1.positions, s2.positions)
         np.testing.assert_array_equal(s1.orientations, s2.orientations)
         assert s1.t == s2.t == 0
+
+    def test_env_reads_the_map_its_config_parsed(self, monkeypatch):
+        # the config parses the map once; building envs from it parses nothing
+        config = EnvConfig(map="harvest_mini", kind="harvest", num_agents=2)
+        calls = []
+
+        def counting_load_map(*args):
+            calls.append(args)
+            return load_map(*args)
+
+        monkeypatch.setattr(maps, "load_map", counting_load_map)
+        monkeypatch.setattr(env_module, "load_map", counting_load_map, raising=False)
+        env = SSDEnv(config)
+        assert calls == []
+        assert env.num_actions == config.num_actions == 8
+        # not a field, so neither a spec key nor a snapshot line
+        assert "parsed_map" not in {f.name for f in dataclasses.fields(EnvConfig)}
 
     def test_too_many_agents_rejected(self):
         with pytest.raises(ConfigError):

@@ -77,8 +77,8 @@ class TestSmoothing:
 
 def ia(w, alpha, beta):
     """Plain inequity aversion: every impact row all ones."""
-    n = len(w)
-    return inequity_intrinsics(w, np.ones((n, n - 1)), alpha, beta)
+    w = np.asarray(w)
+    return inequity_intrinsics(w, np.ones(w.shape + (w.shape[-1] - 1,)), alpha, beta)
 
 
 def with_row(w, k, d_row):
@@ -140,18 +140,21 @@ class TestEmurelIntrinsic:
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_matches_brute_force(self, seed):
+        # a leading axis of W rows, one per rollout worker, each row on its own
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 7))
-        w = rng.normal(scale=3.0, size=n)
-        d = rng.uniform(size=(n, n - 1))
+        n, W = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+        w = rng.normal(scale=3.0, size=(W, n))
+        d = rng.uniform(size=(W, n, n - 1))
         alpha, beta = rng.uniform(0, 6), rng.uniform(0, 1)
         got = inequity_intrinsics(w, d, alpha, beta)
         got_ia = ia(w, alpha, beta)
-        assert got.shape == got_ia.shape == (n,)
-        for k in range(n):
-            assert got[k] == pytest.approx(brute_force_emurel(w, d[k], k, alpha, beta),
-                                           abs=1e-12)
-            assert got_ia[k] == pytest.approx(brute_force_ia(w, k, alpha, beta), abs=1e-12)
+        assert got.shape == got_ia.shape == (W, n)
+        for row in range(W):
+            for k in range(n):
+                assert got[row, k] == pytest.approx(
+                    brute_force_emurel(w[row], d[row, k], k, alpha, beta), abs=1e-12)
+                assert got_ia[row, k] == pytest.approx(
+                    brute_force_ia(w[row], k, alpha, beta), abs=1e-12)
 
     @given(hnp.arrays(np.float64, 4, elements=st.floats(-50, 50)),
            hnp.arrays(np.float64, (4, 3), elements=st.floats(0, 1)))
@@ -239,3 +242,26 @@ class TestRewardShaper:
         shaper.step([5.0, 1.0])
         shaper.reset()
         np.testing.assert_array_equal(shaper.w, [0.0, 0.0])
+
+    @given(st.integers(2, 5), st.integers(1, 4), st.sampled_from(["baseline", "ia", "emurel"]),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_batch_rows_equal_lone_shapers(self, n, W, mode, seed):
+        # one (W, N) shaper gives each row the bytes of a lone (N,) shaper
+        rng = np.random.default_rng(seed)
+        cfg = ShapingConfig(mode=mode, alpha=rng.uniform(0, 6), beta=rng.uniform(0, 1))
+        batch = RewardShaper(cfg, (W, n))
+        lone = [RewardShaper(cfg, n) for _ in range(W)]
+        steps, reset_row = 6, int(rng.integers(W))
+        for t in range(steps):
+            if t == steps // 2:
+                batch.reset(reset_row)
+                lone[reset_row].reset()
+            e = rng.normal(scale=2.0, size=(W, n))
+            d = rng.uniform(size=(W, n, n - 1))
+            got = batch.step(e, d)
+            for row, shaper in enumerate(lone):
+                want = shaper.step(e[row], d[row])
+                for g, x in zip(got, want):
+                    assert g[row].tobytes() == x.tobytes(), (t, row)
+            assert batch.w[reset_row].tobytes() == lone[reset_row].w.tobytes()

@@ -14,7 +14,7 @@ from marl_lab.nn import Tensor, gradients
 from marl_lab.nn import tensor as T
 from marl_lab.shaping import ShapingConfig
 from marl_lab.training import (
-    RolloutBuffer, Trainer, TrainerConfig, RolloutWorker, collect_rollouts,
+    RolloutBuffer, RolloutWorkers, Trainer, TrainerConfig, collect_rollouts,
     composite_loss, compute_advantages, evaluate, minibatch_views, ppo_update,
 )
 from marl_lab.training.update import _each_agent
@@ -93,12 +93,11 @@ class TestCollectRollouts:
         tr = mini_trainer("baseline")
         _, buffer = tr.one_update()
         # worker 0, fresh env with the worker's episode seeds
-        worker = tr.workers[0]
         t = 0
         episode = 0
         while t < buffer.steps:
             env = SSDEnv(tr.env_config)
-            env.reset(seed=worker.episode_env_seed(episode))
+            env.reset(seed=tr.workers.episode_env_seed(0, episode))
             while t < buffer.steps and not env.done:
                 _, out = env.step(buffer.actions[0, t])
                 np.testing.assert_array_equal(out.extrinsic, buffer.extrinsic[0, t])
@@ -140,7 +139,7 @@ class TestCollectRollouts:
 
     def test_episodes_start_from_zero_lstm_state(self):
         env, shaping, agents = three_agent_cleanup("emurel")
-        workers = [RolloutWorker(env, shaping, 9, w) for w in range(3)]
+        workers = RolloutWorkers(env, shaping, 9, range(3), SMALL.lstm_units)
         first = collect_steps(workers, agents, 14)
         second = collect_steps(workers, agents, 14)   # resumes open episodes
         states = ("v_h", "v_c", "u_h", "u_c")
@@ -170,11 +169,11 @@ class TestLockstepBatching:
         # Collections end mid-episode, so the bootstrap values are exercised.
         env, shaping, agents = three_agent_cleanup(mode)
         steps, W = 14, 3
-        together = [RolloutWorker(env, shaping, 9, w) for w in range(W)]
-        alone = [RolloutWorker(env, shaping, 9, w) for w in range(W)]
+        together = RolloutWorkers(env, shaping, 9, range(W), SMALL.lstm_units)
+        alone = [RolloutWorkers(env, shaping, 9, [w], SMALL.lstm_units) for w in range(W)]
         for _ in range(2):      # the second collection resumes open episodes
             batched = collect_steps(together, agents, steps)
-            singles = [collect_steps([worker], agents, steps) for worker in alone]
+            singles = [collect_steps(worker, agents, steps) for worker in alone]
             assert not batched.dones[:, -1].all()
             for name in MOA_ONLY:
                 assert hasattr(batched, name) == (mode == "emurel"), name

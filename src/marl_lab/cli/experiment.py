@@ -12,7 +12,7 @@ from ..envs import ConfigError, EnvConfig
 from ..shaping import ShapingConfig
 from ..training import Trainer, TrainerConfig
 from .rundir import RunDirectory
-from .specfile import SchemaField, SpecError, parse_spec_file, validate, write_spec_text
+from .specfile import SpecError, parse_spec_file, write_spec_text
 
 
 @dataclass
@@ -41,9 +41,10 @@ class CheckpointConfig:
 class ExperimentSpec:
     """Everything a spec file can say, in snapshot order. Scalar fields are
     the top-level keys, required when they have no default; dataclass fields
-    are the sections, and their `required` metadata names required keys."""
+    are the sections, and their `required` metadata names required keys.
+    Each field's type hint is the type its key takes in a file."""
     name: str
-    seeds: list
+    seeds: list[int]
     output_dir: str = "runs"
     summary_window_steps: int = 2000
     audit_shaping: bool = False
@@ -62,55 +63,104 @@ class ExperimentSpec:
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must not repeat: each seed is one run directory",
                               "seeds")
+        if self.summary_window_steps < 1:
+            raise ConfigError("summary_window_steps must be at least 1",
+                              "summary_window_steps")
+        if self.method.mode != "baseline" and self.env.num_agents < 2:
+            # inequity aversion averages over each agent's N-1 fellows
+            raise ConfigError(f"mode {self.method.mode!r} needs at least two agents, "
+                              f"got [env] num_agents = {self.env.num_agents}",
+                              "method.mode", "env.num_agents")
 
     def snapshot(self, seed):
         """Text of this spec, fully resolved and narrowed to one seed."""
         doc = {section: {key: getattr(getattr(self, section) if section else self, key)
-                         for key in keys}
-               for section, keys in SPEC_SCHEMA.items()}
+                         for key in hints}
+               for section, hints in _KEYS.items()}
         doc[None]["seeds"] = [seed]
         return write_spec_text(doc)
 
 
-_TYPE_TAGS = {int: ("int",), float: ("float",), str: ("str",), bool: ("bool",),
-              float | None: ("float", "none"), list: ("int_list",)}
-
 _SET_BY_RUN = ("seed", "map_rows")      # filled in by the run, never by the file
 
+_FIELDS = dataclasses.fields(ExperimentSpec)
 _SECTIONS = {name: cls for name, cls in typing.get_type_hints(ExperimentSpec).items()
              if dataclasses.is_dataclass(cls)}
 
 
-def _schema(cls, required):
-    """The keys a file may set in one section, with their type tags."""
+def _settable(cls):
+    """{key: type hint} of the keys a file may set in one section."""
     hints = typing.get_type_hints(cls)
-    return {f.name: SchemaField(_TYPE_TAGS[hints[f.name]], required=f.name in required)
-            for f in dataclasses.fields(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)
             if f.name not in _SET_BY_RUN and f.name not in _SECTIONS}
 
 
-SPEC_SCHEMA = {None: _schema(ExperimentSpec, required=[
-    f.name for f in dataclasses.fields(ExperimentSpec)
-    if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING])}
-SPEC_SCHEMA.update((f.name, _schema(_SECTIONS[f.name], f.metadata.get("required", ())))
-                   for f in dataclasses.fields(ExperimentSpec) if f.name in _SECTIONS)
+# Built once, at import: evaluating type hints costs more than a whole resolve.
+_KEYS = {None: _settable(ExperimentSpec)}
+_KEYS.update((name, _settable(cls)) for name, cls in _SECTIONS.items())
+_REQUIRED = {None: [f.name for f in _FIELDS
+                    if f.name in _KEYS[None] and f.default is dataclasses.MISSING]}
+_REQUIRED.update((f.name, f.metadata.get("required", ())) for f in _FIELDS
+                 if f.name in _SECTIONS)
+
+
+def _fits(value, hint):
+    """Whether a parsed value has a field's type: a list[int] holds ints, an
+    int fits a float, None fits only an optional, and a bool is no number."""
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(x, *typing.get_args(hint))
+                                               for x in value)
+    kinds = typing.get_args(hint) or (hint,)        # float | None: (float, NoneType)
+    if isinstance(value, bool):
+        return bool in kinds
+    return isinstance(value, kinds) or (float in kinds and isinstance(value, int))
+
+
+def _check(doc, path):
+    """Reject unknown sections and keys and values of the wrong type, each at
+    its own line, then missing required keys, before any config is built."""
+    for section, body in doc.items():
+        if section not in _KEYS:
+            first_line = min((ln for _, ln in body.values()), default=1)
+            raise SpecError(path, first_line, f"unknown section [{section}]")
+        hints = _KEYS[section]
+        for key, (value, lineno) in body.items():
+            if key not in hints:
+                raise SpecError(path, lineno,
+                                f"unknown key {key!r} in section [{section or 'top'}]")
+            hint = hints[key]
+            if not _fits(value, hint):
+                raise SpecError(path, lineno, f"key {key!r} expects "
+                                f"{hint.__name__ if isinstance(hint, type) else hint}, "
+                                f"got {value!r}")
+    for section, required in _REQUIRED.items():
+        for key in required:
+            if key not in doc.get(section, {}):
+                raise SpecError(path, 1, f"missing required key {key!r} in section "
+                                         f"[{section or 'top'}]")
 
 
 def _build(cls, section, doc, path, **extra):
     """Instantiate a config dataclass from a spec section. Its ConfigError
-    becomes a SpecError at the line of the first blamed key in the file."""
+    becomes a SpecError at the line of the first blamed key in the file; a
+    blamed "other.key" is looked up in section [other]."""
     body = doc.get(section, {})
     try:
         return cls(**{key: value for key, (value, _) in body.items()}, **extra)
     except ConfigError as exc:
-        line = next((body[key][1] for key in exc.keys if key in body), 1)
-        where = f"[{section}] " if section else ""
-        raise SpecError(path, line, f"{where}{exc}") from exc
+        line, where = 1, section
+        for blamed in exc.keys:
+            other, _, key = blamed.rpartition(".")
+            if key in doc.get(other or section, {}):
+                line, where = doc[other or section][key][1], other or section
+                break
+        prefix = f"[{where}] " if where else ""
+        raise SpecError(path, line, f"{prefix}{exc}") from exc
 
 
 def resolve_spec(path):
     doc = parse_spec_file(path)
-    validate(doc, SPEC_SCHEMA, path=str(path))
+    _check(doc, str(path))
     sections = {name: _build(cls, name, doc, path) for name, cls in _SECTIONS.items()}
     return _build(ExperimentSpec, None, doc, path, **sections)
 

@@ -1,5 +1,6 @@
-"""Experiment spec files: a small nested key-value format with a validating
-parser that reports exact line/column positions.
+"""Experiment spec files: a small nested key-value format whose parser
+reports the exact line of every syntax error. Which keys a file may set,
+and their types, is `experiment`'s business.
 
 Syntax:
     # comment                           (full-line or trailing)
@@ -132,52 +133,3 @@ def write_spec_text(sections):
         for key in body:
             lines.append(f"{key} = {format_value(body[key])}")
     return "\n".join(lines) + "\n"
-
-
-class SchemaField:
-    def __init__(self, types, required=False):
-        self.types = types
-        self.required = required
-
-
-def validate(doc, schema, path="<spec>"):
-    """Check sections/keys/types against the schema. Unknown keys and
-    sections are rejected."""
-    for section, body in doc.items():
-        if section not in schema:
-            first_line = min((ln for _, ln in body.values()), default=1)
-            raise SpecError(path, first_line, f"unknown section [{section}]")
-        fields = schema[section]
-        for key, (value, lineno) in body.items():
-            if key not in fields:
-                raise SpecError(path, lineno,
-                                f"unknown key {key!r} in section [{section or 'top'}]")
-            field = fields[key]
-            if not _type_ok(value, field.types):
-                raise SpecError(path, lineno,
-                                f"key {key!r} expects {field.types}, got {value!r}")
-    for section, fields in schema.items():
-        body = doc.get(section, {})
-        for key, field in fields.items():
-            if field.required and key not in body:
-                raise SpecError(path, 1,
-                                f"missing required key {key!r} in section "
-                                f"[{section or 'top'}]")
-
-
-def _type_ok(value, types):
-    for t in types:
-        if t == "int" and isinstance(value, int) and not isinstance(value, bool):
-            return True
-        if t == "float" and isinstance(value, (int, float)) and not isinstance(value, bool):
-            return True
-        if t == "str" and isinstance(value, str):
-            return True
-        if t == "bool" and isinstance(value, bool):
-            return True
-        if t == "none" and value is None:
-            return True
-        if t == "int_list" and isinstance(value, list) and all(
-                isinstance(x, int) and not isinstance(x, bool) for x in value):
-            return True
-    return False

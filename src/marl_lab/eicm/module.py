@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..agents.nets import stable_softmax
 from ..nn import tensor as T
 from ..shaping import fellows
 
@@ -79,13 +78,6 @@ def impact_row(nets, phi_prev, u_prev, joint_onehot, k):
     diffs = preds[..., 1:, :] - preds[..., :1, :]
     raw = 0.5 * np.einsum("...ij,...ij->...i", diffs, diffs)
     return normalize_impacts(raw), raw
-
-
-def inverse_predict(nets, phi_prev, phi_curr, u_prev):
-    """Predicted joint action: (N, |A|) softmax rows."""
-    rows = [np.asarray(v, dtype=np.float64)[None] for v in (phi_prev, phi_curr, u_prev)]
-    logits = nets.run_inverse_model(*rows)[0]
-    return stable_softmax(logits.reshape(nets.num_agents, nets.num_actions))
 
 
 # -- tape losses (shared with the composite training objective) -------------

@@ -1,7 +1,7 @@
 from .tensor import Tensor, ShapeError
 from .layers import Conv2d, Dense, LSTMCell
 from .graph import ComputationGraph, gradients
-from .optim import Optimizer, OptimizerConfig, clip_by_global_norm, global_norm
+from .optim import Optimizer, clip_by_global_norm, global_norm
 from .gradcheck import finite_difference_check, relative_error
 from .checkpoint import save_checkpoint, load_checkpoint, read_manifest, CheckpointError
 
@@ -9,7 +9,7 @@ __all__ = [
     "Tensor", "ShapeError",
     "Conv2d", "Dense", "LSTMCell",
     "ComputationGraph", "gradients",
-    "Optimizer", "OptimizerConfig", "clip_by_global_norm", "global_norm",
+    "Optimizer", "clip_by_global_norm", "global_norm",
     "finite_difference_check", "relative_error",
     "save_checkpoint", "load_checkpoint", "read_manifest", "CheckpointError",
 ]

@@ -2,31 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..envs.config import ConfigError
+OPTIMIZERS = ("sgd", "adam")
 
-
-@dataclass
-class OptimizerConfig:
-    kind: str = "adam"              # sgd | adam
-    learning_rate: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    grad_clip_norm: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("sgd", "adam"):
-            raise ConfigError(f"unknown optimizer kind {self.kind!r}", "kind")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive", "learning_rate")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError("adam betas must lie in [0, 1)", "beta1", "beta2")
-        if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
-            raise ConfigError("grad_clip_norm must be positive when set", "grad_clip_norm")
+# Adam's moment decays and denominator guard (Kingma & Ba 2015 defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 def global_norm(grads):
@@ -50,9 +33,13 @@ class Optimizer:
     the training contract.
     """
 
-    def __init__(self, graph, config: OptimizerConfig):
+    def __init__(self, graph, kind, learning_rate, grad_clip_norm=None):
+        if kind not in OPTIMIZERS:
+            raise ValueError(f"unknown optimizer kind {kind!r}")
         self.graph = graph
-        self.config = config
+        self.kind = kind
+        self.learning_rate = learning_rate
+        self.grad_clip_norm = grad_clip_norm
         self.step_count = 0
         self._m = {}
         self._v = {}
@@ -67,31 +54,30 @@ class Optimizer:
             if g.shape != params[name].data.shape:
                 raise ValueError(f"gradient/parameter shape mismatch for {name}: "
                                  f"{g.shape} != {params[name].data.shape}")
-        cfg = self.config
-        if cfg.grad_clip_norm is not None:
-            grads, norm = clip_by_global_norm(grads, cfg.grad_clip_norm)
+        if self.grad_clip_norm is not None:
+            grads, norm = clip_by_global_norm(grads, self.grad_clip_norm)
         else:
             norm = global_norm(grads)
         self.step_count += 1
-        if cfg.kind == "sgd":
+        if self.kind == "sgd":
             for name, g in grads.items():
-                params[name].data -= cfg.learning_rate * g
+                params[name].data -= self.learning_rate * g
         else:
             t = self.step_count
-            bc1 = 1.0 - cfg.beta1 ** t
-            bc2 = 1.0 - cfg.beta2 ** t
+            bc1 = 1.0 - ADAM_BETA1 ** t
+            bc2 = 1.0 - ADAM_BETA2 ** t
             for name, g in grads.items():
                 m = self._m.get(name)
                 v = self._v.get(name)
                 if m is None:
                     m = np.zeros_like(g)
                     v = np.zeros_like(g)
-                m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-                v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
+                m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+                v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
                 self._m[name] = m
                 self._v[name] = v
                 mhat = m / bc1
                 vhat = v / bc2
-                params[name].data -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.epsilon)
+                params[name].data -= self.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPSILON)
         return norm
 

@@ -347,10 +347,6 @@ def log_softmax(t, axis=-1):
     return sub(shifted, lse)
 
 
-def softmax(t, axis=-1):
-    return exp(log_softmax(t, axis=axis))
-
-
 def conv2d(x, kernel, bias):
     """Valid 3x3 cross-correlation, stride 1, NHWC layout.
 

@@ -177,12 +177,11 @@ def lockstep_step(workers, agents, greedy=False):
 
 def collect_rollouts(workers, agents, batch_steps):
     """Step every worker batch_steps/len(workers) times in lockstep into one
-    buffer; worker w fills slice [w]. Each step records `lockstep_step`'s
-    arrays plus `episode_starts` and, in emurel mode, whose auxiliary losses
-    read it, `next_obs`."""
+    buffer (`TrainerConfig` requires the division to be exact); worker w
+    fills slice [w]. Each step records `lockstep_step`'s arrays plus
+    `episode_starts` and, in emurel mode, whose auxiliary losses read it,
+    `next_obs`."""
     W = len(workers)
-    if batch_steps % W != 0:
-        raise ValueError(f"batch_steps {batch_steps} not divisible by {W} workers")
     steps = batch_steps // W
     N = workers.num_agents
     emurel = workers.shaping_config.mode == "emurel"

@@ -10,7 +10,7 @@ import numpy as np
 
 from ..agents import AgentNets
 from ..envs.config import ConfigError
-from ..nn import Optimizer, OptimizerConfig
+from ..nn.optim import OPTIMIZERS, Optimizer
 from .advantages import compute_advantages
 from .rollout import RolloutWorkers, collect_rollouts
 from .update import a2c_sync_update, ppo_update
@@ -57,17 +57,12 @@ class TrainerConfig:
         for key in ("gae_lambda", "discount"):
             if not 0.0 <= getattr(self, key) <= 1.0:
                 raise ConfigError(f"{key} must lie in [0, 1]", key)
-        self.optimizer_config()
-
-    def optimizer_config(self):
-        """The optimizer settings as the `OptimizerConfig` each agent's
-        optimizer runs with; its errors name this config's keys."""
-        try:
-            return OptimizerConfig(kind=self.optimizer, learning_rate=self.learning_rate,
-                                   grad_clip_norm=self.grad_clip_norm)
-        except ConfigError as exc:
-            keys = ("optimizer" if key == "kind" else key for key in exc.keys)
-            raise ConfigError(str(exc), *keys) from None
+        if self.optimizer not in OPTIMIZERS:
+            raise ConfigError(f"unknown optimizer kind {self.optimizer!r}", "optimizer")
+        if self.learning_rate <= 0:
+            raise ConfigError("learning_rate must be positive", "learning_rate")
+        if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
+            raise ConfigError("grad_clip_norm must be positive when set", "grad_clip_norm")
 
 
 class Trainer:
@@ -82,8 +77,8 @@ class Trainer:
         self.workers = RolloutWorkers(env_config, shaping_config, trainer_config.seed,
                                       range(trainer_config.workers),
                                       self.agents[0].sizes.lstm_units)
-        opt_cfg = trainer_config.optimizer_config()
-        self.optimizers = [Optimizer(a, opt_cfg) for a in self.agents]
+        self.optimizers = [Optimizer(a, trainer_config.optimizer, trainer_config.learning_rate,
+                                     trainer_config.grad_clip_norm) for a in self.agents]
         self._shuffle_rng = np.random.default_rng(
             np.random.SeedSequence([trainer_config.seed, 7919]))
         self.update_idx = 0
@@ -108,7 +103,7 @@ class Trainer:
         collective = (float(np.mean([s.collective_reward for s in stats]))
                       if stats else float("nan"))
         equality = float(np.mean([s.equality for s in stats])) if stats else float("nan")
-        impacts = buffer.impact_rows if mode == "emurel" else None
+        impacts = buffer.impact_rows    # all zeros outside emurel mode
         row = {
             "update": self.update_idx,
             "env_steps": self.env_steps,
@@ -122,9 +117,9 @@ class Trainer:
             "forward_loss": terms["forward_loss"],
             "inverse_loss": terms["inverse_loss"],
             "intrinsic_mean": float(buffer.intrinsic.mean()),
-            "impact_mean": float(impacts.mean()) if impacts is not None else 0.0,
-            "impact_min": float(impacts.min()) if impacts is not None else 0.0,
-            "impact_max": float(impacts.max()) if impacts is not None else 0.0,
+            "impact_mean": float(impacts.mean()),
+            "impact_min": float(impacts.min()),
+            "impact_max": float(impacts.max()),
             "grad_norm": terms["grad_norm"],
         }
         return row, buffer

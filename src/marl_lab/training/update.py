@@ -38,10 +38,11 @@ def minibatch_views(buffer, idx):
     return {name: buffer.flat(held[name])[idx] for name in VIEW_FIELDS if name in held}
 
 
-def composite_loss(nets, k, view, adv, targets, cfg, mode, ppo=True):
-    """Build the tape loss for agent k on one minibatch view.
+def composite_loss(nets, k, view, adv, targets, cfg, mode):
+    """Build the tape loss for agent k on one minibatch view, with the policy
+    term of `cfg.algo`.
 
-    adv/targets: (B,) normalized advantages and value targets for agent k.
+    adv/targets: (B,) advantages and value targets for agent k.
     Returns (loss Tensor, {term: float}).
     """
     feat = nets.encode(Tensor(view["obs"][:, k]))
@@ -50,7 +51,7 @@ def composite_loss(nets, k, view, adv, targets, cfg, mode, ppo=True):
     logp_a = T.gather_last(logp, view["actions"][:, k])
     adv_t = T.constant(adv)
 
-    if ppo:
+    if cfg.algo == "ppo":
         ratio = T.exp(T.sub(logp_a, T.constant(view["behavior_logp"][:, k])))
         clipped = T.clip(ratio, 1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio)
         surrogate = T.minimum(T.mul(ratio, adv_t), T.mul(clipped, adv_t))
@@ -108,7 +109,7 @@ def ppo_update(agents, buffer, advantages, value_targets, cfg, mode, optimizers,
         schedule += [[perm[lo:lo + cfg.minibatch_steps]]
                      for lo in range(0, B, cfg.minibatch_steps)]
     return _run_schedule(agents, buffer, advantages, value_targets, cfg, mode,
-                         optimizers, schedule, ppo=True)
+                         optimizers, schedule)
 
 
 def a2c_sync_update(agents, buffer, advantages, value_targets, cfg, mode, optimizers):
@@ -117,11 +118,11 @@ def a2c_sync_update(agents, buffer, advantages, value_targets, cfg, mode, optimi
     S = buffer.steps
     schedule = [[slice(w * S, (w + 1) * S) for w in range(buffer.workers)]]
     return _run_schedule(agents, buffer, advantages, value_targets, cfg, mode,
-                         optimizers, schedule, ppo=False)
+                         optimizers, schedule)
 
 
 def _run_schedule(agents, buffer, advantages, value_targets, cfg, mode, optimizers,
-                  schedule, ppo):
+                  schedule):
     """Per step and agent: the mean gradient over the step's index sets, then
     one optimizer step; PPO normalizes each set's advantages. The agents of
     a step learn side by side (see `_each_agent`); each tape is freed by its
@@ -135,9 +136,10 @@ def _run_schedule(agents, buffer, advantages, value_targets, cfg, mode, optimize
     def learn(k, index_sets, views):
         nets, mean, terms = agents[k], {}, []
         for idx, view in zip(index_sets, views):
-            adv = normalize_advantages(adv_flat[idx, k]) if ppo else adv_flat[idx, k]
+            adv = adv_flat[idx, k]
+            adv = normalize_advantages(adv) if cfg.algo == "ppo" else adv
             loss, set_terms = composite_loss(nets, k, view, adv, tgt_flat[idx, k],
-                                             cfg, mode, ppo=ppo)
+                                             cfg, mode)
             for name, g in gradients(nets.parameters(), loss).items():
                 g = g / len(index_sets)
                 mean[name] = mean[name] + g if name in mean else g

@@ -268,8 +268,7 @@ def test_gradient_suite():
             nets, view, adv, tgt, cfg = inst
 
             def loss_d():
-                loss, _ = composite_loss(nets, 0, view, adv, tgt, cfg, "emurel",
-                                         ppo=True)
+                loss, _ = composite_loss(nets, 0, view, adv, tgt, cfg, "emurel")
                 return loss
 
             err = finite_difference_check(loss_d, nets.parameters(), epsilon=1e-4)

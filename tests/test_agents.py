@@ -7,7 +7,7 @@ import pytest
 from marl_lab.agents import AgentNets, NetSizes, joint_one_hot
 from marl_lab.agents.nets import sample_from_probs, stable_softmax
 from marl_lab.eicm import moa_loss_tape
-from marl_lab.nn import Optimizer, OptimizerConfig, Tensor, gradients
+from marl_lab.nn import Optimizer, Tensor, gradients
 
 SMALL = NetSizes(conv_filters=2, fc_units=8, lstm_units=8, eicm_hidden=8)
 
@@ -149,7 +149,7 @@ class TestMoaPredict:
         u0 = np.zeros((8, SMALL.lstm_units))
 
         graphs = [nets.encoder, nets.moa]
-        opts = [Optimizer(g, OptimizerConfig(kind="adam", learning_rate=0.03))
+        opts = [Optimizer(g, "adam", learning_rate=0.03)
                 for g in graphs]
         for _ in range(150):
             feat = nets.encode(Tensor(observations))

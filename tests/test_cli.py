@@ -1,20 +1,21 @@
 """CLI harness: spec parsing diagnostics, run artifacts, aggregation table,
 checkpoint replay, and exit codes."""
 
+import dataclasses
 import json
 import os
+import typing
 
 import numpy as np
 import pytest
 
 from marl_lab.cli import (
-    SpecError, SummarizeError, parse_spec_text, resolve_spec, run_experiment,
-    summarize, write_spec_text,
+    ExperimentSpec, SpecError, SummarizeError, parse_spec_text, resolve_spec,
+    run_experiment, summarize, write_spec_text,
 )
 from marl_lab.cli.main import main
 from marl_lab.cli.replay import replay
 from marl_lab.cli.rundir import find_agent_checkpoints
-from marl_lab.cli.specfile import validate
 from marl_lab.nn import CheckpointError
 
 from helpers import TINY_SPEC
@@ -24,6 +25,42 @@ def write_tiny_spec(tmp_path, mode="baseline", name="tiny.spec"):
     path = tmp_path / name
     path.write_text(TINY_SPEC.format(out=str(tmp_path / "runs"), mode=mode))
     return str(path)
+
+
+def settable_keys():
+    """(section, key, type hint) of every key a spec file may set, read from
+    the config dataclasses; each section's `seed` and the env's `map_rows`
+    are filled in by the run."""
+    out = []
+    for name, hint in typing.get_type_hints(ExperimentSpec).items():
+        if dataclasses.is_dataclass(hint):
+            out += [(name, key, h) for key, h in typing.get_type_hints(hint).items()
+                    if key not in ("seed", "map_rows")]
+        else:
+            out.append((None, name, hint))
+    return out
+
+
+SETTABLE = settable_keys()
+SETTABLE_IDS = [f"{section or 'top'}.{key}" for section, key, _ in SETTABLE]
+
+# A value of another type for each type hint a key may carry.
+WRONG_TYPE = {int: 2.5, float: True, str: 3, bool: 1, float | None: "x", list[int]: [1, True]}
+
+
+def spec_with(tmp_path, section, key, value):
+    """TINY_SPEC with one key set, added when absent; returns (path, line of
+    that key)."""
+    doc = parse_spec_text(TINY_SPEC.format(out=str(tmp_path / "runs"), mode="baseline"))
+    sections = {sec: {k: v for k, (v, _) in body.items()} for sec, body in doc.items()}
+    sections[section][key] = value
+    text = write_spec_text(sections)
+    path = tmp_path / "typed.spec"
+    path.write_text(text)
+    lines = text.splitlines()
+    start = lines.index(f"[{section}]") if section else 0
+    line = next(i for i in range(start, len(lines)) if lines[i].startswith(f"{key} = "))
+    return str(path), line + 1
 
 
 class TestSpecfile:
@@ -43,13 +80,13 @@ class TestSpecfile:
             parse_spec_text("name = \"x\"\nbogus line\n", path="f.spec")
         assert "f.spec:2" in str(exc.value)
 
-    def test_unknown_key_rejected_with_position(self):
-        doc = parse_spec_text("name = \"x\"\nseeds = [1]\n\n[env]\nkind = \"cleanup\"\n"
-                              "warp_speed = 9\n", path="f.spec")
-        from marl_lab.cli.experiment import SPEC_SCHEMA
+    def test_unknown_key_rejected_with_position(self, tmp_path):
+        path = tmp_path / "f.spec"
+        path.write_text("name = \"x\"\nseeds = [1]\n\n[env]\nkind = \"cleanup\"\n"
+                        "warp_speed = 9\n")
         with pytest.raises(SpecError) as exc:
-            validate(doc, SPEC_SCHEMA, path="f.spec")
-        assert "f.spec:6" in str(exc.value) and "warp_speed" in str(exc.value)
+            resolve_spec(str(path))
+        assert f"{path}:6" in str(exc.value) and "warp_speed" in str(exc.value)
 
     def test_unknown_method_rejected_before_env_construction(self, tmp_path):
         path = tmp_path / "bad.spec"
@@ -110,11 +147,13 @@ class TestSpecfile:
          "harvest_high_rate must lie in [0, 1]"),
         ("seeds = [1]", "seeds = [1, -1]", "seeds must not be negative"),
         ("seeds = [1]", "seeds = [1, 2, 1]", "seeds must not repeat"),
+        ("summary_window_steps = 40", "summary_window_steps = 0",
+         "summary_window_steps must be at least 1"),
     ], ids=["spawns", "map", "eval-episodes", "eval-interval", "checkpoint-interval",
             "workers", "batch-steps", "smoothing-lambda", "lstm-units", "optimizer",
             "grad-clip-norm", "mode", "updates", "depletion-threshold",
             "waste-spawn-prob", "max-spawn-rate", "harvest-low-rate", "harvest-mid-rate",
-            "harvest-high-rate", "seeds-negative", "seeds-duplicate"])
+            "harvest-high-rate", "seeds-negative", "seeds-duplicate", "summary-window"])
     def test_setting_error_points_at_its_key(self, tmp_path, capsys, old, new, message):
         text = TINY_SPEC.format(out=str(tmp_path / "runs"), mode="baseline")
         assert old in text
@@ -131,6 +170,48 @@ class TestSpecfile:
         assert main(["run", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}:{line}: ")
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("mode", ["ia", "emurel"])
+    def test_fellow_modes_need_two_agents(self, tmp_path, capsys, mode):
+        text = (TINY_SPEC.format(out=str(tmp_path / "runs"), mode=mode)
+                .replace("num_agents = 2", "num_agents = 1"))
+        path = tmp_path / "lone.spec"
+        path.write_text(text)
+        line = text.splitlines().index(f'mode = "{mode}"') + 1
+        with pytest.raises(SpecError) as exc:
+            resolve_spec(str(path))
+        assert str(exc.value).startswith(
+            f"{path}:{line}: [method] mode {mode!r} needs at least two agents")
+        # a usage error, caught before any run directory exists
+        capsys.readouterr()
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:{line}: ")
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("section,key,hint", SETTABLE, ids=SETTABLE_IDS)
+    def test_value_of_wrong_type_points_at_its_key(self, tmp_path, section, key, hint):
+        path, line = spec_with(tmp_path, section, key, WRONG_TYPE[hint])
+        with pytest.raises(SpecError) as exc:
+            resolve_spec(path)
+        assert str(exc.value).startswith(f"{path}:{line}: key {key!r} expects ")
+
+    @pytest.mark.parametrize("section,key,hint", SETTABLE, ids=SETTABLE_IDS)
+    def test_none_is_accepted_only_for_grad_clip_norm(self, tmp_path, section, key, hint):
+        path, line = spec_with(tmp_path, section, key, None)
+        if key == "grad_clip_norm":
+            assert resolve_spec(path).trainer.grad_clip_norm is None
+            return
+        with pytest.raises(SpecError) as exc:
+            resolve_spec(path)
+        assert str(exc.value).startswith(f"{path}:{line}: key {key!r} expects ")
+
+    @pytest.mark.parametrize("section,key", [
+        (section, key) for section, key, hint in SETTABLE if float in typing.get_args(hint)
+        or hint is float])
+    def test_int_is_accepted_for_a_float_key(self, tmp_path, section, key):
+        path, _ = spec_with(tmp_path, section, key, 1)
+        spec = resolve_spec(path)
+        assert getattr(getattr(spec, section) if section else spec, key) == 1
 
     def test_shipped_specs_resolve(self):
         specs_dir = os.path.join(os.path.dirname(__file__), "..", "specs")

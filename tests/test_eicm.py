@@ -10,11 +10,12 @@ from hypothesis.extra import numpy as hnp
 from marl_lab.agents import AgentNets, NetSizes, joint_one_hot
 from marl_lab.eicm import (
     eliminate, forward_loss_tape, forward_predict, impact_row, inverse_loss_tape,
-    inverse_predict, normalize_impacts,
+    normalize_impacts,
 )
 from marl_lab.nn import (
-    Optimizer, OptimizerConfig, Tensor, finite_difference_check, gradients,
+    Optimizer, Tensor, finite_difference_check, gradients,
 )
+from marl_lab.nn import tensor as T
 
 SMALL = NetSizes(conv_filters=2, fc_units=8, lstm_units=8, eicm_hidden=8)
 
@@ -85,8 +86,7 @@ class TestForwardPredict:
                                      Tensor(u), Tensor(joint))
 
         initial = float(loss_fn().data)
-        opt = Optimizer(nets.forward_model, OptimizerConfig(kind="adam",
-                                                            learning_rate=0.02))
+        opt = Optimizer(nets.forward_model, "adam", learning_rate=0.02)
         for _ in range(400):
             opt.step(gradients(nets.forward_model.parameters(), loss_fn()))
         assert float(loss_fn().data) < 1e-3 * initial
@@ -197,12 +197,19 @@ class TestNormalizeImpacts:
             normalize_impacts([-0.1, 0.5])
 
 
+def inverse_probs(nets, phi_prev, phi_curr, u):
+    """The inverse model's predicted joint action of one sample: (N, |A|)
+    probabilities, read through the log-softmax its loss uses."""
+    logits = nets.run_inverse_model(phi_prev[None], phi_curr[None], u[None])[0]
+    return np.exp(T.log_softmax(logits.reshape(nets.num_agents, nets.num_actions)))
+
+
 class TestInverseModel:
     def test_blocks_sum_to_one(self):
         nets = small_nets(n=3)
         rng = np.random.default_rng(1)
-        probs = inverse_predict(nets, rng.normal(size=nets.q),
-                                rng.normal(size=nets.q), rng.normal(size=8))
+        probs = inverse_probs(nets, rng.normal(size=nets.q),
+                              rng.normal(size=nets.q), rng.normal(size=8))
         assert probs.shape == (3, 9)
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -214,13 +221,12 @@ class TestInverseModel:
         u = np.zeros((1, 8))
         actions = np.array([[3, 5]])
 
-        opt = Optimizer(nets.inverse_model, OptimizerConfig(kind="adam",
-                                                            learning_rate=0.05))
+        opt = Optimizer(nets.inverse_model, "adam", learning_rate=0.05)
         for _ in range(300):
             loss = inverse_loss_tape(nets, Tensor(phi_prev), Tensor(phi_curr),
                                      Tensor(u), actions)
             opt.step(gradients(nets.inverse_model.parameters(), loss))
-        probs = inverse_predict(nets, phi_prev[0], phi_curr[0], u[0])
+        probs = inverse_probs(nets, phi_prev[0], phi_curr[0], u[0])
         assert probs[0, 3] > 0.99 and probs[1, 5] > 0.99
 
 

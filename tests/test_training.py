@@ -465,7 +465,7 @@ class TestA2CUpdate:
             idx = np.arange(w * buffer.steps, (w + 1) * buffer.steps)
             view = minibatch_views(buffer, idx)
             loss, _ = composite_loss(nets, 0, view, adv[w, :, 0], tgt[w, :, 0],
-                                     cfg, "baseline", ppo=False)
+                                     cfg, "baseline")
             grads.append(gradients(nets.parameters(), loss))
         for name in grads[0]:
             avg = 0.5 * (grads[0][name] + grads[1][name])
@@ -483,12 +483,12 @@ class TestA2CUpdate:
         per_worker = []
         for w in range(2):
             loss, _ = composite_loss(nets, 0, views[w], adv[w, :, 0], tgt[w, :, 0],
-                                     cfg, "baseline", ppo=False)
+                                     cfg, "baseline")
             per_worker.append(gradients(nets.parameters(), loss))
         l0, _ = composite_loss(nets, 0, views[0], adv[0, :, 0], tgt[0, :, 0],
-                               cfg, "baseline", ppo=False)
+                               cfg, "baseline")
         l1, _ = composite_loss(nets, 0, views[1], adv[1, :, 0], tgt[1, :, 0],
-                               cfg, "baseline", ppo=False)
+                               cfg, "baseline")
         combined = T.add(T.mul(l0, T.constant(0.5)), T.mul(l1, T.constant(0.5)))
         g_comb = gradients(nets.parameters(), combined)
         for name in g_comb:
@@ -500,10 +500,11 @@ class TestA2CUpdate:
         tr = mini_trainer("baseline", algo="a2c_sync")
         _, buffer = tr.one_update()
         view = minibatch_views(buffer, np.arange(10))
-        cfg0 = TrainerConfig(batch_steps=80, minibatch_steps=40, entropy_coef=0.0)
+        cfg0 = TrainerConfig(algo="a2c_sync", batch_steps=80, minibatch_steps=40,
+                             entropy_coef=0.0)
         nets = tr.agents[0]
         loss0, terms0 = composite_loss(nets, 0, view, np.zeros(10), np.zeros(10),
-                                       cfg0, "baseline", ppo=False)
+                                       cfg0, "baseline")
         # with zero advantages and entropy_coef 0 only the value term remains
         assert float(loss0.data) == pytest.approx(
             cfg0.value_coef * terms0["value_loss"], abs=1e-12)

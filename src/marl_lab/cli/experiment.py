@@ -4,6 +4,7 @@ out as `rundir` describes."""
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass, field
 
@@ -117,12 +118,12 @@ def _fits(value, hint):
 
 
 def _check(doc, path):
-    """Reject unknown sections and keys and values of the wrong type, each at
-    its own line, then missing required keys, before any config is built."""
+    """Reject unknown sections at their header line, unknown keys and values
+    of the wrong type or not finite at their own line, then missing required
+    keys at their section's header line, before any config is built."""
     for section, body in doc.items():
         if section not in _KEYS:
-            first_line = min((ln for _, ln in body.values()), default=1)
-            raise SpecError(path, first_line, f"unknown section [{section}]")
+            raise SpecError(path, body.line, f"unknown section [{section}]")
         hints = _KEYS[section]
         for key, (value, lineno) in body.items():
             if key not in hints:
@@ -133,11 +134,14 @@ def _check(doc, path):
                 raise SpecError(path, lineno, f"key {key!r} expects "
                                 f"{hint.__name__ if isinstance(hint, type) else hint}, "
                                 f"got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise SpecError(path, lineno, f"key {key!r} must be finite, got {value!r}")
     for section, required in _REQUIRED.items():
         for key in required:
             if key not in doc.get(section, {}):
-                raise SpecError(path, 1, f"missing required key {key!r} in section "
-                                         f"[{section or 'top'}]")
+                line = doc[section].line if section in doc else 1
+                raise SpecError(path, line, f"missing required key {key!r} in section "
+                                            f"[{section or 'top'}]")
 
 
 def _build(cls, section, doc, path, **extra):

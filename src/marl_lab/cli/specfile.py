@@ -23,6 +23,15 @@ class SpecError(ValueError):
         super().__init__(f"{path}:{line}: {message}")
 
 
+class Section(dict):
+    """One section's {key: (value, line)}, and the line of its [header]
+    (1 for the top level, which has none)."""
+
+    def __init__(self, line):
+        super().__init__()
+        self.line = line
+
+
 def _parse_scalar(tok, path, lineno):
     tok = tok.strip()
     if not tok:
@@ -59,11 +68,11 @@ def _strip_comment(line):
 
 
 def parse_spec_text(text, path="<spec>"):
-    """Parse into {None: {...top-level...}, "section": {...}, ...}; each value
-    is (parsed_value, line_number) for diagnostics downstream."""
-    doc = {None: {}}
+    """Parse into {None: {...top-level...}, "section": {...}, ...} of
+    Sections; each value is (parsed_value, line_number) for diagnostics
+    downstream."""
+    doc = {None: Section(1)}
     section = None
-    seen_sections = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:
@@ -74,10 +83,9 @@ def parse_spec_text(text, path="<spec>"):
             section = line[1:-1].strip()
             if not section:
                 raise SpecError(path, lineno, "empty section name")
-            if section in seen_sections:
+            if section in doc:
                 raise SpecError(path, lineno, f"duplicate section [{section}]")
-            seen_sections.add(section)
-            doc[section] = {}
+            doc[section] = Section(lineno)
             continue
         if "=" not in line:
             raise SpecError(path, lineno, f"expected key = value, got {line!r}")

@@ -2,7 +2,6 @@ from .tensor import Tensor, ShapeError
 from .layers import Conv2d, Dense, LSTMCell
 from .graph import ComputationGraph, gradients
 from .optim import Optimizer, clip_by_global_norm, global_norm
-from .gradcheck import finite_difference_check, relative_error
 from .checkpoint import save_checkpoint, load_checkpoint, read_manifest, CheckpointError
 
 __all__ = [
@@ -10,6 +9,5 @@ __all__ = [
     "Conv2d", "Dense", "LSTMCell",
     "ComputationGraph", "gradients",
     "Optimizer", "clip_by_global_norm", "global_norm",
-    "finite_difference_check", "relative_error",
     "save_checkpoint", "load_checkpoint", "read_manifest", "CheckpointError",
 ]

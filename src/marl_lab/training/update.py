@@ -23,36 +23,37 @@ from ..nn import Tensor, gradients
 from ..nn import tensor as T
 
 
-# The buffer fields a loss reads; baseline and IA buffers hold no MOA state
-# (u_h, u_c) and no next_obs.
-VIEW_FIELDS = ("obs", "next_obs", "actions", "behavior_logp", "v_h", "v_c", "u_h", "u_c",
-               "moa_targets", "moa_valid")
+# The per-agent buffer fields a loss reads, and the joint ones; baseline and IA
+# buffers hold no MOA state (u_h, u_c) and no next_obs.
+AGENT_FIELDS = ("obs", "next_obs", "behavior_logp", "v_h", "v_c", "u_h", "u_c", "moa_targets")
+JOINT_FIELDS = ("actions", "moa_valid")
 
 
-def minibatch_views(buffer, idx):
-    """Flattened sample views for an index array or slice idx, shared across
-    agents, of every VIEW_FIELDS field the buffer holds. A slice makes
-    views, not copies. Observations stay uint8; the Tensor a loss encodes
-    casts its column."""
+def minibatch_views(buffer, idx, k):
+    """Agent k's samples at an index array or slice idx of the flat buffer:
+    its own column of each AGENT_FIELDS field the buffer holds, plus the
+    joint (B, N) actions and the (B,) moa_valid. A slice makes views, not
+    copies. Observations stay uint8; the Tensor a loss encodes casts them."""
     held = vars(buffer)
-    return {name: buffer.flat(held[name])[idx] for name in VIEW_FIELDS if name in held}
+    return {name: buffer.flat(held[name])[(idx, k) if name in AGENT_FIELDS else idx]
+            for name in AGENT_FIELDS + JOINT_FIELDS if name in held}
 
 
 def composite_loss(nets, k, view, adv, targets, cfg, mode):
-    """Build the tape loss for agent k on one minibatch view, with the policy
-    term of `cfg.algo`.
+    """Build the tape loss for agent k on its minibatch view (see
+    `minibatch_views`), with the policy term of `cfg.algo`.
 
     adv/targets: (B,) advantages and value targets for agent k.
     Returns (loss Tensor, {term: float}).
     """
-    feat = nets.encode(Tensor(view["obs"][:, k]))
-    logits, value, _, _ = nets.run_actor_critic(feat, view["v_h"][:, k], view["v_c"][:, k])
+    feat = nets.encode(Tensor(view["obs"]))
+    logits, value, _, _ = nets.run_actor_critic(feat, view["v_h"], view["v_c"])
     logp = T.log_softmax(logits)
     logp_a = T.gather_last(logp, view["actions"][:, k])
     adv_t = T.constant(adv)
 
     if cfg.algo == "ppo":
-        ratio = T.exp(T.sub(logp_a, T.constant(view["behavior_logp"][:, k])))
+        ratio = T.exp(T.sub(logp_a, T.constant(view["behavior_logp"])))
         clipped = T.clip(ratio, 1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio)
         surrogate = T.minimum(T.mul(ratio, adv_t), T.mul(clipped, adv_t))
         policy_loss = T.mul(T.tmean(surrogate), T.constant(-1.0))
@@ -74,11 +75,11 @@ def composite_loss(nets, k, view, adv, targets, cfg, mode):
 
     if mode == "emurel":
         joint = joint_one_hot(view["actions"], nets.num_actions)
-        feat_next = nets.encode(Tensor(view["next_obs"][:, k]))
-        u_h, u_c = view["u_h"][:, k], view["u_c"][:, k]
+        feat_next = nets.encode(Tensor(view["next_obs"]))
+        u_h, u_c = view["u_h"], view["u_c"]
         if cfg.moa_coef != 0.0:
             moa_l = moa_loss_tape(nets, feat, joint, u_h, u_c,
-                                  view["moa_targets"][:, k], view["moa_valid"])
+                                  view["moa_targets"], view["moa_valid"])
             loss = T.add(loss, T.mul(moa_l, T.constant(cfg.moa_coef)))
             terms["moa_loss"] = float(moa_l.data)
         if cfg.forward_coef != 0.0:
@@ -123,36 +124,35 @@ def a2c_sync_update(agents, buffer, advantages, value_targets, cfg, mode, optimi
 
 def _run_schedule(agents, buffer, advantages, value_targets, cfg, mode, optimizers,
                   schedule):
-    """Per step and agent: the mean gradient over the step's index sets, then
-    one optimizer step; PPO normalizes each set's advantages. The agents of
-    a step learn side by side (see `_each_agent`); each tape is freed by its
-    backward. Returns the loss terms averaged over (step, agent, set), summed
-    in that order, and the mean gradient norm."""
+    """Each agent walks the whole schedule as one task (see `_each_agent`):
+    per step, the mean gradient over the step's index sets, then one
+    optimizer step; PPO normalizes each set's advantages. Each tape is freed
+    by its backward. Returns the loss terms averaged over (step, agent, set),
+    summed in that order, and the mean gradient norm."""
     B = buffer.total_samples
     adv_flat = advantages.reshape(B, -1)
     tgt_flat = value_targets.reshape(B, -1)
-    threads = min(len(agents), _usable_cpus())
 
-    def learn(k, index_sets, views):
-        nets, mean, terms = agents[k], {}, []
-        for idx, view in zip(index_sets, views):
-            adv = adv_flat[idx, k]
-            adv = normalize_advantages(adv) if cfg.algo == "ppo" else adv
-            loss, set_terms = composite_loss(nets, k, view, adv, tgt_flat[idx, k],
-                                             cfg, mode)
-            for name, g in gradients(nets.parameters(), loss).items():
-                g = g / len(index_sets)
-                mean[name] = mean[name] + g if name in mean else g
-            terms.append(set_terms)
-        return terms, optimizers[k].step(mean)
+    def learn(k):
+        nets, steps = agents[k], []
+        for index_sets in schedule:
+            mean, terms = {}, []
+            for idx in index_sets:
+                adv = adv_flat[idx, k]
+                adv = normalize_advantages(adv) if cfg.algo == "ppo" else adv
+                loss, set_terms = composite_loss(nets, k, minibatch_views(buffer, idx, k),
+                                                 adv, tgt_flat[idx, k], cfg, mode)
+                for name, g in gradients(nets.parameters(), loss).items():
+                    g = g / len(index_sets)
+                    mean[name] = mean[name] + g if name in mean else g
+                terms.append(set_terms)
+            steps.append((terms, optimizers[k].step(mean)))
+        return steps
 
-    sums, count = {}, 0
-    grad_norms = []
-    for index_sets in schedule:
-        views = [minibatch_views(buffer, idx) for idx in index_sets]
-        per_agent = _each_agent(lambda k: learn(k, index_sets, views),
-                                len(agents), threads)
-        for terms, norm in per_agent:
+    per_agent = _each_agent(learn, len(agents), min(len(agents), _usable_cpus()))
+    sums, count, grad_norms = {}, 0, []
+    for step in zip(*per_agent):
+        for terms, norm in step:
             for set_terms in terms:
                 for key, val in set_terms.items():
                     sums[key] = sums.get(key, 0.0) + val

@@ -14,6 +14,7 @@ from marl_lab.envs.env import (
     APPLE, C_APPLE, C_BEAM, C_EMPTY, C_OTHER, C_RIVER, C_SELF, C_WALL, C_WASTE, EMPTY,
     NUM_CHANNELS, RIVER, SPAWN, WALL, WASTE,
 )
+from marl_lab.nn import gradients
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -119,6 +120,49 @@ def reference_observe(env, k):
             obs[R + dr, R + dc, C_BEAM] = 1.0
 
     return np.rot90(obs, k=int(st.orientations[k]), axes=(0, 1)).copy()
+
+
+# The finite-difference oracle for reverse-mode gradients. It perturbs every
+# parameter element by +/-epsilon, re-runs the forward closure, and compares
+# the two-sided slope against the analytic gradient. It shares no code with
+# the backward pass, so it serves as the independent oracle for the whole
+# kernel.
+
+def relative_error(a, b):
+    """|a - b| / max(|a|, |b|, 1e-8), elementwise max over arrays."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
+    return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
+
+
+def finite_difference_check(loss_fn, params, epsilon=1e-4):
+    """Max relative error between tape gradients and central differences.
+
+    loss_fn: zero-argument callable re-running the forward pass and returning
+        the scalar loss Tensor (a fresh tape each call).
+    params: (name, Tensor) pairs to verify; every element is perturbed.
+    epsilon: central-difference step, must lie in [1e-6, 1e-3].
+    """
+    if not (1e-6 <= epsilon <= 1e-3):
+        raise ValueError(f"epsilon {epsilon} outside [1e-6, 1e-3]")
+    analytic = gradients(params, loss_fn())
+
+    worst = 0.0
+    for name, p in params:
+        flat = p.data.reshape(-1)
+        numeric = np.zeros_like(flat)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + epsilon
+            up = float(loss_fn().data)
+            flat[i] = orig - epsilon
+            down = float(loss_fn().data)
+            flat[i] = orig
+            numeric[i] = (up - down) / (2.0 * epsilon)
+        err = relative_error(analytic[name].reshape(-1), numeric)
+        worst = max(worst, err)
+    return worst
 
 
 def conv_linear_response(x, kernel, bias):

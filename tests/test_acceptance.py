@@ -21,12 +21,12 @@ from marl_lab.eicm import (
 )
 from marl_lab.envs import EnvConfig, SSDEnv, cleanup_spawn_rate
 from marl_lab.envs.env import EAST, FIRE_PUNISH, MOVE_UP, NOOP, APPLE
-from marl_lab.nn import Conv2d, Dense, LSTMCell, Tensor, finite_difference_check
+from marl_lab.nn import Conv2d, Dense, LSTMCell, Tensor
 from marl_lab.nn import tensor as T
 from marl_lab.shaping import gini_equality, inequity_intrinsics, update_smoothed
 from marl_lab.training import Trainer, TrainerConfig, composite_loss, evaluate
 
-from helpers import UniformRandomPolicy
+from helpers import UniformRandomPolicy, finite_difference_check
 
 FULL = os.environ.get("MARL_LAB_FULL_ACCEPTANCE") == "1"
 SPECS = os.path.join(os.path.dirname(__file__), "..", "specs")
@@ -177,7 +177,10 @@ def _composite_instance(seed):
     cfg = TrainerConfig(batch_steps=8, minibatch_steps=4, workers=1,
                         value_coef=0.1, entropy_coef=0.01, moa_coef=0.05,
                         forward_coef=0.05, inverse_coef=0.05)
-    return nets, view, adv, tgt, cfg
+    # composite_loss reads agent 0's own columns, beside the joint fields
+    own = {name: arr if name in ("actions", "moa_valid") else arr[:, 0]
+           for name, arr in view.items()}
+    return nets, own, adv, tgt, cfg
 
 
 def test_gradient_suite():

@@ -47,6 +47,10 @@ SETTABLE_IDS = [f"{section or 'top'}.{key}" for section, key, _ in SETTABLE]
 # A value of another type for each type hint a key may carry.
 WRONG_TYPE = {int: 2.5, float: True, str: 3, bool: 1, float | None: "x", list[int]: [1, True]}
 
+# (section, key) of every key whose type hint admits a float.
+FLOAT_KEYS = [(section, key) for section, key, hint in SETTABLE
+              if float in typing.get_args(hint) or hint is float]
+
 
 def spec_with(tmp_path, section, key, value):
     """TINY_SPEC with one key set, added when absent; returns (path, line of
@@ -205,13 +209,38 @@ class TestSpecfile:
             resolve_spec(path)
         assert str(exc.value).startswith(f"{path}:{line}: key {key!r} expects ")
 
-    @pytest.mark.parametrize("section,key", [
-        (section, key) for section, key, hint in SETTABLE if float in typing.get_args(hint)
-        or hint is float])
+    @pytest.mark.parametrize("section,key", FLOAT_KEYS)
     def test_int_is_accepted_for_a_float_key(self, tmp_path, section, key):
         path, _ = spec_with(tmp_path, section, key, 1)
         spec = resolve_spec(path)
         assert getattr(getattr(spec, section) if section else spec, key) == 1
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section,key", FLOAT_KEYS)
+    def test_non_finite_float_points_at_its_key(self, tmp_path, section, key, value):
+        path, line = spec_with(tmp_path, section, key, value)
+        with pytest.raises(SpecError) as exc:
+            resolve_spec(path)
+        assert str(exc.value).startswith(f"{path}:{line}: key {key!r} must be finite, got ")
+
+    @pytest.mark.parametrize("body", ["", "warp_speed = 9\n"], ids=["empty", "with-keys"])
+    def test_unknown_section_points_at_its_header(self, tmp_path, body):
+        text = TINY_SPEC.format(out=str(tmp_path / "runs"), mode="baseline")
+        text = text.replace("[env]", f"[bogus]\n{body}\n[env]")
+        path = tmp_path / "bogus.spec"
+        path.write_text(text)
+        line = text.splitlines().index("[bogus]") + 1
+        with pytest.raises(SpecError) as exc:
+            resolve_spec(str(path))
+        assert str(exc.value).startswith(f"{path}:{line}: unknown section [bogus]")
+
+    def test_empty_required_section_points_at_its_header(self, tmp_path):
+        path = tmp_path / "empty.spec"
+        path.write_text('name = "x"\nseeds = [1]\n\n[env]\n\n[method]\nmode = "baseline"\n')
+        with pytest.raises(SpecError) as exc:
+            resolve_spec(str(path))
+        assert str(exc.value) == f"{path}:4: missing required key 'kind' in section [env]"
 
     def test_shipped_specs_resolve(self):
         specs_dir = os.path.join(os.path.dirname(__file__), "..", "specs")

@@ -12,10 +12,10 @@ from marl_lab.eicm import (
     eliminate, forward_loss_tape, forward_predict, impact_row, inverse_loss_tape,
     normalize_impacts,
 )
-from marl_lab.nn import (
-    Optimizer, Tensor, finite_difference_check, gradients,
-)
+from marl_lab.nn import Optimizer, Tensor, gradients
 from marl_lab.nn import tensor as T
+
+from helpers import finite_difference_check
 
 SMALL = NetSizes(conv_filters=2, fc_units=8, lstm_units=8, eicm_hidden=8)
 

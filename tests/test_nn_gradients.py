@@ -4,13 +4,10 @@ over the layer compositions the agent networks actually use."""
 import numpy as np
 import pytest
 
-from marl_lab.nn import (
-    ComputationGraph, Conv2d, Dense, LSTMCell, Tensor, finite_difference_check,
-    gradients, relative_error,
-)
+from marl_lab.nn import ComputationGraph, Conv2d, Dense, LSTMCell, Tensor, gradients
 from marl_lab.nn import tensor as T
 
-from helpers import conv_linear_response
+from helpers import conv_linear_response, finite_difference_check, relative_error
 
 
 def test_constant_loss_has_exactly_zero_gradient(rng):

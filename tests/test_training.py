@@ -17,6 +17,7 @@ from marl_lab.training import (
     RolloutBuffer, RolloutWorkers, Trainer, TrainerConfig, collect_rollouts,
     composite_loss, compute_advantages, evaluate, minibatch_views, ppo_update,
 )
+from marl_lab.training import update
 from marl_lab.training.update import _each_agent
 
 from helpers import THREE_AGENT_CLEANUP, ScriptedPolicy, UniformRandomPolicy, run_python
@@ -303,14 +304,14 @@ class TestPPOUpdate:
     def test_ratios_are_one_before_any_update(self):
         tr = mini_trainer("baseline")
         buffer = collect_rollouts(tr.workers, tr.agents, 80)
-        view = minibatch_views(buffer, np.arange(20))
+        view = minibatch_views(buffer, np.arange(20), 0)
         nets = tr.agents[0]
-        feat = nets.encode(Tensor(view["obs"][:, 0]))
-        logits, _, _, _ = nets.run_actor_critic(feat, Tensor(view["v_h"][:, 0]),
-                                                Tensor(view["v_c"][:, 0]))
+        feat = nets.encode(Tensor(view["obs"]))
+        logits, _, _, _ = nets.run_actor_critic(feat, Tensor(view["v_h"]),
+                                                Tensor(view["v_c"]))
         logp = T.log_softmax(logits)
         logp_a = T.gather_last(logp, view["actions"][:, 0]).data
-        np.testing.assert_allclose(logp_a, view["behavior_logp"][:, 0], atol=1e-12)
+        np.testing.assert_allclose(logp_a, view["behavior_logp"], atol=1e-12)
 
     def test_clip_boundary_uses_clipped_branch(self):
         adv = np.array([1.0, 1.0, -1.0])
@@ -328,7 +329,7 @@ class TestPPOUpdate:
     def test_coefficient_zero_removes_term_gradient_exactly(self):
         tr = mini_trainer("emurel")
         _, buffer = tr.one_update()
-        view = minibatch_views(buffer, np.arange(10))
+        view = minibatch_views(buffer, np.arange(10), 0)
         nets = tr.agents[0]
         adv = np.linspace(-1, 1, 10)
         tgt = np.zeros(10)
@@ -344,7 +345,7 @@ class TestPPOUpdate:
     def test_value_coef_zero_zeroes_value_head_gradient(self):
         tr = mini_trainer("baseline")
         _, buffer = tr.one_update()
-        view = minibatch_views(buffer, np.arange(10))
+        view = minibatch_views(buffer, np.arange(10), 0)
         nets = tr.agents[0]
         cfg = TrainerConfig(batch_steps=80, minibatch_steps=40, value_coef=0.0)
         loss, _ = composite_loss(nets, 0, view, np.ones(10), np.ones(10), cfg,
@@ -373,7 +374,7 @@ class TestThreadedLearner:
     def test_composite_loss_tape_is_freed_by_gradients(self):
         tr = mini_trainer("emurel")
         _, buffer = tr.one_update()
-        view = minibatch_views(buffer, np.arange(10))
+        view = minibatch_views(buffer, np.arange(10), 0)
         nets = tr.agents[0]
         loss, _ = composite_loss(nets, 0, view, np.linspace(-1, 1, 10), np.ones(10),
                                  tr.cfg, "emurel")
@@ -419,6 +420,36 @@ class TestThreadedLearner:
             _each_agent(fail_late, 5, 3)
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("algo", ["ppo", "a2c_sync"])
+    def test_each_agent_runs_once_per_update(self, monkeypatch, algo):
+        # each agent walks the whole schedule (2 epochs x 2 minibatches for
+        # PPO) as one task, with no fork-join per schedule step
+        calls = []
+
+        def counted(fn, n, threads):
+            calls.append(n)
+            return _each_agent(fn, n, threads)
+
+        monkeypatch.setattr(update, "_each_agent", counted)
+        mini_trainer("emurel", algo=algo).one_update()
+        assert calls == [2]
+
+    def test_views_hold_agent_k_column_and_the_joint_fields(self):
+        env, shaping, agents = three_agent_cleanup("emurel")
+        workers = RolloutWorkers(env, shaping, 9, range(2), SMALL.lstm_units)
+        buffer = collect_steps(workers, agents, 14)
+        perm = np.random.default_rng(0).permutation(buffer.total_samples)
+        for idx, rows in ((perm[:10], 10), (slice(14, 28), 14)):
+            for k in range(3):
+                view = minibatch_views(buffer, idx, k)
+                assert set(view) == set(update.AGENT_FIELDS + update.JOINT_FIELDS)
+                for name, got in view.items():
+                    whole = buffer.flat(getattr(buffer, name))[idx]
+                    want = whole if name in update.JOINT_FIELDS else whole[:, k]
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), name
+                assert view["actions"].shape == (rows, 3)
+
     def test_import_holds_blas_at_one_thread_unless_set(self):
         code = "import os, marl_lab; print(os.environ['OPENBLAS_NUM_THREADS'])"
         assert run_python(code).strip() == "1"
@@ -463,7 +494,7 @@ class TestA2CUpdate:
         grads = []
         for w in range(2):
             idx = np.arange(w * buffer.steps, (w + 1) * buffer.steps)
-            view = minibatch_views(buffer, idx)
+            view = minibatch_views(buffer, idx, 0)
             loss, _ = composite_loss(nets, 0, view, adv[w, :, 0], tgt[w, :, 0],
                                      cfg, "baseline")
             grads.append(gradients(nets.parameters(), loss))
@@ -478,7 +509,7 @@ class TestA2CUpdate:
         nets = tr.agents[0]
         cfg = tr.cfg
         views = [minibatch_views(buffer, np.arange(w * buffer.steps,
-                                                   (w + 1) * buffer.steps))
+                                                   (w + 1) * buffer.steps), 0)
                  for w in range(2)]
         per_worker = []
         for w in range(2):
@@ -499,7 +530,7 @@ class TestA2CUpdate:
         # entropy coefficient 0 -> the entropy term contributes nothing
         tr = mini_trainer("baseline", algo="a2c_sync")
         _, buffer = tr.one_update()
-        view = minibatch_views(buffer, np.arange(10))
+        view = minibatch_views(buffer, np.arange(10), 0)
         cfg0 = TrainerConfig(algo="a2c_sync", batch_steps=80, minibatch_steps=40,
                              entropy_coef=0.0)
         nets = tr.agents[0]

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run the desk-scale Cleanup method comparison and print the summary table.
 
-Trains {baseline, ia, emurel} on mini-Cleanup for the requested seeds and
-update count, then aggregates with the same machinery as `marl-lab
+Trains {baseline, ia, emurel} on three-agent mini-Cleanup, where EMuReL's
+impact scaling is live (with two agents it equals IA), for the requested
+seeds and update count, then aggregates with the same machinery as `marl-lab
 summarize`. The method ordering at desk scale is reported, not gated;
 desk-scale runs are far too short to rank the methods.
 """
@@ -16,8 +17,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from marl_lab.cli import format_table, resolve_spec, run_single_seed, summarize
 
 SPECS_DIR = os.path.join(os.path.dirname(__file__), "..", "specs")
-METHOD_SPECS = ["mini_cleanup_baseline.spec", "mini_cleanup_ia.spec",
-                "mini_cleanup_emurel.spec"]
+METHOD_SPECS = ["mini_cleanup3_baseline.spec", "mini_cleanup3_ia.spec",
+                "mini_cleanup3_emurel.spec"]
 
 
 def main():

@@ -80,32 +80,32 @@ def impact_row(nets, phi_prev, u_prev, joint_onehot, k):
     return normalize_impacts(raw), raw
 
 
-# -- tape losses (shared with the composite training objective) -------------
+# -- losses (shared with the composite objective); Tensor inputs record -----
 
 def forward_loss_tape(nets, feat_prev, feat_next, u_h, joint_onehot):
-    """Mean-per-sample L_F on the tape; gradients reach the forward model and
+    """Mean-per-sample L_F; on the tape, gradients reach the forward model and
     the shared encoder through both the input and target features."""
     pred = nets.run_forward_model(feat_prev, u_h, joint_onehot)
     diff = T.sub(pred, feat_next)
     per_sample = T.tsum(T.mul(diff, diff), axis=-1)
-    return T.mul(T.tmean(per_sample), T.constant(0.5))
+    return T.mul(T.tmean(per_sample), 0.5)
 
 
 def inverse_loss_tape(nets, feat_prev, feat_curr, u_h, joint_actions):
-    """Mean-per-sample L_I on the tape. joint_actions: (B, N) int indices."""
+    """Mean-per-sample L_I. joint_actions: (B, N) int indices."""
     logits = nets.run_inverse_model(feat_prev, feat_curr, u_h)
-    B = logits.data.shape[0]
+    B = logits.shape[0]
     blocks = T.reshape(logits, (B, nets.num_agents, nets.num_actions))
     logp = T.log_softmax(blocks, axis=-1)
     picked = T.gather_last(logp, np.asarray(joint_actions, dtype=np.int64))
-    return T.mul(T.tmean(T.tsum(picked, axis=-1)), T.constant(-1.0))
+    return T.mul(T.tmean(T.tsum(picked, axis=-1)), -1.0)
 
 
 def moa_loss_tape(nets, feat, joint_onehot, u_h, u_c, targets, mask):
     """Masked mean cross-entropy of the MOA head over other agents' next
     actions. targets: (B, N-1) ints; mask: (B,) 0/1 validity."""
     logits, _, _ = nets.run_moa(feat, joint_onehot, u_h, u_c)
-    B = logits.data.shape[0]
+    B = logits.shape[0]
     targets = np.asarray(targets, dtype=np.int64)
     if targets.shape != (B, nets.num_agents - 1):
         raise ValueError(f"MOA targets must be ({B}, {nets.num_agents - 1}), "
@@ -116,5 +116,5 @@ def moa_loss_tape(nets, feat, joint_onehot, u_h, u_c, targets, mask):
     per_sample = T.tmean(picked, axis=-1)
     m = np.asarray(mask, dtype=np.float64)
     denom = max(float(m.sum()), 1.0)
-    masked = T.mul(per_sample, T.constant(m))
-    return T.mul(T.tsum(masked), T.constant(-1.0 / denom))
+    masked = T.mul(per_sample, m)
+    return T.mul(T.tsum(masked), -1.0 / denom)

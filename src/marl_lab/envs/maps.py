@@ -23,7 +23,8 @@ CELL_GLYPHS = {EMPTY: " ", WALL: "#", APPLE: "A", RIVER: "~", WASTE: "W", SPAWN:
 
 _MAPS_DIR = os.path.join(os.path.dirname(__file__), "maps")
 
-BUILTIN_MAPS = ("cleanup_mini", "cleanup_large", "harvest_mini", "harvest_large")
+BUILTIN_MAPS = ("cleanup_mini", "cleanup_mini3", "cleanup_large", "harvest_mini",
+                "harvest_large")
 
 _GLYPH_TO_CELL = {"#": WALL, " ": EMPTY, ".": EMPTY, "A": APPLE, "B": EMPTY,
                   "~": RIVER, "W": WASTE, "P": SPAWN}

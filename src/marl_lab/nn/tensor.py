@@ -5,12 +5,13 @@ Each op is one function over ndarrays or Tensors: matmul, broadcast add,
 elementwise nonlinearities, concat/slice, reshape, reductions, 3x3 valid
 convolution, gather, minimum and clip. Its forward value is a single numpy
 expression over the operands' data. Given no Tensor, an op returns that
-ndarray and records nothing; rollouts and evaluation run the nets this way.
-Given a Tensor, it returns a Tensor whose `.data` is the same ndarray, with
-the vjp that pulls gradients back on the tape (the primitive-wrapping idiom
-of HIPS autograd). The input's type is the only switch, so gradient-free
-evaluation and training cannot drift apart. Everything is float64 and every
-op is deterministic, so repeated forward passes are bit-identical.
+ndarray and records nothing; rollouts, evaluation and gradient checks run
+this way. Given a Tensor, it returns a Tensor whose `.data` is the same
+ndarray, with the vjp that pulls gradients back on the tape (the
+primitive-wrapping idiom of HIPS autograd). The input's type is the only
+switch, losses included, so gradient-free evaluation and training cannot
+drift apart. Everything is float64 and every op is deterministic, so
+repeated forward passes are bit-identical.
 
 A vjp may return None for a parent that does not need a gradient; matmul
 and conv2d do, so backward spends nothing on gradients no one reads (the
@@ -42,31 +43,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, needs_grad={self.needs_grad})"
-
-    # Operator sugar for the common arithmetic.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def backward(self):
         """Reverse-accumulate gradients from this scalar into every
@@ -144,11 +120,6 @@ def _make(data, parents, vjp):
                   _vjp=vjp if needs else None)
 
 
-def constant(x):
-    """Wrap an array as a non-differentiable tensor."""
-    return Tensor(x, needs_grad=False)
-
-
 # Ops test `type(x) is Tensor` inline rather than through a helper: rollout
 # operands are small, and a helper call per operand measurably slowed rollouts.
 
@@ -195,12 +166,9 @@ def matmul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
 
     def vjp(g):
-        if not b.needs_grad:
-            gw = None
-        elif x.ndim == 2:
-            gw = x.T @ g
-        else:   # sum the per-row outer products over every leading axis
-            gw = x.reshape(-1, w.shape[0]).T @ g.reshape(-1, w.shape[1])
+        # per-row outer products summed over leading axes (a 2-D x: x.T @ g)
+        gw = (x.reshape(-1, w.shape[0]).T @ g.reshape(-1, w.shape[1])
+              if b.needs_grad else None)
         return (g @ w.T if a.needs_grad else None), gw
 
     return _make(out, (a, b), vjp)

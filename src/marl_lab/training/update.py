@@ -13,6 +13,7 @@ schedule: a list of steps, each a list of index sets into the flat buffer.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -33,65 +34,72 @@ def minibatch_views(buffer, idx, k):
     """Agent k's samples at an index array or slice idx of the flat buffer:
     its own column of each AGENT_FIELDS field the buffer holds, plus the
     joint (B, N) actions and the (B,) moa_valid. A slice makes views, not
-    copies. Observations stay uint8; the Tensor a loss encodes casts them."""
+    copies. Observations stay uint8; `on_tape` lifts them for training."""
     held = vars(buffer)
     return {name: buffer.flat(held[name])[(idx, k) if name in AGENT_FIELDS else idx]
             for name in AGENT_FIELDS + JOINT_FIELDS if name in held}
 
 
+def on_tape(view):
+    """The view with its observations as Tensors, so a loss on it records."""
+    return {name: Tensor(a) if name in ("obs", "next_obs") else a
+            for name, a in view.items()}
+
+
 def composite_loss(nets, k, view, adv, targets, cfg, mode):
-    """Build the tape loss for agent k on its minibatch view (see
-    `minibatch_views`), with the policy term of `cfg.algo`.
+    """Agent k's loss on its minibatch view (see `minibatch_views`), with the
+    policy term of `cfg.algo`. On an `on_tape` view it records on the tape
+    and returns a Tensor; on the plain view it returns the same value as an
+    ndarray and records nothing.
 
     adv/targets: (B,) advantages and value targets for agent k.
-    Returns (loss Tensor, {term: float}).
+    Returns (loss, {term: float}).
     """
-    feat = nets.encode(Tensor(view["obs"]))
+    feat = nets.encode(view["obs"])
     logits, value, _, _ = nets.run_actor_critic(feat, view["v_h"], view["v_c"])
     logp = T.log_softmax(logits)
     logp_a = T.gather_last(logp, view["actions"][:, k])
-    adv_t = T.constant(adv)
 
     if cfg.algo == "ppo":
-        ratio = T.exp(T.sub(logp_a, T.constant(view["behavior_logp"])))
+        ratio = T.exp(T.sub(logp_a, view["behavior_logp"]))
         clipped = T.clip(ratio, 1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio)
-        surrogate = T.minimum(T.mul(ratio, adv_t), T.mul(clipped, adv_t))
-        policy_loss = T.mul(T.tmean(surrogate), T.constant(-1.0))
+        surrogate = T.minimum(T.mul(ratio, adv), T.mul(clipped, adv))
+        policy_loss = T.mul(T.tmean(surrogate), -1.0)
     else:
-        policy_loss = T.mul(T.tmean(T.mul(logp_a, adv_t)), T.constant(-1.0))
+        policy_loss = T.mul(T.tmean(T.mul(logp_a, adv)), -1.0)
 
-    vdiff = T.sub(T.reshape(value, (value.data.shape[0],)), T.constant(targets))
+    vdiff = T.sub(T.reshape(value, (value.shape[0],)), targets)
     value_loss = T.tmean(T.mul(vdiff, vdiff))
 
     probs = T.exp(logp)
-    entropy = T.mul(T.tmean(T.tsum(T.mul(probs, logp), axis=-1)), T.constant(-1.0))
+    entropy = T.mul(T.tmean(T.tsum(T.mul(probs, logp), axis=-1)), -1.0)
 
-    loss = T.add(policy_loss, T.mul(value_loss, T.constant(cfg.value_coef)))
-    loss = T.sub(loss, T.mul(entropy, T.constant(cfg.entropy_coef)))
-    terms = {"policy_loss": float(policy_loss.data),
-             "value_loss": float(value_loss.data),
-             "entropy": float(entropy.data),
+    loss = T.add(policy_loss, T.mul(value_loss, cfg.value_coef))
+    loss = T.sub(loss, T.mul(entropy, cfg.entropy_coef))
+    terms = {"policy_loss": float(T._data(policy_loss)),
+             "value_loss": float(T._data(value_loss)),
+             "entropy": float(T._data(entropy)),
              "moa_loss": 0.0, "forward_loss": 0.0, "inverse_loss": 0.0}
 
     if mode == "emurel":
         joint = joint_one_hot(view["actions"], nets.num_actions)
-        feat_next = nets.encode(Tensor(view["next_obs"]))
+        feat_next = nets.encode(view["next_obs"])
         u_h, u_c = view["u_h"], view["u_c"]
         if cfg.moa_coef != 0.0:
             moa_l = moa_loss_tape(nets, feat, joint, u_h, u_c,
                                   view["moa_targets"], view["moa_valid"])
-            loss = T.add(loss, T.mul(moa_l, T.constant(cfg.moa_coef)))
-            terms["moa_loss"] = float(moa_l.data)
+            loss = T.add(loss, T.mul(moa_l, cfg.moa_coef))
+            terms["moa_loss"] = float(T._data(moa_l))
         if cfg.forward_coef != 0.0:
             fwd_l = forward_loss_tape(nets, feat, feat_next, u_h, joint)
-            loss = T.add(loss, T.mul(fwd_l, T.constant(cfg.forward_coef)))
-            terms["forward_loss"] = float(fwd_l.data)
+            loss = T.add(loss, T.mul(fwd_l, cfg.forward_coef))
+            terms["forward_loss"] = float(T._data(fwd_l))
         if cfg.inverse_coef != 0.0:
             inv_l = inverse_loss_tape(nets, feat, feat_next, u_h, view["actions"])
-            loss = T.add(loss, T.mul(inv_l, T.constant(cfg.inverse_coef)))
-            terms["inverse_loss"] = float(inv_l.data)
+            loss = T.add(loss, T.mul(inv_l, cfg.inverse_coef))
+            terms["inverse_loss"] = float(T._data(inv_l))
 
-    if not np.isfinite(loss.data).all():
+    if not np.isfinite(T._data(loss)).all():
         raise FloatingPointError(f"non-finite composite loss for agent {k}: {terms}")
     return loss, terms
 
@@ -127,26 +135,36 @@ def _run_schedule(agents, buffer, advantages, value_targets, cfg, mode, optimize
     """Each agent walks the whole schedule as one task (see `_each_agent`):
     per step, the mean gradient over the step's index sets, then one
     optimizer step; PPO normalizes each set's advantages. Each tape is freed
-    by its backward. Returns the loss terms averaged over (step, agent, set),
+    by its backward. Once one agent raises, the others stop at their next
+    step. Returns the loss terms averaged over (step, agent, set),
     summed in that order, and the mean gradient norm."""
     B = buffer.total_samples
     adv_flat = advantages.reshape(B, -1)
     tgt_flat = value_targets.reshape(B, -1)
 
+    failed = threading.Event()
+
     def learn(k):
         nets, steps = agents[k], []
-        for index_sets in schedule:
-            mean, terms = {}, []
-            for idx in index_sets:
-                adv = adv_flat[idx, k]
-                adv = normalize_advantages(adv) if cfg.algo == "ppo" else adv
-                loss, set_terms = composite_loss(nets, k, minibatch_views(buffer, idx, k),
-                                                 adv, tgt_flat[idx, k], cfg, mode)
-                for name, g in gradients(nets.parameters(), loss).items():
-                    g = g / len(index_sets)
-                    mean[name] = mean[name] + g if name in mean else g
-                terms.append(set_terms)
-            steps.append((terms, optimizers[k].step(mean)))
+        try:
+            for index_sets in schedule:
+                if failed.is_set():     # another agent raised; _each_agent raises it
+                    break
+                mean, terms = {}, []
+                for idx in index_sets:
+                    adv = adv_flat[idx, k]
+                    adv = normalize_advantages(adv) if cfg.algo == "ppo" else adv
+                    view = on_tape(minibatch_views(buffer, idx, k))
+                    loss, set_terms = composite_loss(nets, k, view, adv, tgt_flat[idx, k],
+                                                     cfg, mode)
+                    for name, g in gradients(nets.parameters(), loss).items():
+                        g = g / len(index_sets)
+                        mean[name] = mean[name] + g if name in mean else g
+                    terms.append(set_terms)
+                steps.append((terms, optimizers[k].step(mean)))
+        except BaseException:
+            failed.set()
+            raise
         return steps
 
     per_agent = _each_agent(learn, len(agents), min(len(agents), _usable_cpus()))
@@ -176,6 +194,6 @@ def _each_agent(fn, n, threads):
     gemms, ufuncs and copies.
 
     Every thread is joined before this returns. If calls raised, the error
-    of the lowest agent is raised, as a sequential loop would raise it."""
+    of the lowest agent that raised is raised."""
     with ThreadPoolExecutor(threads) as pool:
         return list(pool.map(fn, range(n)))

@@ -14,7 +14,7 @@ from marl_lab.envs.env import (
     APPLE, C_APPLE, C_BEAM, C_EMPTY, C_OTHER, C_RIVER, C_SELF, C_WALL, C_WASTE, EMPTY,
     NUM_CHANNELS, RIVER, SPAWN, WALL, WASTE,
 )
-from marl_lab.nn import gradients
+from marl_lab.nn import Tensor, gradients
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -30,18 +30,12 @@ def run_python(code, **env):
                           capture_output=True, text=True).stdout
 
 
-# cleanup_mini with a third spawn point, so impact rows have two fellows and
-# their min-max normalization is not the degenerate all-ones row.
-THREE_AGENT_CLEANUP = [
-    "##########",
-    "#~~ ABBBA#",
-    "#~~ BBABB#",
-    "#~~P BABB#",
-    "#~~P BBAB#",
-    "#~~PBABBB#",
-    "#~~ ABBBA#",
-    "##########",
-]
+# The rows of the built-in cleanup_mini3: cleanup_mini with a third spawn
+# point, so impact rows have two fellows and their min-max normalization is
+# not the degenerate all-ones row.
+with open(os.path.join(os.path.dirname(marl_lab.__file__), "envs", "maps",
+                       "cleanup_mini3.txt"), encoding="utf-8") as _f:
+    THREE_AGENT_CLEANUP = _f.read().splitlines()
 
 
 # The CLI tests' spec: two-agent mini Cleanup with tiny nets, two updates.
@@ -123,10 +117,10 @@ def reference_observe(env, k):
 
 
 # The finite-difference oracle for reverse-mode gradients. It perturbs every
-# parameter element by +/-epsilon, re-runs the forward closure, and compares
-# the two-sided slope against the analytic gradient. It shares no code with
-# the backward pass, so it serves as the independent oracle for the whole
-# kernel.
+# parameter element by +/-epsilon, re-runs the forward closure on arrays, and
+# compares the two-sided slope against the analytic gradient. It shares no
+# code with the backward pass, so it serves as the independent oracle for the
+# whole kernel.
 
 def relative_error(a, b):
     """|a - b| / max(|a|, |b|, 1e-8), elementwise max over arrays."""
@@ -139,14 +133,17 @@ def relative_error(a, b):
 def finite_difference_check(loss_fn, params, epsilon=1e-4):
     """Max relative error between tape gradients and central differences.
 
-    loss_fn: zero-argument callable re-running the forward pass and returning
-        the scalar loss Tensor (a fresh tape each call).
+    loss_fn: callable taking `lift`, the function that wraps each input, and
+        re-running the forward pass on the lifted inputs. The one analytic
+        pass calls loss_fn(Tensor) and backpropagates the loss Tensor; every
+        numeric pass calls loss_fn(np.asarray) and reads the plain loss value,
+        so it builds no tape (a Tensor returned there fails `float`).
     params: (name, Tensor) pairs to verify; every element is perturbed.
     epsilon: central-difference step, must lie in [1e-6, 1e-3].
     """
     if not (1e-6 <= epsilon <= 1e-3):
         raise ValueError(f"epsilon {epsilon} outside [1e-6, 1e-3]")
-    analytic = gradients(params, loss_fn())
+    analytic = gradients(params, loss_fn(Tensor))
 
     worst = 0.0
     for name, p in params:
@@ -155,9 +152,9 @@ def finite_difference_check(loss_fn, params, epsilon=1e-4):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + epsilon
-            up = float(loss_fn().data)
+            up = float(loss_fn(np.asarray))
             flat[i] = orig - epsilon
-            down = float(loss_fn().data)
+            down = float(loss_fn(np.asarray))
             flat[i] = orig
             numeric[i] = (up - down) / (2.0 * epsilon)
         err = relative_error(analytic[name].reshape(-1), numeric)

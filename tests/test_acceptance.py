@@ -203,9 +203,9 @@ def test_gradient_suite():
             if _dense_margin(flat, fc) < 1e-2:
                 continue
 
-            def loss_a():
-                feat = T.reshape(conv.apply(Tensor(x)), (2, 18))
-                h, _ = cell.apply(fc.apply(feat), Tensor(h0), Tensor(c0))
+            def loss_a(lift):
+                feat = T.reshape(conv.apply(lift(x)), (2, 18))
+                h, _ = cell.apply(fc.apply(feat), lift(h0), lift(c0))
                 out = head.apply(h)
                 return T.tsum(T.mul(out, out))
 
@@ -243,18 +243,17 @@ def test_gradient_suite():
                         or _dense_margin(inv_in, nets.inv_fc1) < 1e-2):
                     continue
                 if leg == "b":
-                    def loss_fn():
+                    def loss_fn(lift):
                         return forward_loss_tape(
-                            nets, nets.encode(Tensor(obs_prev)),
-                            nets.encode(Tensor(obs_next)), Tensor(u),
-                            Tensor(joint))
+                            nets, nets.encode(lift(obs_prev)),
+                            nets.encode(lift(obs_next)), lift(u), lift(joint))
                 else:
                     actions = r.integers(0, 3, size=(2, 2))
 
-                    def loss_fn():
+                    def loss_fn(lift):
                         return inverse_loss_tape(
-                            nets, nets.encode(Tensor(obs_prev)),
-                            nets.encode(Tensor(obs_next)), Tensor(u), actions)
+                            nets, nets.encode(lift(obs_prev)),
+                            nets.encode(lift(obs_next)), lift(u), actions)
 
                 err = finite_difference_check(loss_fn, param_picker(nets),
                                               epsilon=1e-4)
@@ -270,8 +269,10 @@ def test_gradient_suite():
                 continue
             nets, view, adv, tgt, cfg = inst
 
-            def loss_d():
-                loss, _ = composite_loss(nets, 0, view, adv, tgt, cfg, "emurel")
+            def loss_d(lift):
+                lifted = dict(view, obs=lift(view["obs"]),
+                              next_obs=lift(view["next_obs"]))
+                loss, _ = composite_loss(nets, 0, lifted, adv, tgt, cfg, "emurel")
                 return loss
 
             err = finite_difference_check(loss_d, nets.parameters(), epsilon=1e-4)

@@ -245,7 +245,7 @@ class TestSpecfile:
     def test_shipped_specs_resolve(self):
         specs_dir = os.path.join(os.path.dirname(__file__), "..", "specs")
         names = sorted(os.listdir(specs_dir))
-        assert len(names) == 6
+        assert len(names) == 9
         for name in names:
             spec = resolve_spec(os.path.join(specs_dir, name))
             assert spec.seeds and spec.name

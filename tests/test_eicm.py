@@ -334,11 +334,10 @@ def margin_safe_instance(seed0, count=1, batch=2):
 class TestGradients:
     def test_forward_loss_gradients_reach_encoder_and_forward_params(self):
         for nets, obs_prev, obs_next, u, joint in margin_safe_instance(0, count=2):
-            def loss_fn():
-                feat_prev = nets.encode(Tensor(obs_prev))
-                feat_next = nets.encode(Tensor(obs_next))
-                return forward_loss_tape(nets, feat_prev, feat_next, Tensor(u),
-                                         Tensor(joint))
+            def loss_fn(lift):
+                feat_prev = nets.encode(lift(obs_prev))
+                feat_next = nets.encode(lift(obs_next))
+                return forward_loss_tape(nets, feat_prev, feat_next, lift(u), lift(joint))
 
             params = nets.forward_model.parameters() + nets.encoder.parameters()
             err = finite_difference_check(loss_fn, params, epsilon=1e-4)
@@ -348,10 +347,10 @@ class TestGradients:
         for nets, obs_prev, obs_next, u, joint in margin_safe_instance(50, count=2):
             actions = np.array([[1, 2], [0, 6]])
 
-            def loss_fn():
-                feat_prev = nets.encode(Tensor(obs_prev))
-                feat_next = nets.encode(Tensor(obs_next))
-                return inverse_loss_tape(nets, feat_prev, feat_next, Tensor(u), actions)
+            def loss_fn(lift):
+                feat_prev = nets.encode(lift(obs_prev))
+                feat_next = nets.encode(lift(obs_next))
+                return inverse_loss_tape(nets, feat_prev, feat_next, lift(u), actions)
 
             params = nets.inverse_model.parameters() + nets.encoder.parameters()
             err = finite_difference_check(loss_fn, params, epsilon=1e-4)

@@ -177,6 +177,9 @@ ENV_DIGESTS = {
 SNAPSHOT_DIGESTS = {
     "full_scale_cleanup_emurel.spec": "b6ceeacee0b1269ff077ab1146bb2ac575b292b876956e76d8a5a79b57880f1e",
     "full_scale_harvest_emurel_a2c.spec": "2af3a1f326731dede1674c73f66d60e05941ef2c2edbcce8524fb1c889e19555",
+    "mini_cleanup3_baseline.spec": "5a2173d93c5df58325c6c9f4c41feb02fde759f4bd7bf38532da7511f93c8ee1",
+    "mini_cleanup3_emurel.spec": "d224f1ed7d5e603c3095b87dffff966e34ee73413bd04c78ad808b5c54b016b4",
+    "mini_cleanup3_ia.spec": "8efd812dee8ec37a057aa7aa95ae304152f31e0855f404c78add24e286be4efd",
     "mini_cleanup_baseline.spec": "f1e12c71e8265ce933b237f7eb34ba8e3d01ffce82eb9da3d952b22e435392fb",
     "mini_cleanup_emurel.spec": "3fc5253f9dabd5c77629cbec2aef05b373fb1c760d6b0dd5027da97765becc05",
     "mini_cleanup_ia.spec": "d8cead8283beb90dd48c3840f7e1ca13e0cf047c0f5dedd050ab902785360dcf",

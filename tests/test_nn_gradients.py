@@ -43,7 +43,7 @@ def test_backprop_is_deterministic(rng):
 def test_linear_graph_fd_error_is_rounding_level(rng):
     lay = Dense("d", 3, 2, rng, activation="linear")
     x = rng.normal(size=(4, 3))
-    err = finite_difference_check(lambda: T.tsum(lay.apply(Tensor(x))),
+    err = finite_difference_check(lambda lift: T.tsum(lay.apply(lift(x))),
                                   lay.params(), epsilon=1e-4)
     assert err <= 1e-10
 
@@ -51,7 +51,7 @@ def test_linear_graph_fd_error_is_rounding_level(rng):
 def test_epsilon_outside_range_rejected(rng):
     lay = Dense("d", 2, 2, rng)
     with pytest.raises(ValueError):
-        finite_difference_check(lambda: T.tsum(lay.apply(Tensor(np.ones((1, 2))))),
+        finite_difference_check(lambda lift: T.tsum(lay.apply(lift(np.ones((1, 2))))),
                                 lay.params(), epsilon=1e-2)
 
 
@@ -77,8 +77,8 @@ def test_two_layer_dense_relu_fd(rng):
         x = r.normal(size=(3, 4))
         if not _relu_margins_ok([l1, l2], x):
             continue
-        def loss_fn():
-            h = l2.apply(l1.apply(Tensor(x)))
+        def loss_fn(lift):
+            h = l2.apply(l1.apply(lift(x)))
             return T.tsum(T.mul(h, h))
         err = finite_difference_check(loss_fn, l1.params() + l2.params(), epsilon=1e-4)
         assert err < 1e-4, f"seed {seed}: fd error {err}"
@@ -104,10 +104,10 @@ def test_conv_lstm_dense_composite_fd():
         if not _relu_margins_ok([fc], flat):
             continue
 
-        def loss_fn():
-            feat = T.reshape(conv.apply(Tensor(x)), (2, 18))
+        def loss_fn(lift):
+            feat = T.reshape(conv.apply(lift(x)), (2, 18))
             hid = fc.apply(feat)
-            h, c = cell.apply(hid, Tensor(h0), Tensor(c0))
+            h, c = cell.apply(hid, lift(h0), lift(c0))
             out = head.apply(h)
             return T.tsum(T.mul(out, out))
 
@@ -122,9 +122,9 @@ def test_softmax_cross_entropy_gradient_fd(rng):
     x = rng.normal(size=(6, 5))
     actions = rng.integers(0, 4, size=6)
 
-    def loss_fn():
-        lp = T.log_softmax(lay.apply(Tensor(x)))
-        return -T.tmean(T.gather_last(lp, actions))
+    def loss_fn(lift):
+        lp = T.log_softmax(lay.apply(lift(x)))
+        return T.mul(T.tmean(T.gather_last(lp, actions)), -1.0)
 
     err = finite_difference_check(loss_fn, lay.params(), epsilon=1e-4)
     assert err < 1e-4
@@ -133,11 +133,12 @@ def test_softmax_cross_entropy_gradient_fd(rng):
 def test_minimum_and_clip_gradients(rng):
     # surrogate-style composite: min(r*a, clip(r, 0.8, 1.2)*a)
     w = Tensor(rng.normal(size=(3, 1)), needs_grad=True)
-    x = Tensor(rng.normal(size=(4, 3)))
-    adv = Tensor(rng.normal(size=(4, 1)))
+    x = rng.normal(size=(4, 3))
+    adv = rng.normal(size=(4, 1))
 
-    def loss_fn():
-        r = T.exp(T.matmul(x, w))
+    def loss_fn(lift):
+        # the parameter Tensor on the tape, its array otherwise, as layers do
+        r = T.exp(T.matmul(lift(x), w if lift is Tensor else w.data))
         return T.tmean(T.minimum(T.mul(r, adv), T.mul(T.clip(r, 0.8, 1.2), adv)))
 
     err = finite_difference_check(loss_fn, [("w", w)], epsilon=1e-4)

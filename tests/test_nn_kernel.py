@@ -273,7 +273,7 @@ class TestTapeLifetime:
         kernel = Tensor(k, needs_grad=True)
         out = T.conv2d(Tensor(x), kernel, Tensor(b, needs_grad=True))
         g = rng.normal(size=out.shape)
-        T.tsum(T.mul(out, T.constant(g))).backward()
+        T.tsum(T.mul(out, g)).backward()
         H, W, C = shape[-3:]
         images = x.reshape((-1, H, W, C))
         patches = np.array([images[n, i:i + 3, j:j + 3, :].reshape(-1)

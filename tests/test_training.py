@@ -1,6 +1,8 @@
 """Training-stack contracts: rollout buffers, GAE oracles, PPO/A2C update
 mechanics, evaluation, and full-loop determinism."""
 
+import dataclasses
+import os
 import sys
 import threading
 import weakref
@@ -9,6 +11,8 @@ import numpy as np
 import pytest
 
 from marl_lab.agents import AgentNets, NetSizes, joint_one_hot
+from marl_lab.cli import resolve_spec
+from marl_lab.eicm import forward_loss_tape, inverse_loss_tape, moa_loss_tape
 from marl_lab.envs import EnvConfig, SSDEnv
 from marl_lab.nn import Tensor, gradients
 from marl_lab.nn import tensor as T
@@ -18,11 +22,12 @@ from marl_lab.training import (
     composite_loss, compute_advantages, evaluate, minibatch_views, ppo_update,
 )
 from marl_lab.training import update
-from marl_lab.training.update import _each_agent
+from marl_lab.training.update import _each_agent, on_tape
 
 from helpers import THREE_AGENT_CLEANUP, ScriptedPolicy, UniformRandomPolicy, run_python
 
 SMALL = NetSizes(conv_filters=2, fc_units=8, lstm_units=8, eicm_hidden=8)
+SPECS = os.path.join(os.path.dirname(__file__), "..", "specs")
 
 
 # Buffer fields recorded in emurel mode only.
@@ -329,7 +334,7 @@ class TestPPOUpdate:
     def test_coefficient_zero_removes_term_gradient_exactly(self):
         tr = mini_trainer("emurel")
         _, buffer = tr.one_update()
-        view = minibatch_views(buffer, np.arange(10), 0)
+        view = on_tape(minibatch_views(buffer, np.arange(10), 0))
         nets = tr.agents[0]
         adv = np.linspace(-1, 1, 10)
         tgt = np.zeros(10)
@@ -345,7 +350,7 @@ class TestPPOUpdate:
     def test_value_coef_zero_zeroes_value_head_gradient(self):
         tr = mini_trainer("baseline")
         _, buffer = tr.one_update()
-        view = minibatch_views(buffer, np.arange(10), 0)
+        view = on_tape(minibatch_views(buffer, np.arange(10), 0))
         nets = tr.agents[0]
         cfg = TrainerConfig(batch_steps=80, minibatch_steps=40, value_coef=0.0)
         loss, _ = composite_loss(nets, 0, view, np.ones(10), np.ones(10), cfg,
@@ -353,6 +358,41 @@ class TestPPOUpdate:
         grads = gradients(nets.parameters(), loss)
         np.testing.assert_array_equal(grads["value_head.weight"],
                                       np.zeros_like(grads["value_head.weight"]))
+
+
+class TestOneTapeSwitch:
+    """A loss records on the tape only when handed Tensors: on the plain view
+    it returns the tape's value as an ndarray."""
+
+    @pytest.mark.parametrize("algo", ["ppo", "a2c_sync"])
+    @pytest.mark.parametrize("mode", ["baseline", "ia", "emurel"])
+    def test_losses_on_arrays_equal_the_tape_and_record_nothing(self, mode, algo):
+        tr = mini_trainer(mode, algo=algo)
+        buffer = collect_rollouts(tr.workers, tr.agents, tr.cfg.batch_steps)
+        adv, tgt = compute_advantages(buffer, tr.cfg.discount, tr.cfg.gae_lambda)
+        B, idx = buffer.total_samples, np.arange(0, buffer.total_samples, 3)
+        for k, nets in enumerate(tr.agents):
+            view = minibatch_views(buffer, idx, k)
+            args = (adv.reshape(B, -1)[idx, k], tgt.reshape(B, -1)[idx, k], tr.cfg, mode)
+            plain, plain_terms = composite_loss(nets, k, view, *args)
+            taped, taped_terms = composite_loss(nets, k, on_tape(view), *args)
+            assert type(plain) is not Tensor and type(taped) is Tensor
+            assert np.asarray(plain).tobytes() == taped.data.tobytes()
+            assert plain_terms == taped_terms
+            if mode == "emurel":
+                for plain, taped in zip(self.aux_losses(nets, view),
+                                        self.aux_losses(nets, on_tape(view))):
+                    assert type(plain) is not Tensor and type(taped) is Tensor
+                    assert np.asarray(plain).tobytes() == taped.data.tobytes()
+
+    @staticmethod
+    def aux_losses(nets, view):
+        joint = joint_one_hot(view["actions"], nets.num_actions)
+        feat, feat_next = nets.encode(view["obs"]), nets.encode(view["next_obs"])
+        return [moa_loss_tape(nets, feat, joint, view["u_h"], view["u_c"],
+                              view["moa_targets"], view["moa_valid"]),
+                forward_loss_tape(nets, feat, feat_next, view["u_h"], joint),
+                inverse_loss_tape(nets, feat, feat_next, view["u_h"], view["actions"])]
 
 
 def tape_refs(root):
@@ -374,7 +414,7 @@ class TestThreadedLearner:
     def test_composite_loss_tape_is_freed_by_gradients(self):
         tr = mini_trainer("emurel")
         _, buffer = tr.one_update()
-        view = minibatch_views(buffer, np.arange(10), 0)
+        view = on_tape(minibatch_views(buffer, np.arange(10), 0))
         nets = tr.agents[0]
         loss, _ = composite_loss(nets, 0, view, np.linspace(-1, 1, 10), np.ones(10),
                                  tr.cfg, "emurel")
@@ -419,6 +459,29 @@ class TestThreadedLearner:
         with pytest.raises(ValueError, match="agent 2"):
             _each_agent(fail_late, 5, 3)
         assert threading.active_count() == before
+
+    def test_one_failing_agent_stops_the_others_at_their_next_step(self, monkeypatch):
+        tr = mini_trainer("baseline", minibatch_steps=10)   # 2 epochs x 8 = 16 steps
+        buffer = collect_rollouts(tr.workers, tr.agents, tr.cfg.batch_steps)
+        adv, tgt = compute_advantages(buffer, tr.cfg.discount, tr.cfg.gae_lambda)
+        entered, calls = threading.Event(), []
+        loss = update.composite_loss
+
+        def failing(nets, k, *args):
+            calls.append(k)
+            if k == 1:
+                entered.set()
+                raise FloatingPointError("non-finite composite loss for agent 1")
+            if calls.count(0) == 1:     # agent 0 starts once agent 1 is in its call
+                entered.wait(timeout=60)
+            return loss(nets, k, *args)
+
+        monkeypatch.setattr(update, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(update, "composite_loss", failing)
+        with pytest.raises(FloatingPointError, match="for agent 1"):
+            ppo_update(tr.agents, buffer, adv, tgt, tr.cfg, "baseline", tr.optimizers,
+                       np.random.default_rng(0))
+        assert calls.count(1) == 1 and calls.count(0) <= 2
 
     @pytest.mark.parametrize("algo", ["ppo", "a2c_sync"])
     def test_each_agent_runs_once_per_update(self, monkeypatch, algo):
@@ -472,6 +535,17 @@ class TestThreadedLearner:
         assert run_python(code, OPENBLAS_NUM_THREADS="2").strip() == "2"
 
 
+class TestThreeAgentDeskSpecs:
+    def test_one_emurel_update_has_live_impact_scaling(self):
+        # with two agents every impact row normalizes to 1.0; with three the
+        # two fellows' impacts spread over [0, 1]
+        spec = resolve_spec(os.path.join(SPECS, "mini_cleanup3_emurel.spec"))
+        tr = Trainer(dataclasses.replace(spec.env, seed=1), spec.method,
+                     dataclasses.replace(spec.trainer, seed=1), sizes=spec.net)
+        row, _ = tr.one_update()
+        assert row["impact_min"] < row["impact_max"]
+
+
 class TestA2CUpdate:
     def _duplicated_worker_buffer(self):
         tr = mini_trainer("baseline", algo="a2c_sync")
@@ -494,7 +568,7 @@ class TestA2CUpdate:
         grads = []
         for w in range(2):
             idx = np.arange(w * buffer.steps, (w + 1) * buffer.steps)
-            view = minibatch_views(buffer, idx, 0)
+            view = on_tape(minibatch_views(buffer, idx, 0))
             loss, _ = composite_loss(nets, 0, view, adv[w, :, 0], tgt[w, :, 0],
                                      cfg, "baseline")
             grads.append(gradients(nets.parameters(), loss))
@@ -508,8 +582,8 @@ class TestA2CUpdate:
         adv, tgt = compute_advantages(buffer, 0.99, 1.0)
         nets = tr.agents[0]
         cfg = tr.cfg
-        views = [minibatch_views(buffer, np.arange(w * buffer.steps,
-                                                   (w + 1) * buffer.steps), 0)
+        views = [on_tape(minibatch_views(buffer, np.arange(w * buffer.steps,
+                                                           (w + 1) * buffer.steps), 0))
                  for w in range(2)]
         per_worker = []
         for w in range(2):
@@ -520,7 +594,7 @@ class TestA2CUpdate:
                                cfg, "baseline")
         l1, _ = composite_loss(nets, 0, views[1], adv[1, :, 0], tgt[1, :, 0],
                                cfg, "baseline")
-        combined = T.add(T.mul(l0, T.constant(0.5)), T.mul(l1, T.constant(0.5)))
+        combined = T.add(T.mul(l0, 0.5), T.mul(l1, 0.5))
         g_comb = gradients(nets.parameters(), combined)
         for name in g_comb:
             avg = 0.5 * (per_worker[0][name] + per_worker[1][name])
@@ -530,7 +604,7 @@ class TestA2CUpdate:
         # entropy coefficient 0 -> the entropy term contributes nothing
         tr = mini_trainer("baseline", algo="a2c_sync")
         _, buffer = tr.one_update()
-        view = minibatch_views(buffer, np.arange(10), 0)
+        view = on_tape(minibatch_views(buffer, np.arange(10), 0))
         cfg0 = TrainerConfig(algo="a2c_sync", batch_steps=80, minibatch_steps=40,
                              entropy_coef=0.0)
         nets = tr.agents[0]

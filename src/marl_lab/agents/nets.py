@@ -22,7 +22,7 @@ import numpy as np
 
 from ..envs.config import ConfigError
 from ..envs.env import NUM_CHANNELS
-from ..nn import ComputationGraph, Conv2d, Dense, LSTMCell, Tensor
+from ..nn import Conv2d, Dense, LSTMCell, Tensor
 from ..nn import tensor as T
 
 
@@ -76,54 +76,40 @@ class AgentNets:
         ss = np.random.SeedSequence(seed)
         rngs = [np.random.default_rng(child) for child in ss.spawn(12)]
 
-        self.encoder = ComputationGraph("encoder", seed=seed)
-        self.conv = self.encoder.add(Conv2d("conv", NUM_CHANNELS, s.conv_filters, rngs[0]))
+        self.conv = Conv2d("conv", NUM_CHANNELS, s.conv_filters, rngs[0])
+        self.ac_fc1 = Dense("ac_fc1", self.q, s.fc_units, rngs[1])
+        self.ac_fc2 = Dense("ac_fc2", s.fc_units, s.fc_units, rngs[2])
+        self.ac_lstm = LSTMCell("ac_lstm", s.fc_units, s.lstm_units, rngs[3])
+        self.value_head = Dense("value_head", s.lstm_units, 1, rngs[4], activation="linear")
+        self.policy_head = Dense("policy_head", s.lstm_units, num_actions, rngs[5],
+                                 activation="linear")
+        self.moa_fc1 = Dense("moa_fc1", self.q, s.fc_units, rngs[6])
+        self.moa_fc2 = Dense("moa_fc2", s.fc_units, s.fc_units, rngs[7])
+        self.moa_lstm = LSTMCell("moa_lstm", s.fc_units + joint_dim, s.lstm_units, rngs[8])
+        self.moa_head = Dense("moa_head", s.lstm_units, (num_agents - 1) * num_actions,
+                              rngs[9], activation="linear")
+        self.fwd_fc1 = Dense("fwd_fc1", self.q + s.lstm_units + joint_dim, s.eicm_hidden,
+                             rngs[10])
+        self.fwd_out = Dense("fwd_out", s.eicm_hidden, self.q, rngs[10], activation="linear")
+        self.inv_fc1 = Dense("inv_fc1", 2 * self.q + s.lstm_units, s.eicm_hidden, rngs[11])
+        self.inv_out = Dense("inv_out", s.eicm_hidden, num_agents * num_actions, rngs[11],
+                             activation="linear")
 
-        self.actor_critic = ComputationGraph("actor_critic", seed=seed)
-        self.ac_fc1 = self.actor_critic.add(Dense("ac_fc1", self.q, s.fc_units, rngs[1]))
-        self.ac_fc2 = self.actor_critic.add(Dense("ac_fc2", s.fc_units, s.fc_units, rngs[2]))
-        self.ac_lstm = self.actor_critic.add(LSTMCell("ac_lstm", s.fc_units,
-                                                      s.lstm_units, rngs[3]))
-        self.value_head = self.actor_critic.add(Dense("value_head", s.lstm_units, 1,
-                                                      rngs[4], activation="linear"))
-        self.policy_head = self.actor_critic.add(Dense("policy_head", s.lstm_units,
-                                                       num_actions, rngs[5],
-                                                       activation="linear"))
+        # The checkpoint sections: each one's layers in parameter (and file) order.
+        self.sections = {
+            "encoder": [self.conv],
+            "actor_critic": [self.ac_fc1, self.ac_fc2, self.ac_lstm, self.value_head,
+                             self.policy_head],
+            "moa": [self.moa_fc1, self.moa_fc2, self.moa_lstm, self.moa_head],
+            "forward": [self.fwd_fc1, self.fwd_out],
+            "inverse": [self.inv_fc1, self.inv_out],
+        }
 
-        self.moa = ComputationGraph("moa", seed=seed)
-        self.moa_fc1 = self.moa.add(Dense("moa_fc1", self.q, s.fc_units, rngs[6]))
-        self.moa_fc2 = self.moa.add(Dense("moa_fc2", s.fc_units, s.fc_units, rngs[7]))
-        self.moa_lstm = self.moa.add(LSTMCell("moa_lstm", s.fc_units + joint_dim,
-                                              s.lstm_units, rngs[8]))
-        self.moa_head = self.moa.add(Dense("moa_head", s.lstm_units,
-                                           (num_agents - 1) * num_actions, rngs[9],
-                                           activation="linear"))
-
-        self.forward_model = ComputationGraph("forward", seed=seed)
-        self.fwd_fc1 = self.forward_model.add(Dense(
-            "fwd_fc1", self.q + s.lstm_units + joint_dim, s.eicm_hidden, rngs[10]))
-        self.fwd_out = self.forward_model.add(Dense(
-            "fwd_out", s.eicm_hidden, self.q, rngs[10], activation="linear"))
-
-        self.inverse_model = ComputationGraph("inverse", seed=seed)
-        self.inv_fc1 = self.inverse_model.add(Dense(
-            "inv_fc1", 2 * self.q + s.lstm_units, s.eicm_hidden, rngs[11]))
-        self.inv_out = self.inverse_model.add(Dense(
-            "inv_out", s.eicm_hidden, num_agents * num_actions, rngs[11],
-            activation="linear"))
-
-    # -- checkpointing ---------------------------------------------------
-
-    def sections(self):
-        return {"encoder": self.encoder, "actor_critic": self.actor_critic,
-                "moa": self.moa, "forward": self.forward_model,
-                "inverse": self.inverse_model}
-
-    def parameters(self):
-        out = []
-        for graph in self.sections().values():
-            out.extend(graph.parameters())
-        return out
+    def parameters(self, *names):
+        """Ordered (name, Tensor) pairs of the named sections, of all
+        sections when none is named."""
+        return [pair for name in names or self.sections
+                for layer in self.sections[name] for pair in layer.params()]
 
     # -- the stacks: arrays for rollouts, Tensors for the tape -------------
     #

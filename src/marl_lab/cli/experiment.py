@@ -82,7 +82,7 @@ class ExperimentSpec:
         return write_spec_text(doc)
 
 
-_SET_BY_RUN = ("seed", "map_rows")      # filled in by the run, never by the file
+_SET_BY_RUN = ("seed",)      # filled in by the run, never by the file
 
 _FIELDS = dataclasses.fields(ExperimentSpec)
 _SECTIONS = {name: cls for name, cls in typing.get_type_hints(ExperimentSpec).items()

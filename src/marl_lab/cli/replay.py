@@ -28,7 +28,7 @@ def load_agents_for_env(ckpt_dir, env_config, sizes):
                 f"{env_config.num_actions} actions, {env_config.num_agents} agents)")
         nets = AgentNets(env_config.view_size, env_config.num_actions,
                          env_config.num_agents, seed=[0, k], sizes=sizes)
-        load_checkpoint(path, nets.sections())
+        load_checkpoint(path, nets.sections)
         agents.append(nets)
     return agents
 

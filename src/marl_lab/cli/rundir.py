@@ -133,7 +133,7 @@ class RunDirectory:
         for k, nets in enumerate(trainer.agents):
             names.append(f"agent{k}_step{trainer.env_steps:010d}.ckpt")
             save_checkpoint(self._file(os.path.join(CHECKPOINTS, names[-1])),
-                            nets.sections(), meta={
+                            nets.sections, seed=nets.seed, meta={
                                 "agent": k, "env_steps": trainer.env_steps,
                                 "view_size": nets.view_size,
                                 "num_actions": nets.num_actions,

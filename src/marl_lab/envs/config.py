@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class ConfigError(ValueError):
@@ -37,8 +37,6 @@ class EnvConfig:
     beam_length: int = 5
     beam_width: int = 3
 
-    map_rows: list = field(default=None, repr=False)   # inline layout, overrides `map`
-
     def __post_init__(self):
         from .maps import load_map      # maps imports ConfigError from here
         if self.kind not in ("cleanup", "harvest"):
@@ -65,7 +63,7 @@ class EnvConfig:
             raise ConfigError("beam_width must be odd and >= 1", "beam_width")
         try:
             # not a field: every env built from this config reads it, no spec sees it
-            self.parsed_map = load_map(self.map_rows or self.map, self.kind)
+            self.parsed_map = load_map(self.map, self.kind)
         except ConfigError as exc:
             raise ConfigError(str(exc), "map", "kind") from None
         spawns = len(self.parsed_map.spawns)

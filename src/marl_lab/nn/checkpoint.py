@@ -2,13 +2,15 @@
 
 Layout: 8-byte magic, 8-byte little-endian manifest length, UTF-8 JSON
 manifest, then every parameter tensor's bytes in manifest order. The manifest
-records sections (one per named graph), node lists, shapes and the seed, so a
-load is fully shape-checked and a save/load round trip is bit-exact.
+records sections (one per named list of layers), node lists, shapes and the
+seed, so a load is fully shape-checked and a save/load round trip is
+bit-exact.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -20,25 +22,40 @@ class CheckpointError(RuntimeError):
     pass
 
 
-def save_checkpoint(path, sections, meta=None):
-    """sections: ordered {section_name: ComputationGraph}; meta: JSON-able extras."""
+def _params(layers):
+    return [pair for layer in layers for pair in layer.params()]
+
+
+def save_checkpoint(path, sections, seed=None, meta=None):
+    """sections: ordered {section_name: [layer, ...]}; seed: recorded in each
+    section; meta: JSON-able extras. The bytes go to a temporary name beside
+    `path`, which is then renamed over it, so a save that dies midway leaves
+    no partial file under `path`."""
     manifest = {"meta": meta or {}, "sections": []}
     blobs = []
-    for sec_name, graph in sections.items():
-        entry = {"section": sec_name, "seed": graph.seed, "nodes": graph.node_manifest(),
-                 "params": []}
-        for pname, tensor in graph.parameters():
+    for sec_name, layers in sections.items():
+        nodes = [{"name": layer.name, "kind": type(layer).__name__,
+                  "params": [(pname, list(t.data.shape)) for pname, t in layer.params()]}
+                 for layer in layers]
+        entry = {"section": sec_name, "seed": seed, "nodes": nodes, "params": []}
+        for pname, tensor in _params(layers):
             arr = np.ascontiguousarray(tensor.data, dtype="<f8")
             entry["params"].append({"name": pname, "shape": list(arr.shape)})
             blobs.append(arr.tobytes())
         manifest["sections"].append(entry)
     mbytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<Q", len(mbytes)))
-        f.write(mbytes)
-        for b in blobs:
-            f.write(b)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<Q", len(mbytes)))
+            f.write(mbytes)
+            for b in blobs:
+                f.write(b)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _read_header(f, path):
@@ -64,27 +81,36 @@ def read_manifest(path):
 
 
 def load_checkpoint(path, sections):
-    """Load parameters into existing graphs; shapes and names must match."""
+    """Load parameters into the layers of `sections` ({section_name: [layer,
+    ...]}); section names, parameter names and shapes must match, and no
+    byte may follow the last tensor. Each array is assigned to its existing
+    Tensor's `.data`, and only once the whole file has checked out."""
     with open(path, "rb") as f:
         manifest = _read_header(f, path)
         by_name = {e["section"]: e for e in manifest["sections"]}
         if set(by_name) != set(sections):
             raise CheckpointError(f"{path}: sections {sorted(by_name)} != "
                                   f"expected {sorted(sections)}")
+        loaded = []
         for entry in manifest["sections"]:
-            graph = sections[entry["section"]]
-            params = dict(graph.parameters())
-            arrays = {}
+            params = dict(_params(sections[entry["section"]]))
+            if {p["name"] for p in entry["params"]} != set(params):
+                raise CheckpointError(
+                    f"{path}: section {entry['section']} parameters do not match the "
+                    f"target layers")
             for pentry in entry["params"]:
-                shape = tuple(pentry["shape"])
+                name, shape = pentry["name"], tuple(pentry["shape"])
+                if shape != params[name].data.shape:
+                    raise CheckpointError(
+                        f"{path}: {entry['section']}: shape mismatch for {name}: "
+                        f"{shape} != {params[name].data.shape}")
                 n = int(np.prod(shape)) if shape else 1
                 raw = f.read(8 * n)
                 if len(raw) != 8 * n:
-                    raise CheckpointError(f"{path}: truncated tensor {pentry['name']}")
-                arrays[pentry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape)
-            if set(arrays) != set(params):
-                raise CheckpointError(
-                    f"{path}: section {entry['section']} parameters do not match the "
-                    f"target graph")
-            graph.set_parameters(arrays)
+                    raise CheckpointError(f"{path}: truncated tensor {name}")
+                loaded.append((params[name], np.frombuffer(raw, dtype="<f8").reshape(shape)))
+        if f.read(1):
+            raise CheckpointError(f"{path}: unexpected bytes after the last tensor")
+    for tensor, arr in loaded:
+        tensor.data = arr.astype(np.float64)
     return manifest

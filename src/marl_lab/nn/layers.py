@@ -1,7 +1,8 @@
 """Layer primitives: 3x3 valid conv, dense, LSTM cell.
 
-Each layer owns its parameter Tensors (float64, seeded uniform fan-in init)
-and has one call, `apply`, built from the ops of `nn.tensor`. The input's
+Each layer owns its parameter Tensors (float64, seeded uniform fan-in init),
+lists them as ordered (name, Tensor) pairs through `params()`, and has one
+call, `apply`, built from the ops of `nn.tensor`. The input's
 type picks the path: an ndarray runs on the parameters' `.data` and returns
 ndarrays, for rollouts and other gradient-free evaluation; a Tensor runs on
 the parameter Tensors and records on the tape, for training. Both are the
@@ -33,17 +34,7 @@ def _init_uniform(rng, shape, fan_in):
     return rng.uniform(-bound, bound, size=shape)
 
 
-class Layer:
-    """Base: a named parameter collection."""
-
-    name: str
-
-    def params(self):
-        """Ordered (name, Tensor) pairs for this layer."""
-        raise NotImplementedError
-
-
-class Conv2d(Layer):
+class Conv2d:
     """3x3 valid cross-correlation + bias + ReLU (the only conv the nets use)."""
 
     def __init__(self, name, in_channels, filters, rng):
@@ -64,7 +55,7 @@ class Conv2d(Layer):
         return T.relu(T.conv2d(x, *_params(x, self.kernel, self.bias)))
 
 
-class Dense(Layer):
+class Dense:
     """y = act(x @ W + b), activation in {relu, linear}."""
 
     def __init__(self, name, in_dim, out_dim, rng, activation="relu"):
@@ -89,7 +80,7 @@ class Dense(Layer):
         return T.relu(y) if self.activation == "relu" else y
 
 
-class LSTMCell(Layer):
+class LSTMCell:
     """Standard LSTM cell. Gate order in the fused matrices is (i, f, g, o):
     input and forget gates sigmoid, candidate g tanh, output gate sigmoid;
     c' = f*c + i*g, h' = o*tanh(c')."""

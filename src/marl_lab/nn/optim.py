@@ -26,17 +26,18 @@ def clip_by_global_norm(grads, max_norm):
 
 
 class Optimizer:
-    """Applies updates to a ComputationGraph's parameters.
+    """Applies updates to the parameters given as (name, Tensor) pairs.
 
-    One instance per graph; Adam moment buffers are keyed by parameter name.
-    Non-finite or mis-shaped gradients abort the run with a diagnostic, per
-    the training contract.
+    It writes each Tensor's `.data`, so whatever loads into those Tensors
+    (a checkpoint, say) is what the next step moves. Adam moment buffers are
+    keyed by parameter name. Non-finite or mis-shaped gradients abort the run
+    with a diagnostic, per the training contract.
     """
 
-    def __init__(self, graph, kind, learning_rate, grad_clip_norm=None):
+    def __init__(self, params, kind, learning_rate, grad_clip_norm=None):
         if kind not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer kind {kind!r}")
-        self.graph = graph
+        self.params = dict(params)
         self.kind = kind
         self.learning_rate = learning_rate
         self.grad_clip_norm = grad_clip_norm
@@ -46,7 +47,7 @@ class Optimizer:
 
     def step(self, grads):
         """Apply one update. Returns the pre-clip global gradient norm."""
-        params = dict(self.graph.parameters())
+        params = self.params
         for name, g in grads.items():
             if not np.isfinite(g).all():
                 raise FloatingPointError(

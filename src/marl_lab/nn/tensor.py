@@ -28,11 +28,10 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "needs_grad", "_parents", "_vjp", "__weakref__")
+    __slots__ = ("data", "needs_grad", "_parents", "_vjp", "__weakref__")
 
     def __init__(self, data, needs_grad=False, _parents=(), _vjp=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
         self.needs_grad = bool(needs_grad)
         self._parents = _parents
         self._vjp = _vjp
@@ -45,8 +44,9 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, needs_grad={self.needs_grad})"
 
     def backward(self):
-        """Reverse-accumulate gradients from this scalar into every
-        reachable tensor with needs_grad=True.
+        """Reverse-accumulate gradients from this scalar; returns
+        {id(leaf): gradient} for every reachable leaf with needs_grad=True.
+        No Tensor stores a gradient.
 
         Backward consumes the tape, as PyTorch's default retain_graph=False
         does: each node drops its vjp and parents once its gradient has
@@ -57,7 +57,7 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"backward requires a scalar, got shape {self.data.shape}")
         order = _toposort(self)
-        grads = {id(self): np.ones_like(self.data)}
+        grads, leaves = {id(self): np.ones_like(self.data)}, {}
         while order:
             node = order.pop()
             g = grads.pop(id(node), None)
@@ -66,13 +66,24 @@ class Tensor:
             if g is None:
                 continue
             if vjp is None:
-                node.grad = g if node.grad is None else node.grad + g
+                if node.needs_grad:
+                    leaves[id(node)] = g
                 continue
             for parent, pg in zip(parents, vjp(g)):
                 if pg is None or not parent.needs_grad:
                     continue
                 prev = grads.get(id(parent))
                 grads[id(parent)] = pg if prev is None else prev + pg
+        return leaves
+
+
+def gradients(params, loss):
+    """Backprop `loss` once; {name: gradient} over the (name, Tensor) pairs
+    in `params`, shape-identical to each parameter, with exact zeros where
+    the loss does not touch one."""
+    leaves = loss.backward()
+    return {name: leaves[id(p)] if id(p) in leaves else np.zeros_like(p.data)
+            for name, p in params}
 
 
 def _as_tensor(x):

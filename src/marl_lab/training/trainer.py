@@ -77,7 +77,8 @@ class Trainer:
         self.workers = RolloutWorkers(env_config, shaping_config, trainer_config.seed,
                                       range(trainer_config.workers),
                                       self.agents[0].sizes.lstm_units)
-        self.optimizers = [Optimizer(a, trainer_config.optimizer, trainer_config.learning_rate,
+        self.optimizers = [Optimizer(a.parameters(), trainer_config.optimizer,
+                                     trainer_config.learning_rate,
                                      trainer_config.grad_clip_norm) for a in self.agents]
         self._shuffle_rng = np.random.default_rng(
             np.random.SeedSequence([trainer_config.seed, 7919]))

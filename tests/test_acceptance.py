@@ -218,10 +218,8 @@ def test_gradient_suite():
         # (b) L_F through forward-model and encoder parameters
         # (c) L_I through inverse-model and encoder parameters
         for leg, loss_builder, param_picker in (
-                ("b", forward_loss_tape, lambda n: n.forward_model.parameters()
-                 + n.encoder.parameters()),
-                ("c", inverse_loss_tape, lambda n: n.inverse_model.parameters()
-                 + n.encoder.parameters())):
+                ("b", forward_loss_tape, lambda n: n.parameters("forward", "encoder")),
+                ("c", inverse_loss_tape, lambda n: n.parameters("inverse", "encoder"))):
             done, seed = 0, 1000 if leg == "b" else 2000
             while done < 50:
                 seed += 1
@@ -314,8 +312,8 @@ def test_elimination_correctness():
 
 def test_environment_semantics():
     with criterion("environment-semantics"):
-        env = SSDEnv(EnvConfig(kind="cleanup", map_rows=["#####", "#PA #", "#   #",
-                                                         "#####"],
+        env = SSDEnv(EnvConfig(kind="cleanup", map=["#####", "#PA #", "#   #",
+                                                    "#####"],
                                num_agents=1, episode_length=50, view_size=5,
                                cleanup_max_spawn_rate=0.0, waste_spawn_prob=0.0,
                                initial_waste_fraction=0.0))
@@ -324,8 +322,8 @@ def test_environment_semantics():
         _, out = env.step([MOVE_UP])
         assert out.extrinsic[0] == 1.0
 
-        env = SSDEnv(EnvConfig(kind="cleanup", map_rows=["#######", "#P  P #",
-                                                         "#     #", "#######"],
+        env = SSDEnv(EnvConfig(kind="cleanup", map=["#######", "#P  P #",
+                                                    "#     #", "#######"],
                                num_agents=2, episode_length=50, view_size=5,
                                cleanup_max_spawn_rate=0.0, waste_spawn_prob=0.0,
                                initial_waste_fraction=0.0))
@@ -338,7 +336,7 @@ def test_environment_semantics():
 
         rows = ["#####", "#AA #", "#A P#", "# AA#", "#####"]
         for seed in range(100):
-            env = SSDEnv(EnvConfig(kind="harvest", map_rows=rows, num_agents=1,
+            env = SSDEnv(EnvConfig(kind="harvest", map=rows, num_agents=1,
                                    episode_length=200, view_size=5, seed=seed))
             env.reset()
             rng = np.random.default_rng(seed)

@@ -148,16 +148,16 @@ class TestMoaPredict:
         mask = np.ones(8)
         u0 = np.zeros((8, SMALL.lstm_units))
 
-        graphs = [nets.encoder, nets.moa]
-        opts = [Optimizer(g, "adam", learning_rate=0.03)
-                for g in graphs]
+        sections = ("encoder", "moa")
+        opts = [Optimizer(nets.parameters(name), "adam", learning_rate=0.03)
+                for name in sections]
         for _ in range(150):
             feat = nets.encode(Tensor(observations))
             loss = moa_loss_tape(nets, feat, Tensor(joints), Tensor(u0), Tensor(u0),
                                  targets, mask)
-            grads = gradients(nets.encoder.parameters() + nets.moa.parameters(), loss)
-            for g, opt in zip(graphs, opts):
-                opt.step({n: grads[n] for n, _ in g.parameters()})
+            grads = gradients(nets.parameters(*sections), loss)
+            for name, opt in zip(sections, opts):
+                opt.step({n: grads[n] for n, _ in nets.parameters(name)})
 
         probs, _, _ = nets.moa_predict(observations[0], joints[0], *zero_state())
         assert probs[0, 0] > 0.9
@@ -247,5 +247,5 @@ class TestArchitecture:
 
     def test_checkpoint_sections_cover_all_nets(self):
         nets = small_nets()
-        assert set(nets.sections()) == {"encoder", "actor_critic", "moa",
+        assert set(nets.sections) == {"encoder", "actor_critic", "moa",
                                         "forward", "inverse"}

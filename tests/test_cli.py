@@ -29,13 +29,12 @@ def write_tiny_spec(tmp_path, mode="baseline", name="tiny.spec"):
 
 def settable_keys():
     """(section, key, type hint) of every key a spec file may set, read from
-    the config dataclasses; each section's `seed` and the env's `map_rows`
-    are filled in by the run."""
+    the config dataclasses; each section's `seed` is filled in by the run."""
     out = []
     for name, hint in typing.get_type_hints(ExperimentSpec).items():
         if dataclasses.is_dataclass(hint):
             out += [(name, key, h) for key, h in typing.get_type_hints(hint).items()
-                    if key not in ("seed", "map_rows")]
+                    if key != "seed"]
         else:
             out.append((None, name, hint))
     return out
@@ -564,6 +563,21 @@ class TestReplay:
             assert main(["replay", str(ckpt_dir), spec, "--episodes", "1",
                          "--seed", "1"]) == 2
             assert capsys.readouterr().err.startswith("error:")
+
+    def test_net_mismatch_exits_2_naming_the_checkpoint(self, tmp_path, capsys):
+        # a spec whose [net] does not fit the saved layers is a checkpoint
+        # error, not a failed run
+        ckpt_dir, env_spec = self._trained_dir(tmp_path)
+        wide = tmp_path / "wide_net.spec"
+        wide.write_text(open(env_spec).read().replace("conv_filters = 2", "conv_filters = 3"))
+        capsys.readouterr()
+        assert main(["replay", ckpt_dir, str(wide), "--episodes", "1", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        first = find_agent_checkpoints(ckpt_dir)[0]
+        assert captured.err.startswith(
+            f"error: {first}: encoder: shape mismatch for conv.kernel: "
+            f"(3, 3, 8, 2) != (3, 3, 8, 3)")
+        assert captured.out == ""
 
     def test_zero_episodes_exits_2(self, tmp_path, capsys):
         ckpt_dir, env_spec = self._trained_dir(tmp_path)

@@ -53,7 +53,7 @@ class TestEncode:
 class TestForwardPredict:
     def test_zero_params_zero_prediction(self):
         nets = small_nets()
-        for _, p in nets.forward_model.parameters():
+        for _, p in nets.parameters("forward"):
             p.data[:] = 0.0
         phi = np.ones(nets.q)
         out = forward_predict(nets, phi, np.zeros(8), joint_one_hot([1, 2], 9))
@@ -86,9 +86,9 @@ class TestForwardPredict:
                                      Tensor(u), Tensor(joint))
 
         initial = float(loss_fn().data)
-        opt = Optimizer(nets.forward_model, "adam", learning_rate=0.02)
+        opt = Optimizer(nets.parameters("forward"), "adam", learning_rate=0.02)
         for _ in range(400):
-            opt.step(gradients(nets.forward_model.parameters(), loss_fn()))
+            opt.step(gradients(nets.parameters("forward"), loss_fn()))
         assert float(loss_fn().data) < 1e-3 * initial
 
 
@@ -221,11 +221,11 @@ class TestInverseModel:
         u = np.zeros((1, 8))
         actions = np.array([[3, 5]])
 
-        opt = Optimizer(nets.inverse_model, "adam", learning_rate=0.05)
+        opt = Optimizer(nets.parameters("inverse"), "adam", learning_rate=0.05)
         for _ in range(300):
             loss = inverse_loss_tape(nets, Tensor(phi_prev), Tensor(phi_curr),
                                      Tensor(u), actions)
-            opt.step(gradients(nets.inverse_model.parameters(), loss))
+            opt.step(gradients(nets.parameters("inverse"), loss))
         probs = inverse_probs(nets, phi_prev[0], phi_curr[0], u[0])
         assert probs[0, 3] > 0.99 and probs[1, 5] > 0.99
 
@@ -339,7 +339,7 @@ class TestGradients:
                 feat_next = nets.encode(lift(obs_next))
                 return forward_loss_tape(nets, feat_prev, feat_next, lift(u), lift(joint))
 
-            params = nets.forward_model.parameters() + nets.encoder.parameters()
+            params = nets.parameters("forward", "encoder")
             err = finite_difference_check(loss_fn, params, epsilon=1e-4)
             assert err < 1e-4
 
@@ -352,6 +352,6 @@ class TestGradients:
                 feat_next = nets.encode(lift(obs_next))
                 return inverse_loss_tape(nets, feat_prev, feat_next, lift(u), actions)
 
-            params = nets.inverse_model.parameters() + nets.encoder.parameters()
+            params = nets.parameters("inverse", "encoder")
             err = finite_difference_check(loss_fn, params, epsilon=1e-4)
             assert err < 1e-4

@@ -26,7 +26,7 @@ def make_env(rows, kind="cleanup", n=1, seed=0, **kw):
     kw.setdefault("cleanup_max_spawn_rate", 0.0)
     kw.setdefault("waste_spawn_prob", 0.0)
     kw.setdefault("initial_waste_fraction", 0.0)
-    env = SSDEnv(EnvConfig(kind=kind, map_rows=rows, num_agents=n, seed=seed, **kw))
+    env = SSDEnv(EnvConfig(kind=kind, map=rows, num_agents=n, seed=seed, **kw))
     env.reset()
     return env
 
@@ -120,9 +120,9 @@ class TestReset:
 
     def test_malformed_map_rejected(self):
         with pytest.raises(ConfigError):
-            SSDEnv(EnvConfig(map_rows=["###", "# #", "##"], num_agents=1))
+            SSDEnv(EnvConfig(map=["###", "# #", "##"], num_agents=1))
         with pytest.raises(ConfigError):
-            SSDEnv(EnvConfig(kind="harvest", map_rows=["###", "#~#", "###"], num_agents=0))
+            SSDEnv(EnvConfig(kind="harvest", map=["###", "#~#", "###"], num_agents=0))
 
 
 class TestStepRewards:

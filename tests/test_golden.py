@@ -249,7 +249,7 @@ def golden_trainer(cell):
                         episode_length=15, view_size=7, harvest_low_rate=0.3,
                         harvest_mid_rate=0.6, harvest_high_rate=0.9, seed=5)
     else:
-        env = EnvConfig(kind="cleanup", map_rows=THREE_AGENT_CLEANUP, num_agents=3,
+        env = EnvConfig(kind="cleanup", map=THREE_AGENT_CLEANUP, num_agents=3,
                         episode_length=15, view_size=7, initial_waste_fraction=0.2,
                         seed=5)
     shaping = ShapingConfig(mode=mode, alpha=0.0 if mode == "baseline" else 5.0,

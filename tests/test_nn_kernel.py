@@ -1,10 +1,12 @@
 """Layer-level oracles: hand-evaluated conv / dense / LSTM cases on layers
 whose parameters are set by hand, the one-forward-definition contract (an op,
 a layer or a net stack called on arrays returns the bytes its Tensor call
-holds in `.data`), optimizer updates, checkpoint round trips, truncated
-checkpoint files, and the kernel's place below the envs."""
+holds in `.data`), optimizer updates, checkpoint round trips, truncated,
+padded or half-saved checkpoint files, and the kernel's place below the envs."""
 
 import math
+import os
+import re
 import weakref
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from marl_lab.agents import AgentNets, NetSizes, joint_one_hot
 from marl_lab.nn import (
-    CheckpointError, ComputationGraph, Conv2d, Dense, LSTMCell, Optimizer,
+    CheckpointError, Conv2d, Dense, LSTMCell, Optimizer,
     ShapeError, Tensor, load_checkpoint, read_manifest, save_checkpoint,
 )
 from marl_lab.nn import tensor as T
@@ -221,8 +223,8 @@ class TestOneForwardDefinition:
     def test_stacked_matmul_gradient(self, rng):
         # the weight gradient of stacked rows sums every row's outer product
         x, w = rng.normal(size=(4, 1, 6)), Tensor(rng.normal(size=(6, 3)), needs_grad=True)
-        T.tsum(T.matmul(Tensor(x), w)).backward()
-        np.testing.assert_allclose(w.grad, np.repeat(x.reshape(4, 6).sum(0)[:, None], 3, 1),
+        grad = T.tsum(T.matmul(Tensor(x), w)).backward()[id(w)]
+        np.testing.assert_allclose(grad, np.repeat(x.reshape(4, 6).sum(0)[:, None], 3, 1),
                                    atol=1e-12)
 
     @pytest.mark.parametrize("lead", [(5,), (4, 1)], ids=["update_rows", "rollout_rows"])
@@ -260,10 +262,10 @@ class TestTapeLifetime:
         loss = T.tsum(T.mul(hidden, hidden))
         ref = weakref.ref(hidden)
         del hidden
-        loss.backward()
+        leaves = loss.backward()
         assert ref() is None
         assert loss._parents == () and loss._vjp is None
-        assert w.grad is not None
+        assert leaves[id(w)] is not None
 
     @pytest.mark.parametrize("shape", [(3, 5, 5, 2), (4, 1, 5, 5, 2)],
                              ids=["update_batch", "rollout_stack"])
@@ -273,14 +275,14 @@ class TestTapeLifetime:
         kernel = Tensor(k, needs_grad=True)
         out = T.conv2d(Tensor(x), kernel, Tensor(b, needs_grad=True))
         g = rng.normal(size=out.shape)
-        T.tsum(T.mul(out, g)).backward()
+        grad = T.tsum(T.mul(out, g)).backward()[id(kernel)]
         H, W, C = shape[-3:]
         images = x.reshape((-1, H, W, C))
         patches = np.array([images[n, i:i + 3, j:j + 3, :].reshape(-1)
                             for n in range(images.shape[0])
                             for i in range(H - 2) for j in range(W - 2)])
         want = (patches.T @ g.reshape(-1, 3)).reshape(3, 3, 2, 3)
-        assert kernel.grad.tobytes() == want.tobytes()
+        assert grad.tobytes() == want.tobytes()
 
 
 class TestSoftmax:
@@ -292,11 +294,9 @@ class TestSoftmax:
 
 class TestOptimizer:
     def _graph_with_param(self, value):
-        g = ComputationGraph("g", seed=0)
         lay = Dense("p", 1, 1, np.random.default_rng(0), activation="linear")
         lay.weight.data = np.array([[value]])
-        g.add(lay)
-        return g, lay
+        return lay.params(), lay
 
     def test_zero_gradient_leaves_params_unchanged(self):
         g, lay = self._graph_with_param(1.5)
@@ -359,11 +359,7 @@ class TestOptimizer:
 class TestCheckpoint:
     def _build(self, seed):
         rng = np.random.default_rng(seed)
-        g = ComputationGraph("net", seed=seed)
-        g.add(Conv2d("enc", 2, 3, rng))
-        g.add(Dense("fc", 27, 4, rng))
-        g.add(LSTMCell("mem", 4, 4, rng))
-        return g
+        return [Conv2d("enc", 2, 3, rng), Dense("fc", 27, 4, rng), LSTMCell("mem", 4, 4, rng)]
 
     def test_round_trip_is_bit_exact(self, tmp_path):
         g = self._build(7)
@@ -371,14 +367,15 @@ class TestCheckpoint:
         save_checkpoint(path, {"net": g}, meta={"step": 3})
         g2 = self._build(99)   # different init, must be overwritten exactly
         load_checkpoint(path, {"net": g2})
-        for (n1, p1), (n2, p2) in zip(g.parameters(), g2.parameters()):
+        pairs = [[pair for lay in layers for pair in lay.params()] for layers in (g, g2)]
+        for (n1, p1), (n2, p2) in zip(*pairs):
             assert n1 == n2
             np.testing.assert_array_equal(p1.data, p2.data)
 
     def test_manifest_records_nodes_shapes_seed(self, tmp_path):
         g = self._build(7)
         path = tmp_path / "net.ckpt"
-        save_checkpoint(path, {"net": g})
+        save_checkpoint(path, {"net": g}, seed=7)
         man = read_manifest(path)
         sec = man["sections"][0]
         assert sec["seed"] == 7
@@ -414,6 +411,35 @@ class TestCheckpoint:
                 read_manifest(path)
             with pytest.raises(CheckpointError):
                 load_checkpoint(path, {"net": self._build(7)})
+
+    def test_bytes_after_the_last_tensor_rejected(self, tmp_path):
+        path = tmp_path / "padded.ckpt"
+        save_checkpoint(path, {"net": self._build(7)})
+        path.write_bytes(path.read_bytes() + bytes(64))
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: unexpected bytes")):
+            load_checkpoint(path, {"net": self._build(7)})
+
+    def test_shape_mismatch_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, {"net": self._build(7)})
+        target = [Conv2d("enc", 2, 5, np.random.default_rng(0)), *self._build(7)[1:]]
+        before = [p.data.copy() for lay in target for _, p in lay.params()]
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path}: net: shape mismatch for enc.kernel: (3, 3, 2, 3) != (3, 3, 2, 5)")):
+            load_checkpoint(path, {"net": target})
+        # nothing is assigned until the whole file has checked out
+        after = [p.data for lay in target for _, p in lay.params()]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
+
+    def test_failed_save_leaves_no_file_under_the_name(self, tmp_path, monkeypatch):
+        def interrupted(src, dst):
+            raise OSError("interrupted")
+        monkeypatch.setattr(os, "replace", interrupted)
+        path = tmp_path / "agent0_step0000000010.ckpt"
+        with pytest.raises(OSError, match="interrupted"):
+            save_checkpoint(path, {"net": self._build(7)})
+        assert not path.exists()
+        assert os.listdir(tmp_path) == []
 
     def test_save_twice_is_byte_identical(self, tmp_path):
         g = self._build(7)

@@ -14,7 +14,7 @@ from marl_lab.agents import AgentNets, NetSizes, joint_one_hot
 from marl_lab.cli import resolve_spec
 from marl_lab.eicm import forward_loss_tape, inverse_loss_tape, moa_loss_tape
 from marl_lab.envs import EnvConfig, SSDEnv
-from marl_lab.nn import Tensor, gradients
+from marl_lab.nn import Optimizer, Tensor, gradients, load_checkpoint, save_checkpoint
 from marl_lab.nn import tensor as T
 from marl_lab.shaping import ShapingConfig
 from marl_lab.training import (
@@ -60,7 +60,7 @@ def mini_trainer(mode="baseline", algo="ppo", seed=1, **tkw):
 def three_agent_cleanup(mode):
     """3 agents, so impact rows are not all ones, on 9-step episodes: 14
     steps per worker per collection end collections mid-episode."""
-    env = EnvConfig(kind="cleanup", map_rows=THREE_AGENT_CLEANUP, num_agents=3,
+    env = EnvConfig(kind="cleanup", map=THREE_AGENT_CLEANUP, num_agents=3,
                     episode_length=9, view_size=7, initial_waste_fraction=0.2)
     shaping = ShapingConfig(mode=mode, alpha=0.0 if mode == "baseline" else 5.0,
                             beta=0.05)
@@ -327,9 +327,8 @@ class TestPPOUpdate:
         # pessimistic min picks 1.2*1 over 1.5*1 and 0.8*(-1) over 0.5*(-1)
         np.testing.assert_allclose(surr.data, [1.2, 1.0, -0.8], atol=1e-15)
         loss = T.tsum(surr)
-        loss.backward()
         # saturated clip passes no gradient
-        np.testing.assert_allclose(ratio.grad, [0.0, 1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(loss.backward()[id(ratio)], [0.0, 1.0, 0.0], atol=1e-15)
 
     def test_coefficient_zero_removes_term_gradient_exactly(self):
         tr = mini_trainer("emurel")
@@ -613,6 +612,25 @@ class TestA2CUpdate:
         # with zero advantages and entropy_coef 0 only the value term remains
         assert float(loss0.data) == pytest.approx(
             cfg0.value_coef * terms0["value_loss"], abs=1e-12)
+
+
+def test_optimizer_steps_the_parameters_a_checkpoint_loaded(tmp_path):
+    # Resuming relies on this: the loader writes into the Tensors the
+    # trainer's optimizers hold, so their next step moves the loaded values.
+    trainer = mini_trainer(mode="emurel")
+    cfg = trainer.cfg
+    for k, nets in enumerate(trainer.agents):
+        source = AgentNets(nets.view_size, nets.num_actions, nets.num_agents,
+                           seed=[99, k], sizes=SMALL)
+        path = tmp_path / f"agent{k}.ckpt"
+        save_checkpoint(path, source.sections, seed=source.seed)
+        load_checkpoint(path, nets.sections)
+        grads = {name: np.full_like(p.data, 0.5 + k) for name, p in nets.parameters()}
+        trainer.optimizers[k].step(grads)
+        Optimizer(source.parameters(), cfg.optimizer, cfg.learning_rate,
+                  cfg.grad_clip_norm).step(grads)
+        for (name, p), (_, want) in zip(nets.parameters(), source.parameters()):
+            assert p.data.tobytes() == want.data.tobytes(), name
 
 
 class TestEvaluate:

@@ -9,19 +9,21 @@ desk-scale runs are far too short to rank the methods.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from marl_lab.cli import format_table, resolve_spec, run_single_seed, summarize
+from marl_lab.envs import ConfigError
 
 SPECS_DIR = os.path.join(os.path.dirname(__file__), "..", "specs")
 METHOD_SPECS = ["mini_cleanup3_baseline.spec", "mini_cleanup3_ia.spec",
                 "mini_cleanup3_emurel.spec"]
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--updates", type=int, default=200,
                     help="training updates per run (default: full desk scale)")
@@ -31,16 +33,23 @@ def main():
                     help="aggregation window (default: summary window of the spec)")
     ap.add_argument("--trim", action="store_true",
                     help="drop best/worst seed per method (needs >= 3 seeds)")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
+    if args.last_steps is not None and args.last_steps < 1:
+        ap.error(f"--last-steps {args.last_steps}: the window must hold at least one env step")
 
-    window = args.last_steps
-    for name in METHOD_SPECS:
-        spec = resolve_spec(os.path.join(SPECS_DIR, name))
-        spec.trainer.updates = args.updates
-        spec.output_dir = args.output_dir
-        spec.seeds = list(args.seeds)
-        if window is None:
-            window = spec.summary_window_steps
+    # Every spec is rebuilt through its config checks before any seed trains.
+    specs = []
+    try:
+        for name in METHOD_SPECS:
+            spec = resolve_spec(os.path.join(SPECS_DIR, name))
+            specs.append(dataclasses.replace(
+                spec, trainer=dataclasses.replace(spec.trainer, updates=args.updates),
+                output_dir=args.output_dir, seeds=list(args.seeds)))
+    except ConfigError as exc:
+        ap.error(str(exc))
+
+    window = args.last_steps if args.last_steps is not None else specs[0].summary_window_steps
+    for spec in specs:
         for seed in spec.seeds:
             print(f"[{spec.method.mode} seed {seed}] training "
                   f"{args.updates} updates ...", flush=True)

@@ -114,11 +114,11 @@ class AgentNets:
     # -- the stacks: arrays for rollouts, Tensors for the tape -------------
     #
     # Rows lie along leading axes. Training passes flat (B, n) minibatches.
-    # Rollouts pass a lockstep stack of W windows (W, V, V, C) with (W, U)
-    # LSTM state arrays, and shape every input (W, 1, n), so each row
-    # goes through the same BLAS call as a lone window and gets the same bits.
-    # `act` and `value_only` take stacks only: a lone window is the W = 1
-    # stack.
+    # Rollouts encode a lockstep stack of W windows once per agent-step
+    # (`window_features`) and hand the (W, q) features and (W, U) LSTM states
+    # to `act`, `moa_predict` and `value_only`, which shape every input
+    # (W, 1, n), so each row gets the bits of a lone window's BLAS call.
+    # `act` and `value_only` take stacks only: a lone window is W = 1.
 
     def encode(self, obs):
         """Flattened shared-conv features phi(obs): (..., q) for (..., V, V, C).
@@ -133,7 +133,7 @@ class AgentNets:
 
     def window_features(self, obs):
         """phi of one window (V, V, C) or of a lockstep stack (W, V, V, C):
-        (q,) or (W, q), with one conv gemm per window."""
+        (q,) or (W, q), with one conv gemm per window: the rollout's encode."""
         obs = np.asarray(obs, dtype=np.float64)
         return self.encode(obs[..., None, :, :, :])[..., 0, :]
 
@@ -160,14 +160,10 @@ class AgentNets:
         x = T.concat([feat_prev, feat_curr, u_h], axis=-1)
         return self.inv_out.apply(self.inv_fc1.apply(x))
 
-    def act(self, obs, v_h, v_c, rng, greedy=False, feat=None):
-        """Sample one action per row of a lockstep stack; returns
+    def act(self, feat, v_h, v_c, rng, greedy=False):
+        """Sample one action per row of a stack's (W, q) features; returns
         (PolicyOutput, v_h', v_c'), the advanced actor-critic LSTM state.
-
-        `rng` holds one Generator per row. `feat`, when given, is
-        window_features(obs), computed once by the caller.
-        """
-        feat = self.window_features(obs) if feat is None else feat
+        `rng` holds one Generator per row."""
         logits, value, v_h, v_c = self.run_actor_critic(*_one_row(feat, v_h, v_c))
         logits, value = logits[..., 0, :], value[..., 0, 0]
         if not np.isfinite(logits).all():
@@ -180,20 +176,19 @@ class AgentNets:
         return (PolicyOutput(action=action, probs=probs, value=value),
                 v_h[..., 0, :], v_c[..., 0, :])
 
-    def value_only(self, obs, v_h, v_c):
-        """Value estimates of a lockstep stack, without sampling, state
+    def value_only(self, feat, v_h, v_c):
+        """Value estimates of a stack's features, without sampling, state
         advance, or RNG use."""
-        _, value, _, _ = self.run_actor_critic(*_one_row(self.window_features(obs), v_h, v_c))
+        _, value, _, _ = self.run_actor_critic(*_one_row(feat, v_h, v_c))
         return value[..., 0, 0]
 
-    def moa_predict(self, obs, joint_action_onehot, u_h, u_c, feat=None):
+    def moa_predict(self, feat, joint_action_onehot, u_h, u_c):
         """Predict the other agents' next actions; advances the MOA LSTM.
 
-        joint_action_onehot: flat (N*|A|,) one-hot stacking of the most
-        recent joint action, one per row for a stack. Returns
-        ((..., N-1, |A|) probabilities, u_h', u_c'). `feat` is as in `act`.
+        feat: (q,) features, or (W, q) for a stack; joint_action_onehot: the
+        flat (N*|A|,) one-hot stacking of the most recent joint action, one
+        per row. Returns ((..., N-1, |A|) probabilities, u_h', u_c').
         """
-        feat = self.window_features(obs) if feat is None else feat
         joint = np.asarray(joint_action_onehot, dtype=np.float64)
         want = self.num_agents * self.num_actions
         if joint.shape != feat.shape[:-1] + (want,):

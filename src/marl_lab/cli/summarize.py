@@ -55,6 +55,9 @@ def _run_identity(run_dir):
 def summarize(run_dirs, last_steps, trim=False):
     """Per-method mean, unbiased variance, and a 95% normal confidence band
     over seeds; optional best/worst trimming per method."""
+    if last_steps < 1:
+        raise SummarizeError(f"--last-steps {last_steps}: the window must hold at "
+                             f"least one env step")
     runs = discover_runs(run_dirs)
     identities = {}
     by_method = {}
@@ -70,8 +73,13 @@ def summarize(run_dirs, last_steps, trim=False):
     for method in sorted(by_method):
         values = []
         for rd in by_method[method]:
-            rew, eq = window_mean(read_metrics_csv(os.path.join(rd, METRICS)),
-                                  last_steps)
+            path = os.path.join(rd, METRICS)
+            try:
+                rew, eq = window_mean(read_metrics_csv(path), last_steps)
+            except KeyError as exc:
+                raise SummarizeError(f"{path}: no {exc} column") from None
+            except ValueError as exc:   # a bad row or value, or bytes that are not UTF-8
+                raise SummarizeError(f"{path}: {exc}") from None
             if rew is None:
                 raise SummarizeError(f"{rd}: no completed episodes inside the window")
             values.append((rew, eq))

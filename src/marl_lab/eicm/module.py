@@ -16,30 +16,6 @@ from ..nn import tensor as T
 from ..shaping import fellows
 
 
-def forward_predict(nets, phi_prev, u_prev, joint_onehot):
-    """Predicted phi of the next observation, one per input row: (q,) for a
-    sample, (..., q) for rows stacked along leading axes."""
-    phi_prev = np.asarray(phi_prev, dtype=np.float64)
-    u_prev = np.asarray(u_prev, dtype=np.float64)
-    joint = np.asarray(joint_onehot, dtype=np.float64)
-    want = nets.num_agents * nets.num_actions
-    if joint.shape[-1:] != (want,):
-        raise ValueError(f"joint action one-hot must have {want} entries, got {joint.shape}")
-    if phi_prev.shape[-1:] != (nets.q,):
-        raise ValueError(f"feature vector must have {nets.q} entries, got {phi_prev.shape}")
-    return nets.run_forward_model(phi_prev, u_prev, joint)
-
-
-def eliminate(nets, joint_onehot, j):
-    """A copy of the joint action(s) with agent j's one-hot block zeroed."""
-    if not 0 <= j < nets.num_agents:
-        raise ValueError(f"agent index {j} out of range for N={nets.num_agents}")
-    joint = np.array(joint_onehot, dtype=np.float64)
-    a = nets.num_actions
-    joint[..., j * a:(j + 1) * a] = 0.0
-    return joint
-
-
 def normalize_impacts(raw):
     """Min-max normalize each row (last axis) of raw impacts into [0, 1].
 
@@ -63,18 +39,23 @@ def impact_row(nets, phi_prev, u_prev, joint_onehot, k):
 
     Takes one sample, (q,) features, (U,) MOA state and (N*|A|,) joint action,
     or a lockstep stack of W of each, and returns (N-1,) or (W, N-1) rows.
-    Per sample the full prediction and all eliminations run as one batched
-    forward pass of N rows, so a stack gets the bits of W lone calls.
+    Per sample the forward model runs once on a masked batch of N joints: one
+    multiply by a 0/1 keep-mask, whose row 0 keeps every block and whose row
+    i zeroes the i-th fellow's block. A stack gets the bits of W lone calls.
     """
-    if not 0 <= k < nets.num_agents:
-        raise ValueError(f"agent index {k} out of range for N={nets.num_agents}")
+    N, A = nets.num_agents, nets.num_actions
+    if not 0 <= k < N:
+        raise ValueError(f"agent index {k} out of range for N={N}")
     joint = np.asarray(joint_onehot, dtype=np.float64)
-    joints = np.stack([joint] + [eliminate(nets, joint, j)
-                                 for j in fellows(nets.num_agents)[k]], axis=-2)
+    if joint.shape[-1:] != (N * A,):    # the mask multiply would broadcast one entry
+        raise ValueError(f"joint action one-hot must have {N * A} entries, got {joint.shape}")
+    keep = np.ones((N, N))
+    keep[np.arange(1, N), fellows(N)[k]] = 0.0
+    joints = joint[..., None, :] * np.repeat(keep, A, axis=1)
     rows = joints.shape[:-1]
     phi, u = (np.broadcast_to(np.asarray(v)[..., None, :], rows + np.shape(v)[-1:])
               for v in (phi_prev, u_prev))
-    preds = forward_predict(nets, phi, u, joints)
+    preds = nets.run_forward_model(phi, u, joints)
     diffs = preds[..., 1:, :] - preds[..., :1, :]
     raw = 0.5 * np.einsum("...ij,...ij->...i", diffs, diffs)
     return normalize_impacts(raw), raw

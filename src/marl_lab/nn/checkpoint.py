@@ -59,20 +59,32 @@ def save_checkpoint(path, sections, seed=None, meta=None):
 
 
 def _read_header(f, path):
-    """Check the magic and parse the manifest, leaving f at the first tensor."""
+    """Check the magic, parse the manifest and check its layout, leaving f at
+    the first tensor."""
     if f.read(8) != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
     field = f.read(8)
     if len(field) != 8:
         raise CheckpointError(f"{path}: truncated manifest length")
     (mlen,) = struct.unpack("<Q", field)
-    raw = f.read(mlen)
-    if len(raw) != mlen:
-        raise CheckpointError(f"{path}: truncated manifest ({len(raw)} of {mlen} bytes)")
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if mlen > left:     # checked before reading: the length may be any 64-bit value
+        raise CheckpointError(f"{path}: truncated manifest ({left} of {mlen} bytes)")
     try:
-        return json.loads(raw.decode("utf-8"))
+        manifest = json.loads(f.read(mlen).decode("utf-8"))
     except ValueError as exc:   # UnicodeDecodeError and JSONDecodeError both
         raise CheckpointError(f"{path}: undecodable manifest: {exc}") from exc
+    try:    # the layout save_checkpoint writes, as far as its readers read it
+        ok = isinstance(manifest["meta"], dict) and all(
+            isinstance(entry["section"], str) and all(
+                isinstance(p["name"], str) and all(type(d) is int and d >= 0 for d in p["shape"])
+                for p in entry["params"])
+            for entry in manifest["sections"])
+    except (KeyError, TypeError):   # a missing key, or a value of the wrong kind
+        ok = False
+    if not ok:
+        raise CheckpointError(f"{path}: malformed manifest")
+    return manifest
 
 
 def read_manifest(path):

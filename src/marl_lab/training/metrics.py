@@ -30,7 +30,7 @@ def read_metrics_csv(path):
         for line in f:
             parts = line.strip().split(",")
             if len(parts) != len(header):
-                raise ValueError(f"{path}: malformed row {line!r}")
+                raise ValueError(f"malformed row {line!r}")
             for c, p in zip(header, parts):
                 rows[c].append(float(p) if p != "nan" else float("nan"))
     return rows

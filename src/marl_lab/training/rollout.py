@@ -5,7 +5,8 @@ The W workers' state lives in (W, N, ...) arrays, and they step in lockstep.
 Each step, each agent's nets run once on a W-row batch (encode, act, the
 impact rows, the MOA advance, and at the end the bootstrap value), the envs
 step one after another, and one shaper step shapes every row. phi is encoded
-once per agent-step and shared by act, `impact_row` and the MOA advance.
+once per agent-step and shared by act, `impact_row` and the MOA advance, and
+once per agent for the bootstrap value.
 
 Every random stream (env dynamics, per-agent action sampling) derives from
 (run_seed, worker id, episode) and is drawn only by its own row, and each row
@@ -136,12 +137,11 @@ def lockstep_step(workers, agents, greedy=False):
 
     actions = np.zeros((W, N), dtype=np.int64)
     logp, values = np.zeros((W, N)), np.zeros((W, N))
-    phis = []
+    phis = [agents[k].window_features(obs[:, k]) for k in range(N)]
     for k in range(N):
-        phis.append(agents[k].window_features(obs[:, k]))
         out, workers.v_h[:, k], workers.v_c[:, k] = agents[k].act(
-            obs[:, k], arrays["v_h"][:, k], arrays["v_c"][:, k], workers.action_rngs[k],
-            greedy=greedy, feat=phis[k])
+            phis[k], arrays["v_h"][:, k], arrays["v_c"][:, k], workers.action_rngs[k],
+            greedy=greedy)
         actions[:, k] = out.action
         logp[:, k] = np.log(out.probs[rows, out.action])
         values[:, k] = out.value
@@ -153,7 +153,7 @@ def lockstep_step(workers, agents, greedy=False):
             u_h, u_c = arrays["u_h"][:, k], arrays["u_c"][:, k]
             impacts[:, k], _ = impact_row(agents[k], phis[k], u_h, joint, k)
             _, workers.u_h[:, k], workers.u_c[:, k] = agents[k].moa_predict(
-                obs[:, k], joint, u_h, u_c, feat=phis[k])
+                phis[k], joint, u_h, u_c)
 
     extrinsic = np.zeros((W, N))
     for w, env in enumerate(workers.envs):
@@ -203,9 +203,10 @@ def collect_rollouts(workers, agents, batch_steps):
     buffer.bootstrap_values = np.zeros((W, N))
     live = [w for w, env in enumerate(workers.envs) if not env.done]
     if live:
-        for k in range(N):
-            buffer.bootstrap_values[live, k] = agents[k].value_only(
-                workers.obs[live, k], workers.v_h[live, k], workers.v_c[live, k])
+        for k, agent in enumerate(agents):
+            buffer.bootstrap_values[live, k] = agent.value_only(
+                agent.window_features(workers.obs[live, k]),
+                workers.v_h[live, k], workers.v_c[live, k])
     buffer.finalize_moa_targets()
     return buffer
 

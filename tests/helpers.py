@@ -2,6 +2,7 @@
 suite collects a second conftest (perfbench/tests), and `from conftest
 import ...` would then pick whichever was imported first."""
 
+import json
 import os
 import subprocess
 import sys
@@ -80,6 +81,28 @@ fc_units = 8
 lstm_units = 8
 eicm_hidden = 8
 """
+
+
+def malformed_manifests(meta=None, sections=()):
+    """Manifests a checkpoint reader must reject, by name: (manifest, the
+    length field to write, or None for the manifest's own length). `meta` and
+    the section names are the reader's own, so only the layout is wrong."""
+    meta = meta or {}
+    entries = [{"section": name, "seed": 0, "nodes": []} for name in sections]
+    return {
+        "no_sections": ({"meta": meta}, None),
+        "huge_length": ({"meta": meta, "sections": []}, 2 ** 63),
+        "list_manifest": ([meta, entries], None),
+        "entry_without_params": ({"meta": meta, "sections": entries}, None),
+    }
+
+
+def write_checkpoint_header(path, manifest, length=None):
+    """A checkpoint file of magic, length field and JSON manifest alone."""
+    raw = json.dumps(manifest).encode("utf-8")
+    length = len(raw) if length is None else length
+    path.write_bytes(b"MARLCKP1" + length.to_bytes(8, "little") + raw)
+    return path
 
 
 def reference_observe(env, k):
@@ -173,8 +196,8 @@ def conv_linear_response(x, kernel, bias):
 
 class StatelessPolicy:
     """A policy with no nets whose one-unit LSTM state stays zero. Like
-    AgentNets.act, its `act` takes a lockstep stack of W windows and returns
-    W actions and the state it was given."""
+    AgentNets.act, its `act` takes a lockstep stack's features and (W, 1)
+    state and returns W actions and the state it was given."""
 
     sizes = NetSizes(lstm_units=1)
 
@@ -189,8 +212,8 @@ class UniformRandomPolicy(StatelessPolicy):
     """Baseline reference: uniform action draws, one per row from that row's
     generator."""
 
-    def act(self, obs, v_h, v_c, rng, greedy=False, feat=None):
-        rows = len(obs)
+    def act(self, feat, v_h, v_c, rng, greedy=False):
+        rows = len(v_h)
         probs = np.full((rows, self.num_actions), 1.0 / self.num_actions)
         action = np.array([r.integers(self.num_actions) for r in rng])
         return PolicyOutput(action=action, probs=probs, value=np.zeros(rows)), v_h, v_c
@@ -203,8 +226,8 @@ class ScriptedPolicy(StatelessPolicy):
         super().__init__(num_actions)
         self.action = action
 
-    def act(self, obs, v_h, v_c, rng, greedy=False, feat=None):
-        rows = len(obs)
+    def act(self, feat, v_h, v_c, rng, greedy=False):
+        rows = len(v_h)
         probs = np.zeros((rows, self.num_actions))
         probs[:, self.action] = 1.0
         action = np.full(rows, self.action)

@@ -39,15 +39,17 @@ class TestAct:
         obs = random_obs(rng)
         for seed in range(100):
             nets = small_nets(seed=seed)
-            out, _, _ = nets.act(obs[None], *zero_state([1]), [np.random.default_rng(1)])
+            out, _, _ = nets.act(nets.window_features(obs[None]), *zero_state([1]),
+                                [np.random.default_rng(1)])
             assert out.probs.max() / out.probs.min() < 1.5
 
     def test_identical_inputs_give_identical_outputs(self):
         nets = small_nets()
         obs = random_obs(np.random.default_rng(3))
         v = zero_state([1])
-        o1, h1, _ = nets.act(obs[None], *v, [np.random.default_rng(7)])
-        o2, h2, _ = nets.act(obs[None], *v, [np.random.default_rng(7)])
+        feat = nets.window_features(obs[None])
+        o1, h1, _ = nets.act(feat, *v, [np.random.default_rng(7)])
+        o2, h2, _ = nets.act(feat, *v, [np.random.default_rng(7)])
         assert o1.action == o2.action and o1.value == o2.value
         np.testing.assert_array_equal(o1.probs, o2.probs)
         np.testing.assert_array_equal(h1, h2)
@@ -57,15 +59,16 @@ class TestAct:
         rng = np.random.default_rng(5)
         v_h, v_c = zero_state([1])
         for _ in range(10):
-            out, v_h, v_c = nets.act(random_obs(rng)[None], v_h, v_c, [rng])
+            out, v_h, v_c = nets.act(nets.window_features(random_obs(rng)[None]), v_h, v_c,
+                                     [rng])
             assert abs(out.probs.sum() - 1.0) < 1e-9
             assert np.all(out.probs >= 0)
 
     def test_act_advances_v_only(self):
         nets = small_nets()
         v_h, v_c = zero_state([1])
-        _, h2, c2 = nets.act(random_obs(np.random.default_rng(0))[None], v_h, v_c,
-                             [np.random.default_rng(1)])
+        feat = nets.window_features(random_obs(np.random.default_rng(0))[None])
+        _, h2, c2 = nets.act(feat, v_h, v_c, [np.random.default_rng(1)])
         np.testing.assert_array_equal(v_h, 0.0)
         np.testing.assert_array_equal(v_c, 0.0)
         assert h2.shape == c2.shape == v_h.shape
@@ -76,8 +79,8 @@ class TestAct:
         nets = small_nets()
         nets.policy_head.bias.data[:] = np.nan
         with pytest.raises(FloatingPointError):
-            nets.act(random_obs(np.random.default_rng(0))[None], *zero_state([1]),
-                     [np.random.default_rng(1)])
+            nets.act(nets.window_features(random_obs(np.random.default_rng(0))[None]),
+                     *zero_state([1]), [np.random.default_rng(1)])
 
 
 class FixedUniform:
@@ -109,28 +112,28 @@ class TestMoaPredict:
     def test_blocks_are_distributions(self):
         nets = small_nets(n=4)
         joint = joint_one_hot([0, 3, 5, 8], 9)
-        probs, _, _ = nets.moa_predict(random_obs(np.random.default_rng(2)), joint,
-                                       *zero_state())
+        feat = nets.window_features(random_obs(np.random.default_rng(2)))
+        probs, _, _ = nets.moa_predict(feat, joint, *zero_state())
         assert probs.shape == (3, 9)
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_two_agents_one_block(self):
         nets = small_nets(n=2)
-        probs, _, _ = nets.moa_predict(random_obs(np.random.default_rng(2)),
-                                       joint_one_hot([1, 2], 9), *zero_state())
+        feat = nets.window_features(random_obs(np.random.default_rng(2)))
+        probs, _, _ = nets.moa_predict(feat, joint_one_hot([1, 2], 9), *zero_state())
         assert probs.shape == (1, 9)
 
     def test_wrong_joint_arity_rejected(self):
         nets = small_nets(n=2)
         with pytest.raises(ValueError):
-            nets.moa_predict(random_obs(np.random.default_rng(2)),
+            nets.moa_predict(nets.window_features(random_obs(np.random.default_rng(2))),
                              joint_one_hot([1, 2, 3], 9), *zero_state())
 
     def test_moa_advances_u_only(self):
         nets = small_nets()
         u_h, u_c = zero_state()
-        _, h2, c2 = nets.moa_predict(random_obs(np.random.default_rng(0)),
-                                     joint_one_hot([0, 1], 9), u_h, u_c)
+        feat = nets.window_features(random_obs(np.random.default_rng(0)))
+        _, h2, c2 = nets.moa_predict(feat, joint_one_hot([0, 1], 9), u_h, u_c)
         np.testing.assert_array_equal(u_h, 0.0)
         np.testing.assert_array_equal(u_c, 0.0)
         assert h2.shape == c2.shape == u_h.shape
@@ -159,7 +162,8 @@ class TestMoaPredict:
             for name, opt in zip(sections, opts):
                 opt.step({n: grads[n] for n, _ in nets.parameters(name)})
 
-        probs, _, _ = nets.moa_predict(observations[0], joints[0], *zero_state())
+        probs, _, _ = nets.moa_predict(nets.window_features(observations[0]), joints[0],
+                                       *zero_state())
         assert probs[0, 0] > 0.9
 
 

@@ -2,6 +2,7 @@
 checkpoint replay, and exit codes."""
 
 import dataclasses
+import importlib.util
 import json
 import os
 import typing
@@ -18,7 +19,7 @@ from marl_lab.cli.replay import replay
 from marl_lab.cli.rundir import find_agent_checkpoints
 from marl_lab.nn import CheckpointError
 
-from helpers import TINY_SPEC
+from helpers import TINY_SPEC, malformed_manifests, write_checkpoint_header
 
 
 def write_tiny_spec(tmp_path, mode="baseline", name="tiny.spec"):
@@ -522,11 +523,81 @@ class TestSummarize:
         assert captured.err.startswith("error: method 'baseline': trimming needs")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("case", ["bad_value", "short_row", "missing_column", "binary"])
+    def test_malformed_metrics_exit_2_naming_the_file(self, tmp_path, capsys, case):
+        rd = synth_run(tmp_path, "baseline", 1, [1.0, 2.0])
+        path = os.path.join(rd, "metrics.csv")
+        lines = open(path).read().splitlines()
+        if case == "bad_value":
+            lines[2] = lines[2].replace(",2.0,", ",abc,")
+        elif case == "short_row":
+            lines[2] = lines[2].rsplit(",", 1)[0]
+        elif case == "missing_column":
+            lines = [line.split(",", 2)[2] for line in lines]     # no update, env_steps
+        with open(path, "wb") as f:
+            f.write(b"\xff\xfe\x00" if case == "binary" else "\n".join(lines).encode() + b"\n")
+        with pytest.raises(SummarizeError) as exc:
+            summarize([rd], last_steps=1000)
+        assert str(exc.value).startswith(f"{path}: ")
+        capsys.readouterr()
+        assert main(["summarize", rd, "--last-steps", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("last_steps", [0, -5])
+    def test_window_below_one_step_names_the_flag(self, tmp_path, capsys, last_steps):
+        rd = synth_run(tmp_path, "baseline", 1, [1.0, 2.0])
+        with pytest.raises(SummarizeError, match=f"^--last-steps {last_steps}: "):
+            summarize([rd], last_steps=last_steps)
+        capsys.readouterr()
+        assert main(["summarize", rd, "--last-steps", str(last_steps)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --last-steps {last_steps}: ")
+
     def test_methods_grouped_separately(self, tmp_path):
         synth_run(tmp_path, "baseline", 1, [5.0])
         synth_run(tmp_path, "ia", 1, [7.0])
         rows = summarize([str(tmp_path / "synth")], last_steps=1000)
         assert [r["method"] for r in rows] == ["baseline", "ia"]
+
+
+def comparison_script():
+    """scripts/run_method_comparison.py, loaded as a module."""
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_method_comparison.py")
+    spec = importlib.util.spec_from_file_location("run_method_comparison", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestMethodComparisonScript:
+    @pytest.mark.parametrize("argv", [["--seeds", "1", "1"], ["--seeds", "-1"],
+                                      ["--updates", "0"], ["--last-steps", "0"]])
+    def test_bad_setting_fails_before_any_seed_trains(self, tmp_path, monkeypatch, capsys,
+                                                      argv):
+        script = comparison_script()
+        calls = []
+        monkeypatch.setattr(script, "run_single_seed", lambda *a, **kw: calls.append(a))
+        with pytest.raises(SystemExit) as exc:
+            script.main(argv + ["--output-dir", str(tmp_path / "runs")])
+        assert exc.value.code == 2
+        assert calls == []
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_every_seed_of_every_method_trains_with_the_settings_given(self, tmp_path,
+                                                                       monkeypatch):
+        script = comparison_script()
+        calls = []
+        monkeypatch.setattr(script, "run_single_seed",
+                            lambda spec, seed, force: calls.append((spec, seed)) or (
+                                "run", {"mean_collective_reward": 0.0}))
+        monkeypatch.setattr(script, "summarize", lambda *a, **kw: [])
+        script.main(["--seeds", "4", "2", "--updates", "3", "--output-dir", str(tmp_path)])
+        assert [(s.method.mode, seed) for s, seed in calls] == [
+            ("baseline", 4), ("baseline", 2), ("ia", 4), ("ia", 2), ("emurel", 4), ("emurel", 2)]
+        assert {(s.trainer.updates, s.output_dir, tuple(s.seeds)) for s, _ in calls} == {
+            (3, str(tmp_path), (4, 2))}
 
 
 class TestReplay:
@@ -563,6 +634,25 @@ class TestReplay:
             assert main(["replay", str(ckpt_dir), spec, "--episodes", "1",
                          "--seed", "1"]) == 2
             assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("case", sorted(malformed_manifests()))
+    def test_malformed_manifest_exits_2_naming_the_checkpoint(self, tmp_path, capsys, case):
+        # geometry and sections that fit the spec, so only the layout is wrong
+        spec = write_tiny_spec(tmp_path)
+        env = resolve_spec(spec).env
+        meta = {"view_size": env.view_size, "num_actions": env.num_actions,
+                "num_agents": env.num_agents}
+        sections = ["encoder", "actor_critic", "moa", "forward", "inverse"]
+        manifest, length = malformed_manifests(meta, sections)[case]
+        ckpt_dir = tmp_path / "checkpoints"
+        ckpt_dir.mkdir()
+        for k in range(2):
+            write_checkpoint_header(ckpt_dir / f"agent{k}_step10.ckpt", manifest, length)
+        capsys.readouterr()
+        assert main(["replay", str(ckpt_dir), spec, "--episodes", "1", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {ckpt_dir / 'agent0_step10.ckpt'}: ")
+        assert captured.out == ""
 
     def test_net_mismatch_exits_2_naming_the_checkpoint(self, tmp_path, capsys):
         # a spec whose [net] does not fit the saved layers is a checkpoint

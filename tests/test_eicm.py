@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from marl_lab.agents import AgentNets, NetSizes, joint_one_hot
-from marl_lab.eicm import (
-    eliminate, forward_loss_tape, forward_predict, impact_row, inverse_loss_tape,
-    normalize_impacts,
-)
-from marl_lab.nn import Optimizer, Tensor, gradients
+from marl_lab.eicm import forward_loss_tape, impact_row, inverse_loss_tape, normalize_impacts
+from marl_lab.nn import Optimizer, ShapeError, Tensor, gradients
 from marl_lab.nn import tensor as T
 
 from helpers import finite_difference_check
@@ -50,27 +47,40 @@ class TestEncode:
         np.testing.assert_array_equal(nets.encode(obs), nets.encode(obs))
 
 
+def without(joint, j, num_actions=9):
+    """The test-side elimination oracle: a copy of the joint action with
+    agent j's one-hot block zeroed."""
+    joint = np.array(joint, dtype=np.float64)
+    joint[..., j * num_actions:(j + 1) * num_actions] = 0.0
+    return joint
+
+
 class TestForwardPredict:
     def test_zero_params_zero_prediction(self):
         nets = small_nets()
         for _, p in nets.parameters("forward"):
             p.data[:] = 0.0
         phi = np.ones(nets.q)
-        out = forward_predict(nets, phi, np.zeros(8), joint_one_hot([1, 2], 9))
+        out = nets.run_forward_model(phi, np.zeros(8), joint_one_hot([1, 2], 9))
         np.testing.assert_array_equal(out, np.zeros(nets.q))
 
     def test_prediction_length_is_q(self):
         nets = small_nets()
-        out = forward_predict(nets, np.zeros(nets.q), np.zeros(8),
-                              joint_one_hot([0, 0], 9))
+        out = nets.run_forward_model(np.zeros(nets.q), np.zeros(8), joint_one_hot([0, 0], 9))
         assert out.shape == (nets.q,)
 
     def test_arity_mismatch_rejected(self):
         nets = small_nets()
-        with pytest.raises(ValueError):
-            forward_predict(nets, np.zeros(nets.q), np.zeros(8), np.zeros(5))
-        with pytest.raises(ValueError):
-            forward_predict(nets, np.zeros(3), np.zeros(8), joint_one_hot([0, 0], 9))
+        assert issubclass(ShapeError, ValueError)
+        with pytest.raises(ShapeError):
+            nets.run_forward_model(np.zeros(nets.q), np.zeros(8), np.zeros(5))
+        with pytest.raises(ShapeError):
+            nets.run_forward_model(np.zeros(3), np.zeros(8), joint_one_hot([0, 0], 9))
+        for width in (1, 5):    # one entry would broadcast over the keep-mask
+            with pytest.raises(ValueError, match="joint action one-hot must have 18"):
+                impact_row(nets, np.zeros(nets.q), np.zeros(8), np.zeros(width), 0)
+        with pytest.raises(ShapeError):
+            impact_row(nets, np.zeros(3), np.zeros(8), joint_one_hot([0, 0], 9), 0)
 
     def test_overfit_one_transition(self):
         nets = small_nets(seed=2)
@@ -100,9 +110,9 @@ class TestElimination:
         nets.fwd_fc1.weight.data[block, :] = 0.0
         phi = np.random.default_rng(0).normal(size=nets.q)
         joint = joint_one_hot([4, 6], 9)
-        full = forward_predict(nets, phi, np.zeros(8), joint)
-        without = forward_predict(nets, phi, np.zeros(8), eliminate(nets, joint, 1))
-        np.testing.assert_array_equal(full, without)
+        full = nets.run_forward_model(phi, np.zeros(8), joint)
+        eliminated = nets.run_forward_model(phi, np.zeros(8), without(joint, 1))
+        np.testing.assert_array_equal(full, eliminated)
         np.testing.assert_array_equal(impact_row(nets, phi, np.zeros(8), joint, 0)[1], [0.0])
 
     def test_elimination_differs_from_noop(self):
@@ -111,9 +121,14 @@ class TestElimination:
         phi = np.random.default_rng(1).normal(size=nets.q)
         joint = joint_one_hot([0, 3], 9)
         noop_joint = joint_one_hot([0, 6], 9)   # action 6 is noop
-        eliminated = forward_predict(nets, phi, np.zeros(8), eliminate(nets, joint, 1))
-        noop = forward_predict(nets, phi, np.zeros(8), noop_joint)
+        eliminated = nets.run_forward_model(phi, np.zeros(8), without(joint, 1))
+        noop = nets.run_forward_model(phi, np.zeros(8), noop_joint)
         assert not np.allclose(eliminated, noop)
+        # impact_row eliminates by zeroing too: its impact is not the NOOP one
+        full = nets.run_forward_model(phi, np.zeros(8), joint)
+        (raw,) = impact_row(nets, phi, np.zeros(8), joint, 0)[1]
+        assert raw == pytest.approx(0.5 * np.sum((full - eliminated) ** 2), rel=1e-12)
+        assert raw != pytest.approx(0.5 * np.sum((full - noop) ** 2), rel=1e-6)
 
     def test_nonlinearity_witness(self):
         # sum of one-at-a-time elimination deltas != delta of eliminating all
@@ -122,11 +137,31 @@ class TestElimination:
         phi = rng.normal(size=nets.q)
         u = rng.normal(size=8) * 0.2
         joint = joint_one_hot([2, 5], 9)
-        full = forward_predict(nets, phi, u, joint)
-        deltas = sum(full - forward_predict(nets, phi, u, eliminate(nets, joint, j))
+        full = nets.run_forward_model(phi, u, joint)
+        deltas = sum(full - nets.run_forward_model(phi, u, without(joint, j))
                      for j in range(2))
-        both = forward_predict(nets, phi, u, np.zeros_like(joint))
+        both = nets.run_forward_model(phi, u, np.zeros_like(joint))
         assert not np.allclose(deltas, full - both)
+
+    def test_masked_batch_matches_the_block_zeroing_oracle(self):
+        # per sample and fellow, impact_row's raw impact is half the squared
+        # distance between the full prediction and the oracle's elimination
+        nets = small_nets(seed=3, n=4)
+        rng = np.random.default_rng(5)
+        W = 3
+        phi = rng.normal(size=(W, nets.q))
+        u = rng.normal(size=(W, 8)) * 0.2
+        joint = joint_one_hot(rng.integers(0, 9, size=(W, 4)), 9)
+        for k in range(4):
+            rows, raw = impact_row(nets, phi, u, joint, k)
+            assert rows.shape == raw.shape == (W, 3)
+            for w in range(W):
+                full = nets.run_forward_model(phi[w], u[w], joint[w])
+                want = [0.5 * np.sum((full - nets.run_forward_model(
+                    phi[w], u[w], without(joint[w], j))) ** 2)
+                        for j in range(4) if j != k]
+                np.testing.assert_allclose(raw[w], want, rtol=1e-10, atol=1e-15)
+                np.testing.assert_array_equal(rows[w], normalize_impacts(raw[w]))
 
     def test_raw_impact_hand_case(self):
         # crafted net: predictions differ by (1, -1) -> impact 0.5*2 = 1
@@ -163,16 +198,16 @@ class TestElimination:
         u = np.zeros(8)
         j1 = joint_one_hot([0, 2], 9)
         j2 = joint_one_hot([0, 7], 9)   # only agent 1's action differs
-        p1 = forward_predict(nets, phi, u, eliminate(nets, j1, 1))
-        p2 = forward_predict(nets, phi, u, eliminate(nets, j2, 1))
+        p1 = nets.run_forward_model(phi, u, without(j1, 1))
+        p2 = nets.run_forward_model(phi, u, without(j2, 1))
         np.testing.assert_array_equal(p1, p2)
 
     def test_out_of_range_agent_rejected(self):
         nets = small_nets()
         with pytest.raises(ValueError):
-            eliminate(nets, joint_one_hot([0, 0], 9), 2)
-        with pytest.raises(ValueError):
             impact_row(nets, np.zeros(nets.q), np.zeros(8), joint_one_hot([0, 0], 9), 2)
+        with pytest.raises(ValueError):
+            impact_row(nets, np.zeros(nets.q), np.zeros(8), joint_one_hot([0, 0], 9), -1)
 
 
 class TestNormalizeImpacts:
@@ -251,7 +286,7 @@ class TestLosses:
         # forward definition gives the tape the same bits, so L_F is exactly 0
         nets = small_nets()
         feat_prev, _, u, joint = loss_rows(nets, 0)
-        target = forward_predict(nets, feat_prev, u, joint)
+        target = nets.run_forward_model(feat_prev, u, joint)
         assert float(forward_loss_tape(nets, Tensor(feat_prev), target, u, joint).data) == 0.0
 
     def test_forward_loss_hand_norm(self):

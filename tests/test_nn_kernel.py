@@ -21,7 +21,7 @@ from marl_lab.nn import (
 )
 from marl_lab.nn import tensor as T
 
-from helpers import run_python
+from helpers import malformed_manifests, run_python, write_checkpoint_header
 
 
 def conv(kernel, bias):
@@ -440,6 +440,14 @@ class TestCheckpoint:
             save_checkpoint(path, {"net": self._build(7)})
         assert not path.exists()
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("case", sorted(malformed_manifests()))
+    def test_malformed_manifest_rejected_naming_the_file(self, tmp_path, case):
+        manifest, length = malformed_manifests(sections=["net"])[case]
+        path = write_checkpoint_header(tmp_path / f"{case}.ckpt", manifest, length)
+        for read in (read_manifest, lambda p: load_checkpoint(p, {"net": self._build(7)})):
+            with pytest.raises(CheckpointError, match=re.escape(f"{path}: ")):
+                read(path)
 
     def test_save_twice_is_byte_identical(self, tmp_path):
         g = self._build(7)

@@ -160,6 +160,24 @@ class TestCollectRollouts:
             rows = getattr(second, name)[continuing, 0]     # (workers, N, U)
             assert np.all((rows != 0.0).any(axis=-1)), name
 
+    @pytest.mark.parametrize("mode", ["baseline", "emurel"])
+    def test_each_agent_encodes_its_stack_once_per_step(self, mode):
+        # one conv pass over the W windows per lockstep step, shared by act,
+        # the impact rows and the MOA advance, and one for the bootstrap
+        env, shaping, agents = three_agent_cleanup(mode)
+        steps, W = 14, 3
+        workers = RolloutWorkers(env, shaping, 9, range(W), SMALL.lstm_units)
+        windows = [[] for _ in agents]
+        for agent, seen in zip(agents, windows):
+            def counted(x, apply=agent.conv.apply, seen=seen):
+                seen.append(int(np.prod(x.shape[:-3])))
+                return apply(x)
+            agent.conv.apply = counted
+        buffer = collect_steps(workers, agents, steps)
+        assert not buffer.dones[:, -1].any()    # every row bootstraps
+        for seen in windows:
+            assert seen == [W] * steps + [W]
+
 
 class TestLockstepBatching:
     """Workers stepped in lockstep with batched nets fill each worker's slice

@@ -94,22 +94,18 @@ def read_manifest(path):
 
 def load_checkpoint(path, sections):
     """Load parameters into the layers of `sections` ({section_name: [layer,
-    ...]}); section names, parameter names and shapes must match, and no
-    byte may follow the last tensor. Each array is assigned to its existing
-    Tensor's `.data`, and only once the whole file has checked out."""
+    ...]}). The manifest must list each of their sections and parameters
+    once, with matching shapes, and no byte may follow the last tensor. Each
+    array is written into its Tensor's existing `.data` (an optimizer's
+    view, say), and only once the whole file has checked out."""
     with open(path, "rb") as f:
         manifest = _read_header(f, path)
-        by_name = {e["section"]: e for e in manifest["sections"]}
-        if set(by_name) != set(sections):
-            raise CheckpointError(f"{path}: sections {sorted(by_name)} != "
-                                  f"expected {sorted(sections)}")
+        _check_names(path, "section", [e["section"] for e in manifest["sections"]], sections)
         loaded = []
         for entry in manifest["sections"]:
             params = dict(_params(sections[entry["section"]]))
-            if {p["name"] for p in entry["params"]} != set(params):
-                raise CheckpointError(
-                    f"{path}: section {entry['section']} parameters do not match the "
-                    f"target layers")
+            _check_names(path, f"{entry['section']}: parameter",
+                         [p["name"] for p in entry["params"]], params)
             for pentry in entry["params"]:
                 name, shape = pentry["name"], tuple(pentry["shape"])
                 if shape != params[name].data.shape:
@@ -124,5 +120,14 @@ def load_checkpoint(path, sections):
         if f.read(1):
             raise CheckpointError(f"{path}: unexpected bytes after the last tensor")
     for tensor, arr in loaded:
-        tensor.data = arr.astype(np.float64)
+        tensor.data[...] = arr
     return manifest
+
+
+def _check_names(path, what, names, expected):
+    """The manifest's `names` must list each of the `expected` names once."""
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise CheckpointError(f"{path}: {what} {name} listed twice")
+    if set(names) != set(expected):
+        raise CheckpointError(f"{path}: {what}s {sorted(names)} != expected {sorted(expected)}")

@@ -185,6 +185,46 @@ def finite_difference_check(loss_fn, params, epsilon=1e-4):
     return worst
 
 
+class ReferenceOptimizer:
+    """Per-array SGD and Adam with moments in dicts keyed by parameter name,
+    stepping copies of the parameters given as (name, Tensor) pairs: an
+    independent oracle for the flat-vector `marl_lab.nn.Optimizer`. Each
+    update is the same expression per array, and the global norm the same
+    per-array sum in the same order, so the two must agree byte for byte."""
+
+    def __init__(self, params, kind, learning_rate, grad_clip_norm=None):
+        self.params = {name: t.data.copy() for name, t in params}
+        self.kind = kind
+        self.learning_rate = learning_rate
+        self.grad_clip_norm = grad_clip_norm
+        self.step_count = 0
+        self._m = {}
+        self._v = {}
+
+    def step(self, grads):
+        """One update; returns the pre-clip global gradient norm."""
+        norm = float(np.sqrt(sum(float((grads[name] * grads[name]).sum())
+                                 for name in self.params)))
+        if self.grad_clip_norm is not None and norm > self.grad_clip_norm:
+            scale = self.grad_clip_norm / norm
+            grads = {name: g * scale for name, g in grads.items()}
+        self.step_count += 1
+        t = self.step_count
+        for name in self.params:
+            g = grads[name]
+            if self.kind == "sgd":
+                self.params[name] = self.params[name] - self.learning_rate * g
+                continue
+            m = 0.9 * self._m.get(name, np.zeros_like(g)) + (1.0 - 0.9) * g
+            v = 0.999 * self._v.get(name, np.zeros_like(g)) + (1.0 - 0.999) * (g * g)
+            self._m[name], self._v[name] = m, v
+            mhat = m / (1.0 - 0.9 ** t)
+            vhat = v / (1.0 - 0.999 ** t)
+            self.params[name] = (self.params[name]
+                                 - self.learning_rate * mhat / (np.sqrt(vhat) + 1e-8))
+        return norm
+
+
 def conv_linear_response(x, kernel, bias):
     """Pre-ReLU conv output, for screening instances away from ReLU kinks."""
     B, H, W, C = x.shape

@@ -375,11 +375,11 @@ def test_determinism_byte_identical_metrics(tmp_path):
 
 def test_learning_smoke(tmp_path):
     with criterion("learning-smoke", budget_s=3600):
-        base_spec = resolve_spec(os.path.join(SPECS, "mini_cleanup_baseline.spec"))
+        base_spec = resolve_spec(os.path.join(SPECS, "mini_cleanup3_baseline.spec"))
         env_cfg = base_spec.env
         env_cfg.seed = 1
-        random_reward, _ = evaluate([UniformRandomPolicy(9)] * 2, env_cfg,
-                                    episodes=100, seed=4242)
+        random_reward, _ = evaluate([UniformRandomPolicy(9)] * env_cfg.num_agents,
+                                    env_cfg, episodes=100, seed=4242)
         target = 1.2 * random_reward
 
         tcfg = base_spec.trainer
@@ -403,7 +403,7 @@ def test_learning_smoke(tmp_path):
               f"trained={trained_reward:.1f} after {updates_used} updates",
               flush=True)
 
-        emurel_spec = resolve_spec(os.path.join(SPECS, "mini_cleanup_emurel.spec"))
+        emurel_spec = resolve_spec(os.path.join(SPECS, "mini_cleanup3_emurel.spec"))
         ecfg = emurel_spec.trainer
         ecfg.seed = 1
         em_trainer = Trainer(env_cfg, emurel_spec.method, ecfg,
@@ -439,8 +439,8 @@ def test_equality_metric():
 def test_method_table_emitted(tmp_path):
     with criterion("method-table-emitted", budget_s=3600):
         out_dir = str(tmp_path / "table_runs")
-        for name in ("mini_cleanup_baseline.spec", "mini_cleanup_ia.spec",
-                     "mini_cleanup_emurel.spec"):
+        for name in ("mini_cleanup3_baseline.spec", "mini_cleanup3_ia.spec",
+                     "mini_cleanup3_emurel.spec"):
             spec = resolve_spec(os.path.join(SPECS, name))
             spec.trainer.updates = 200 if FULL else 5
             spec.eval.interval = 0

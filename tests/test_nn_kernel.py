@@ -21,7 +21,9 @@ from marl_lab.nn import (
 )
 from marl_lab.nn import tensor as T
 
-from helpers import malformed_manifests, run_python, write_checkpoint_header
+from helpers import (
+    ReferenceOptimizer, malformed_manifests, run_python, write_checkpoint_header,
+)
 
 
 def conv(kernel, bias):
@@ -319,10 +321,14 @@ class TestOptimizer:
         assert lay.weight.data[0, 0] == pytest.approx(1.0 - 1e-3, abs=1e-9)
 
     def test_nonfinite_gradient_aborts(self):
-        g, _ = self._graph_with_param(1.0)
+        g, lay = self._graph_with_param(1.0)
         opt = Optimizer(g, "adam", learning_rate=3e-4)
-        with pytest.raises(FloatingPointError):
-            opt.step({"p.weight": np.array([[np.inf]]), "p.bias": np.zeros(1)})
+        opt.step({"p.weight": np.array([[1.0]]), "p.bias": np.zeros(1)})
+        before = lay.weight.data.copy()
+        with pytest.raises(FloatingPointError, match=re.escape(
+                "non-finite gradient for p.bias at optimizer step 1")):
+            opt.step({"p.weight": np.array([[1.0]]), "p.bias": np.array([np.nan])})
+        assert lay.weight.data.tobytes() == before.tobytes()
 
     def test_global_norm_clip(self):
         g, lay = self._graph_with_param(0.0)
@@ -352,8 +358,40 @@ class TestOptimizer:
     def test_gradient_shape_mismatch_rejected(self):
         g, _ = self._graph_with_param(1.0)
         opt = Optimizer(g, "adam", learning_rate=3e-4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(
+                "gradient/parameter shape mismatch for p.weight: (3,) != (1, 1)")):
             opt.step({"p.weight": np.zeros(3), "p.bias": np.zeros(1)})
+
+    def test_every_parameter_needs_one_gradient(self):
+        g, _ = self._graph_with_param(1.0)
+        opt = Optimizer(g, "sgd", learning_rate=0.1)
+        with pytest.raises(ValueError, match="1 gradients for 2 parameters"):
+            opt.step({"p.weight": np.zeros((1, 1))})
+        with pytest.raises(KeyError, match="p.bias"):
+            opt.step({"p.weight": np.zeros((1, 1)), "q.bias": np.zeros(1)})
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    @pytest.mark.parametrize("clip", [None, 1.0])
+    def test_flat_vector_matches_the_per_array_reference(self, kind, clip):
+        sizes = NetSizes(conv_filters=2, fc_units=8, lstm_units=8, eicm_hidden=8)
+        nets = AgentNets(view_size=5, num_actions=9, num_agents=3, seed=3, sizes=sizes)
+        ref = ReferenceOptimizer(nets.parameters(), kind, 1e-2, clip)
+        opt = Optimizer(nets.parameters(), kind, 1e-2, clip)
+        rng = np.random.default_rng(11)
+        for step in range(3):
+            # magnitudes spread over 8 decades, so a norm summed in another
+            # order than per parameter, in order, reads other bits
+            grads = {name: rng.normal(size=p.shape) * 10.0 ** rng.uniform(-4, 4)
+                     for name, p in nets.parameters()}
+            if step == 1:   # gradients in another memory order, as a vjp may return
+                grads = {name: np.asfortranarray(g) for name, g in grads.items()}
+            norm = opt.step(grads)
+            assert norm == ref.step(grads)
+            assert clip is None or norm > clip     # the clip triggers
+            for name, p in nets.parameters():
+                assert p.data.tobytes() == ref.params[name].tobytes(), (step, name)
+        assert all(np.shares_memory(p.data, opt.vector) for _, p in nets.parameters())
+        assert opt.vector.size == sum(p.data.size for _, p in nets.parameters())
 
 
 class TestCheckpoint:
@@ -428,6 +466,35 @@ class TestCheckpoint:
                 f"{path}: net: shape mismatch for enc.kernel: (3, 3, 2, 3) != (3, 3, 2, 5)")):
             load_checkpoint(path, {"net": target})
         # nothing is assigned until the whole file has checked out
+        after = [p.data for lay in target for _, p in lay.params()]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
+
+    @pytest.mark.parametrize("repeat", ["section", "parameter"])
+    def test_name_listed_twice_rejected_naming_it(self, tmp_path, repeat):
+        # A consistent file that lists a section, or one parameter, twice
+        # (its tensors written twice too) would otherwise load the later copy.
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, {"net": self._build(7)})
+        raw = path.read_bytes()
+        tensors = raw[16 + int.from_bytes(raw[8:16], "little"):]
+        manifest = read_manifest(path)
+        entry = manifest["sections"][0]
+        if repeat == "section":
+            manifest["sections"].append(entry)
+            tensors *= 2
+            want = "section net listed twice"
+        else:
+            last = entry["params"][-1]
+            entry["params"].append(last)
+            tensors += tensors[-8 * math.prod(last["shape"]):]
+            want = f"net: parameter {last['name']} listed twice"
+        write_checkpoint_header(path, manifest)
+        with open(path, "ab") as f:
+            f.write(tensors)
+        target = self._build(9)
+        before = [p.data.copy() for lay in target for _, p in lay.params()]
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: {want}")):
+            load_checkpoint(path, {"net": target})
         after = [p.data for lay in target for _, p in lay.params()]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
 

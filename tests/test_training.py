@@ -632,6 +632,17 @@ class TestA2CUpdate:
             cfg0.value_coef * terms0["value_loss"], abs=1e-12)
 
 
+def test_each_agent_parameters_are_views_of_its_optimizer_vector():
+    trainer = mini_trainer(mode="emurel")
+    for nets, opt in zip(trainer.agents, trainer.optimizers):
+        params = nets.parameters()
+        assert opt.vector.size == sum(p.data.size for _, p in params)
+        assert all(np.shares_memory(p.data, opt.vector) for _, p in params)
+        for other in trainer.optimizers:
+            if other is not opt:
+                assert not any(np.shares_memory(p.data, other.vector) for _, p in params)
+
+
 def test_optimizer_steps_the_parameters_a_checkpoint_loaded(tmp_path):
     # Resuming relies on this: the loader writes into the Tensors the
     # trainer's optimizers hold, so their next step moves the loaded values.

@@ -176,7 +176,8 @@ def run_single_seed(spec: ExperimentSpec, seed, force=False):
     try:
         trainer = Trainer(dataclasses.replace(spec.env, seed=seed), spec.method,
                           dataclasses.replace(spec.trainer, seed=seed), sizes=spec.net)
-        trainer.run(on_update=run_dir.record)
+        for _ in range(trainer.cfg.updates):
+            run_dir.record(*trainer.one_update(), trainer)
         return run_dir.path, run_dir.finish(trainer)
     except BaseException:   # an interrupted run is marked too, then re-raised
         run_dir.fail()

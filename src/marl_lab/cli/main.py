@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from ..envs import ConfigError
@@ -25,9 +24,9 @@ def build_parser():
     r.add_argument("--force", action="store_true",
                    help="overwrite existing run directories")
     r.add_argument("--output-dir", default=None,
-                   help="override output_dir (env: MARL_LAB_OUTPUT_DIR)")
+                   help="override output_dir")
     r.add_argument("--workers", type=int, default=None,
-                   help="override trainer worker count (env: MARL_LAB_WORKERS)")
+                   help="override trainer worker count")
 
     s = sub.add_parser("summarize", help="method comparison table from run dirs")
     s.add_argument("dirs", nargs="+", help="run directories (or parents)")
@@ -49,17 +48,8 @@ def build_parser():
 
 def cmd_run(args):
     from .experiment import run_experiment
-    output_dir = args.output_dir or os.environ.get("MARL_LAB_OUTPUT_DIR")
-    workers = args.workers
-    if workers is None and os.environ.get("MARL_LAB_WORKERS"):
-        value = os.environ["MARL_LAB_WORKERS"]
-        try:
-            workers = int(value)
-        except ValueError:
-            raise ConfigError(f"MARL_LAB_WORKERS={value!r} is not an integer",
-                              "workers") from None
-    results = run_experiment(args.spec, force=args.force, output_dir=output_dir,
-                             workers=workers)
+    results = run_experiment(args.spec, force=args.force, output_dir=args.output_dir,
+                             workers=args.workers)
     for run_dir, summary in results:
         print(f"{run_dir}: mean_collective_reward="
               f"{summary['mean_collective_reward']}")

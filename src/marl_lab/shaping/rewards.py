@@ -3,7 +3,8 @@ impact-scaled intrinsic rewards, linear reward combination, and the Gini
 equality metric.
 
 All functions are pure float64 arithmetic on per-agent vectors, stacked along
-any leading axes; the only state is the smoothed rewards of running episodes.
+any leading axes. Nothing here holds state: the smoothed rewards of running
+episodes are passed in and returned.
 """
 
 from __future__ import annotations
@@ -107,36 +108,30 @@ def gini_equality(returns):
 class RewardShaper:
     """Shaping pipeline of one env or of a batch: smooth, compare, combine.
 
-    Owns `w`, the smoothed extrinsic rewards, of `shape`: (N,) for one env or
-    (W, N) for W envs, one row each, zeroed at the row's episode start. `step`
-    returns the (extrinsic, intrinsic, reshaped) triple, each of `shape`.
+    Holds only its config. The smoothed extrinsic rewards `w` belong to the
+    caller, which passes them in and keeps what `step` returns: (N,) for one
+    env, or (W, N) for W envs, one row each, zeroed at the row's episode
+    start (see `RolloutWorkers.smoothed`).
     """
 
-    def __init__(self, config: ShapingConfig, shape):
+    def __init__(self, config: ShapingConfig):
         self.config = config
-        self.w = np.zeros(shape)
-        self.num_agents = self.w.shape[-1]
-        if self.num_agents < 2 and config.mode != "baseline":
-            raise ValueError("ia/emurel modes need at least two agents")
 
-    def reset(self, row=...):
-        """Zero the smoothed rewards of one row, or of all rows."""
-        self.w[row] = 0.0
-
-    def step(self, extrinsic, impact_rows=None):
-        """impact_rows: `shape` + (N-1,) normalized impacts, agent k's row
+    def step(self, w, extrinsic, impact_rows=None):
+        """Returns (w', extrinsic, intrinsic, reshaped), each of w's shape.
+        impact_rows: w.shape + (N-1,) normalized impacts, agent k's row
         ordered by ascending fellow index; required in emurel mode, ignored
         otherwise."""
         cfg = self.config
         e = np.asarray(extrinsic, dtype=np.float64)
-        self.w = update_smoothed(self.w, e, cfg.smoothing_gamma, cfg.smoothing_lambda)
-        shape, n = self.w.shape, self.num_agents
-        intrinsic = np.zeros(shape)
+        w = update_smoothed(w, e, cfg.smoothing_gamma, cfg.smoothing_lambda)
+        intrinsic = np.zeros(w.shape)
         if cfg.mode == "ia":
-            intrinsic = inequity_intrinsics(self.w, np.ones(shape + (n - 1,)), cfg.alpha, cfg.beta)
+            intrinsic = inequity_intrinsics(w, np.ones(w.shape + (w.shape[-1] - 1,)),
+                                            cfg.alpha, cfg.beta)
         elif cfg.mode == "emurel":
             if impact_rows is None:
                 raise ValueError("emurel mode requires impact rows")
-            intrinsic = inequity_intrinsics(self.w, impact_rows, cfg.alpha, cfg.beta)
+            intrinsic = inequity_intrinsics(w, impact_rows, cfg.alpha, cfg.beta)
         reshaped = reshape_reward(e, intrinsic, cfg.combine_alpha, cfg.combine_beta)
-        return e, intrinsic, reshaped
+        return w, e, intrinsic, reshaped

@@ -53,11 +53,11 @@ class RolloutWorkers:
     `envs[w]` and row w of each state array: `obs` (W, N, V, V, C) uint8, one
     (W, N, U) array per name in `lstm_state` (the MOA's only in emurel mode,
     the one mode that reads it), the running episode's `episode_idx`,
-    `episode_returns` and `episode_events` (counts in EVENT_COUNTS order),
-    agent k's action Generator `action_rngs[k][w]`, and the smoothed rewards
-    `shaper.w`. State persists across collections so episodes may span batch
-    boundaries; only `reset` zeros a row's LSTM state and only
-    `lockstep_step` advances it."""
+    `episode_returns`, `smoothed` (the shaper's smoothed extrinsic rewards)
+    and `episode_events` (counts in EVENT_COUNTS order), and agent k's action
+    Generator `action_rngs[k][w]`. State persists across collections so
+    episodes may span batch boundaries; only `reset` zeros a row's state and
+    only `lockstep_step` advances it."""
 
     def __init__(self, env_config, shaping_config, run_seed, ids, lstm_units):
         self.ids = [int(i) for i in ids]
@@ -66,15 +66,18 @@ class RolloutWorkers:
         self.run_seed = run_seed
         W, N, V = len(self.ids), env_config.num_agents, env_config.view_size
         self.num_agents = N
+        if N < 2 and shaping_config.mode != "baseline":
+            raise ValueError("ia/emurel modes need at least two agents")
         self.lstm_state = LSTM_STATE if shaping_config.mode == "emurel" else LSTM_STATE[:2]
         for name in self.lstm_state:
             setattr(self, name, np.zeros((W, N, lstm_units)))
         self.obs = np.zeros((W, N, V, V, NUM_CHANNELS), dtype=np.uint8)
         self.episode_idx = np.full(W, -1)
         self.episode_returns = np.zeros((W, N))
+        self.smoothed = np.zeros((W, N))
         self.episode_events = np.zeros((W, len(EVENT_COUNTS)), dtype=np.int64)
         self.action_rngs = [[None] * W for _ in range(N)]
-        self.shaper = RewardShaper(shaping_config, (W, N))
+        self.shaper = RewardShaper(shaping_config)
 
     def __len__(self):
         return len(self.envs)
@@ -91,9 +94,9 @@ class RolloutWorkers:
             getattr(self, name)[w] = 0.0
         for rngs, seed in zip(self.action_rngs, action_seeds):
             rngs[w] = np.random.default_rng(np.random.SeedSequence(seed))
-        self.shaper.reset(w)
         self.obs[w] = self.envs[w].observe()
         self.episode_returns[w] = 0.0
+        self.smoothed[w] = 0.0
         self.episode_events[w] = 0
 
     def begin_step(self):
@@ -123,8 +126,8 @@ def lockstep_step(workers, agents, greedy=False):
     [:, k] of a pre-step copy of the workers' `obs` and LSTM states: encode,
     act and, in emurel mode, the impact rows and the MOA advance. The advanced
     states go straight into the workers' arrays. Then the envs step one after
-    another, each observing into its row, and one shaper step shapes every
-    row.
+    another, each observing into its row, and one shaper step advances
+    `smoothed` and shapes every row.
 
     Returns ({RolloutBuffer field: (W, ...) array of this step},
     [EpisodeStat or None per worker]).
@@ -165,7 +168,8 @@ def lockstep_step(workers, agents, greedy=False):
             if event["kind"] == "beam_fired" and event["beam"] == "clean":
                 tally[EVENT_COUNTS.index("clean_beams")] += 1
         workers.obs[w] = env.observe()
-    extrinsic, intrinsic, reshaped = workers.shaper.step(extrinsic, impacts)
+    workers.smoothed, extrinsic, intrinsic, reshaped = workers.shaper.step(
+        workers.smoothed, extrinsic, impacts)
     workers.episode_returns += extrinsic
     dones = np.array([env.done for env in workers.envs])
     stats = [workers.episode_stat(w) if done else None for w, done in enumerate(dones)]

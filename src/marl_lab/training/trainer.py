@@ -86,7 +86,7 @@ class Trainer:
         self.env_steps = 0
 
     def one_update(self):
-        """Collect one batch, apply one update, return the metrics row."""
+        """Collect one batch, apply one update; returns (metrics row, buffer)."""
         cfg = self.cfg
         buffer = collect_rollouts(self.workers, self.agents, cfg.batch_steps)
         advantages, targets = compute_advantages(buffer, cfg.discount, cfg.gae_lambda)
@@ -105,33 +105,15 @@ class Trainer:
                       if stats else float("nan"))
         equality = float(np.mean([s.equality for s in stats])) if stats else float("nan")
         impacts = buffer.impact_rows    # all zeros outside emurel mode
-        row = {
+        return {
             "update": self.update_idx,
             "env_steps": self.env_steps,
             "episodes_completed": len(stats),
             "collective_reward": collective,
             "equality": equality,
-            "policy_loss": terms["policy_loss"],
-            "value_loss": terms["value_loss"],
-            "entropy": terms["entropy"],
-            "moa_loss": terms["moa_loss"],
-            "forward_loss": terms["forward_loss"],
-            "inverse_loss": terms["inverse_loss"],
+            **terms,
             "intrinsic_mean": float(buffer.intrinsic.mean()),
             "impact_mean": float(impacts.mean()),
             "impact_min": float(impacts.min()),
             "impact_max": float(impacts.max()),
-            "grad_norm": terms["grad_norm"],
-        }
-        return row, buffer
-
-    def run(self, updates=None, on_update=None):
-        """Run the training loop; on_update(row, buffer, trainer) per update."""
-        total = updates if updates is not None else self.cfg.updates
-        rows = []
-        for _ in range(total):
-            row, buffer = self.one_update()
-            rows.append(row)
-            if on_update is not None:
-                on_update(row, buffer, self)
-        return rows
+        }, buffer

@@ -380,7 +380,7 @@ def test_learning_smoke(tmp_path):
         env_cfg.seed = 1
         random_reward, _ = evaluate([UniformRandomPolicy(9)] * env_cfg.num_agents,
                                     env_cfg, episodes=100, seed=4242)
-        target = 1.2 * random_reward
+        target = random_reward + 0.2 * abs(random_reward)
 
         tcfg = base_spec.trainer
         tcfg.seed = 1
@@ -397,8 +397,8 @@ def test_learning_smoke(tmp_path):
                     updates_used = u
                     break
         assert updates_used is not None, (
-            f"baseline never reached 1.2x random ({target:.1f}) within {cap} "
-            f"updates; last eval {trained_reward}")
+            f"baseline never reached random + 0.2 * |random| ({target:.1f}) "
+            f"within {cap} updates; last eval {trained_reward}")
         print(f"  smoke: random={random_reward:.1f} target={target:.1f} "
               f"trained={trained_reward:.1f} after {updates_used} updates",
               flush=True)

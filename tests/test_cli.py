@@ -353,16 +353,6 @@ class TestRun:
         assert err.startswith("error:") and "--workers" in err
         assert not (tmp_path / "runs").exists()
 
-    def test_non_integer_workers_env_exits_2_before_the_run(self, tmp_path, capsys,
-                                                            monkeypatch):
-        spec = write_tiny_spec(tmp_path)
-        monkeypatch.setenv("MARL_LAB_WORKERS", "two")
-        capsys.readouterr()
-        assert main(["run", spec]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "MARL_LAB_WORKERS" in err
-        assert not (tmp_path / "runs").exists()
-
     def test_spawn_shortage_is_a_spec_error(self, tmp_path):
         path = tmp_path / "crowded.spec"
         path.write_text(TINY_SPEC.format(out=str(tmp_path), mode="baseline")

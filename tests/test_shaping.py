@@ -215,8 +215,9 @@ class TestGiniEquality:
 
 class TestRewardShaper:
     def test_baseline_mode_zero_intrinsic(self):
-        shaper = RewardShaper(ShapingConfig(mode="baseline"), 2)
-        e, i, r = shaper.step([1.0, 0.0])
+        shaper = RewardShaper(ShapingConfig(mode="baseline"))
+        w, e, i, r = shaper.step(np.zeros(2), [1.0, 0.0])
+        np.testing.assert_array_equal(w, [1.0, 0.0])
         np.testing.assert_array_equal(i, [0.0, 0.0])
         np.testing.assert_array_equal(r, e)
 
@@ -224,44 +225,52 @@ class TestRewardShaper:
         rng = np.random.default_rng(3)
         cfg_ia = ShapingConfig(mode="ia", alpha=5.0, beta=0.05)
         cfg_em = ShapingConfig(mode="emurel", alpha=5.0, beta=0.05)
-        s_ia, s_em = RewardShaper(cfg_ia, 3), RewardShaper(cfg_em, 3)
+        s_ia, s_em = RewardShaper(cfg_ia), RewardShaper(cfg_em)
+        w_ia, w_em = np.zeros(3), np.zeros(3)
         ones = np.ones((3, 2))
         for _ in range(20):
             e = rng.normal(size=3)
-            _, i_ia, _ = s_ia.step(e)
-            _, i_em, _ = s_em.step(e, impact_rows=ones)
+            w_ia, _, i_ia, _ = s_ia.step(w_ia, e)
+            w_em, _, i_em, _ = s_em.step(w_em, e, impact_rows=ones)
             np.testing.assert_allclose(i_em, i_ia, atol=1e-12)
 
     def test_emurel_requires_impacts(self):
-        shaper = RewardShaper(ShapingConfig(mode="emurel"), 2)
+        shaper = RewardShaper(ShapingConfig(mode="emurel"))
         with pytest.raises(ValueError):
-            shaper.step([0.0, 0.0])
+            shaper.step(np.zeros(2), [0.0, 0.0])
 
-    def test_reset_zeroes_smoothed_rewards(self):
-        shaper = RewardShaper(ShapingConfig(mode="ia", alpha=1.0), 2)
-        shaper.step([5.0, 1.0])
-        shaper.reset()
-        np.testing.assert_array_equal(shaper.w, [0.0, 0.0])
+    @pytest.mark.parametrize("mode", ["baseline", "ia", "emurel"])
+    def test_the_shaper_holds_only_its_config(self, mode):
+        # the smoothed rewards are the caller's: steps leave no state behind
+        cfg = ShapingConfig(mode=mode, alpha=1.0, beta=0.5)
+        shaper = RewardShaper(cfg)
+        w = np.zeros((2, 3))
+        for t in range(4):
+            w, *_ = shaper.step(w, np.full((2, 3), float(t)), np.ones((2, 3, 2)))
+        assert vars(shaper) == {"config": cfg}
 
     @given(st.integers(2, 5), st.integers(1, 4), st.sampled_from(["baseline", "ia", "emurel"]),
            st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_batch_rows_equal_lone_shapers(self, n, W, mode, seed):
-        # one (W, N) shaper gives each row the bytes of a lone (N,) shaper
+        # one step over (W, N) smoothed rewards gives each row the bytes of a
+        # step over that (N,) row alone
         rng = np.random.default_rng(seed)
         cfg = ShapingConfig(mode=mode, alpha=rng.uniform(0, 6), beta=rng.uniform(0, 1))
-        batch = RewardShaper(cfg, (W, n))
-        lone = [RewardShaper(cfg, n) for _ in range(W)]
+        shaper = RewardShaper(cfg)
+        batch = np.zeros((W, n))
+        lone = [np.zeros(n) for _ in range(W)]
         steps, reset_row = 6, int(rng.integers(W))
         for t in range(steps):
             if t == steps // 2:
-                batch.reset(reset_row)
-                lone[reset_row].reset()
+                batch[reset_row] = 0.0
+                lone[reset_row] = np.zeros(n)
             e = rng.normal(scale=2.0, size=(W, n))
             d = rng.uniform(size=(W, n, n - 1))
-            got = batch.step(e, d)
-            for row, shaper in enumerate(lone):
-                want = shaper.step(e[row], d[row])
+            got = shaper.step(batch, e, d)
+            batch = got[0]
+            for row in range(W):
+                want = shaper.step(lone[row], e[row], d[row])
+                lone[row] = want[0]
                 for g, x in zip(got, want):
                     assert g[row].tobytes() == x.tobytes(), (t, row)
-            assert batch.w[reset_row].tobytes() == lone[reset_row].w.tobytes()

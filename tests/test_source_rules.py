@@ -5,7 +5,11 @@ parameter Tensor's `.data` is a view into it. Assigning a new array to a
 `.data` attribute silently detaches that parameter: the layer then reads an
 array the optimizer never steps, and the checkpoint saves it. So only the two
 places that bind `.data` by design may assign it; everyone else writes into
-the array (`tensor.data[...] = values`)."""
+the array (`tensor.data[...] = values`).
+
+A run's settings come only from its spec and the command-line flags, which
+the run directory's snapshot records. So the library reads no environment
+variable, except where it holds BLAS at one thread before numpy loads."""
 
 import ast
 import os
@@ -19,6 +23,10 @@ BINDS_DATA = {
     ("nn/tensor.py", "Tensor", "__init__"),
     ("nn/optim.py", "Optimizer", "__init__"),
 }
+
+# (file relative to the package, function) allowed to use the environment.
+USES_ENVIRON = {("__init__.py", "_hold_blas_at_one_thread")}
+ENVIRON_NAMES = ("environ", "getenv")
 
 
 def _targets(node):
@@ -38,24 +46,36 @@ def _targets(node):
             yield target
 
 
-def data_assignments(tree):
-    """(line, class, function) of every assignment to a `.data` attribute."""
-    found = []
-
-    def visit(node, cls, fn):
-        for target in _targets(node):
-            if isinstance(target, ast.Attribute) and target.attr == "data":
-                found.append((node.lineno, cls, fn))
+def walk(tree):
+    """Every node of tree with the names of its enclosing class and function."""
+    stack = [(tree, None, None)]
+    while stack:
+        node, cls, fn = stack.pop()
+        yield node, cls, fn
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                visit(child, child.name, None)
+                stack.append((child, child.name, None))
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, cls, child.name)
+                stack.append((child, cls, child.name))
             else:
-                visit(child, cls, fn)
+                stack.append((child, cls, fn))
 
-    visit(tree, None, None)
-    return found
+
+def data_assignments(tree):
+    """(line, class, function) of every assignment to a `.data` attribute."""
+    return [(node.lineno, cls, fn) for node, cls, fn in walk(tree)
+            for target in _targets(node)
+            if isinstance(target, ast.Attribute) and target.attr == "data"]
+
+
+def environ_uses(tree):
+    """(line, function) of every `os.environ` or `os.getenv` reference, and
+    of every import of either name from `os`."""
+    return [(node.lineno, fn) for node, _, fn in walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr in ENVIRON_NAMES
+                and isinstance(node.value, ast.Name) and node.value.id == "os")
+            or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                and any(alias.name in ENVIRON_NAMES for alias in node.names))]
 
 
 def source_files():
@@ -87,3 +107,24 @@ def test_the_check_sees_every_assignment_form():
             "        t.other = 7\n")
     lines = sorted(line for line, _, _ in data_assignments(ast.parse(code)))
     assert lines == [3, 4, 4, 5, 6]
+
+
+def test_settings_come_only_from_specs_and_flags():
+    bad = []
+    for rel, path in source_files():
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read(), filename=path)
+        bad += [f"{rel}:{line} ({fn})" for line, fn in environ_uses(tree)
+                if (rel, fn) not in USES_ENVIRON]
+    assert not bad, f"environment read outside {sorted(USES_ENVIRON)}: {bad}"
+
+
+def test_the_check_sees_every_environment_form():
+    code = ("import os\n"
+            "from os import path, getenv\n"
+            "def f():\n"
+            "    os.environ.get('A')\n"
+            "    os.environ['B'] = '1'\n"
+            "    os.getenv('C')\n"
+            "    os.path.join('d', 'e')\n")
+    assert sorted(environ_uses(ast.parse(code))) == [(2, None), (4, "f"), (5, "f"), (6, "f")]

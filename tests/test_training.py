@@ -179,6 +179,37 @@ class TestCollectRollouts:
             assert seen == [W] * steps + [W]
 
 
+class TestRolloutWorkers:
+    def test_reset_zeroes_one_row(self):
+        env, shaping, _ = three_agent_cleanup("emurel")
+        workers = RolloutWorkers(env, shaping, 9, range(3), SMALL.lstm_units)
+        workers.begin_step()
+        rng = np.random.default_rng(0)
+        zeroed = ("smoothed", "episode_returns", "episode_events") + workers.lstm_state
+        assert len(workers.lstm_state) == 4
+        for name in zeroed:
+            array = getattr(workers, name)
+            array[...] = rng.integers(1, 9, size=array.shape)
+        before = {name: getattr(workers, name).copy()
+                  for name in zeroed + ("obs", "episode_idx")}
+        w = 1
+        workers.reset(w, workers.episode_env_seed(w, 1), [[9, w, 1, k] for k in range(3)])
+        for name, old in before.items():
+            new = getattr(workers, name)
+            if name in zeroed:
+                assert not new[w].any(), name
+            for other in (0, 2):
+                assert new[other].tobytes() == old[other].tobytes(), (name, other)
+        assert workers.episode_idx[w] == before["episode_idx"][w] + 1
+
+    @pytest.mark.parametrize("mode", ["ia", "emurel"])
+    def test_fellow_modes_need_two_agents(self, mode):
+        with pytest.raises(ValueError, match="ia/emurel modes need at least two agents"):
+            Trainer(mini_env_config(num_agents=1), ShapingConfig(mode=mode, alpha=5.0),
+                    TrainerConfig(batch_steps=80, minibatch_steps=40, workers=2),
+                    sizes=SMALL)
+
+
 class TestLockstepBatching:
     """Workers stepped in lockstep with batched nets fill each worker's slice
     with exactly the bytes that worker produces alone."""
@@ -694,15 +725,19 @@ class TestEvaluate:
             evaluate([UniformRandomPolicy(9)], mini_env_config(), 1, seed=0)
 
 
+def metric_rows(trainer, updates):
+    return [trainer.one_update()[0] for _ in range(updates)]
+
+
 class TestDeterminism:
     def test_two_trainers_produce_identical_metrics(self):
-        rows_a = mini_trainer("emurel", seed=5).run(updates=2)
-        rows_b = mini_trainer("emurel", seed=5).run(updates=2)
+        rows_a = metric_rows(mini_trainer("emurel", seed=5), 2)
+        rows_b = metric_rows(mini_trainer("emurel", seed=5), 2)
         assert rows_a == rows_b
 
     def test_different_seeds_differ(self):
-        rows_a = mini_trainer("baseline", seed=5).run(updates=1)
-        rows_b = mini_trainer("baseline", seed=6).run(updates=1)
+        rows_a = metric_rows(mini_trainer("baseline", seed=5), 1)
+        rows_b = metric_rows(mini_trainer("baseline", seed=6), 1)
         assert rows_a != rows_b
 
 

@@ -184,19 +184,13 @@ def run_single_seed(spec: ExperimentSpec, seed, force=False):
         raise
 
 
-def run_experiment(spec_path, force=False, output_dir=None, workers=None):
-    """Execute every seed of a spec; returns [(run_dir, summary), ...].
-    `workers` overrides [trainer] workers, as `marl-lab run --workers` does;
-    a value the trainer rejects raises ConfigError, and a seed whose directory
-    already holds a run raises FileExistsError, before any seed trains."""
+def run_experiment(spec_path, force=False, output_dir=None):
+    """Execute every seed of a spec; returns [(run_dir, summary), ...]. A seed
+    whose directory already holds a run raises FileExistsError before any
+    seed trains."""
     spec = resolve_spec(spec_path)
     if output_dir is not None:
         spec.output_dir = output_dir
-    if workers is not None:
-        try:
-            spec.trainer = dataclasses.replace(spec.trainer, workers=workers)
-        except ConfigError as exc:
-            raise ConfigError(f"--workers {workers}: {exc}", "workers") from None
     for seed in spec.seeds:
         RunDirectory(spec, seed).check(force)
     return [run_single_seed(spec, seed, force=force) for seed in spec.seeds]

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import nullcontext
 
 from ..envs import ConfigError
 from ..nn import CheckpointError
@@ -25,8 +27,6 @@ def build_parser():
                    help="overwrite existing run directories")
     r.add_argument("--output-dir", default=None,
                    help="override output_dir")
-    r.add_argument("--workers", type=int, default=None,
-                   help="override trainer worker count")
 
     s = sub.add_parser("summarize", help="method comparison table from run dirs")
     s.add_argument("dirs", nargs="+", help="run directories (or parents)")
@@ -48,8 +48,7 @@ def build_parser():
 
 def cmd_run(args):
     from .experiment import run_experiment
-    results = run_experiment(args.spec, force=args.force, output_dir=args.output_dir,
-                             workers=args.workers)
+    results = run_experiment(args.spec, force=args.force, output_dir=args.output_dir)
     for run_dir, summary in results:
         print(f"{run_dir}: mean_collective_reward="
               f"{summary['mean_collective_reward']}")
@@ -68,15 +67,21 @@ def cmd_summarize(args):
 
 
 def cmd_replay(args):
+    """Frames go to stdout, or to a temporary name beside --out that is renamed
+    over it only once the replay returns, so a failed replay leaves --out as
+    it was."""
     from .replay import replay
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    tmp = f"{args.out}.tmp" if args.out else None
     try:
-        results = replay(args.checkpoint_dir, args.env_spec, args.episodes,
-                         args.seed, greedy=args.greedy,
-                         sink=lambda frame: out.write(frame + "\n"))
+        with open(tmp, "w", encoding="utf-8") if tmp else nullcontext(sys.stdout) as out:
+            results = replay(args.checkpoint_dir, args.env_spec, args.episodes,
+                             args.seed, greedy=args.greedy,
+                             sink=lambda frame: out.write(frame + "\n"))
+        if tmp:
+            os.replace(tmp, args.out)
     finally:
-        if args.out:
-            out.close()
+        if tmp and os.path.exists(tmp):
+            os.remove(tmp)
     for r in results:
         print(json.dumps(r, sort_keys=True))
     return 0

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..agents import AgentNets
-from ..envs import ConfigError
+from ..envs import ConfigError, render_ascii
 from ..nn import CheckpointError, load_checkpoint, read_manifest
 from ..training.rollout import episode_batch, lockstep_step
 from .experiment import resolve_spec
@@ -51,7 +51,7 @@ def replay(ckpt_dir, env_spec_path, episodes, seed, greedy=False, sink=None):
         while not workers.envs[0].done:
             _, (stat,) = lockstep_step(workers, agents, greedy=greedy)
             if sink is not None:
-                sink(workers.envs[0].render_ascii())
+                sink(render_ascii(workers.envs[0].state))
         results.append({"episode": ep, "collective_reward": stat.collective_reward,
                         "per_agent": stat.per_agent_returns.tolist(),
                         "events": stat.events})

@@ -98,8 +98,7 @@ def summarize(run_dirs, last_steps, trim=False):
         rows.append({"method": method, "runs": n,
                      "mean_collective_reward": mean, "variance": var,
                      "ci_low": mean - half, "ci_high": mean + half,
-                     "mean_equality": float(np.nanmean(eqs)) if eqs.size else
-                     float("nan")})
+                     "mean_equality": float(np.nanmean(eqs))})
     return rows
 
 

@@ -23,8 +23,6 @@ def normalize_impacts(raw):
     impact-scaled comparison collapse to plain inequity aversion.
     """
     raw = np.asarray(raw, dtype=np.float64)
-    if raw.size == 0:
-        return raw.copy()
     if np.any(raw < 0) or not np.isfinite(raw).all():
         raise ValueError("raw impacts must be finite and nonnegative")
     lo = raw.min(axis=-1, keepdims=True)

@@ -310,11 +310,6 @@ class SSDEnv:
         windows[:, R, R] ^= (1 << C_OTHER) | (1 << C_SELF)
         return np.unpackbits(windows[..., None], axis=-1, bitorder="little")
 
-    # -- rendering -----------------------------------------------------------
-
-    def render_ascii(self):
-        return render_ascii(self.state)
-
 
 def render_ascii(state: EnvState):
     """Grid glyphs with agents as digits; per-agent status lines carry

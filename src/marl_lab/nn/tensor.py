@@ -14,8 +14,10 @@ drift apart. Everything is float64 and every op is deterministic, so
 repeated forward passes are bit-identical.
 
 A vjp may return None for a parent that does not need a gradient; matmul
-and conv2d do, so backward spends nothing on gradients no one reads (the
-conv's col2im input gradient for observations, say).
+does, so backward spends nothing on gradients no one reads. conv2d has no
+input gradient at all: the conv is only the encoder's first layer, whose
+input is observations, so it rejects an input that needs a gradient rather
+than drop that gradient silently.
 """
 
 from __future__ import annotations
@@ -334,7 +336,11 @@ def conv2d(x, kernel, bias):
     stacked: the B*Ho*Wo patches of each leading index form one gemm. So a
     (B, H, W, C) minibatch runs one flat gemm, and a (W, 1, H, W, C) lockstep
     stack runs one gemm per window, each with the bits of that window alone.
+    Gradients flow to the kernel and bias only; an x that needs a gradient
+    raises ValueError.
     """
+    if type(x) is Tensor and x.needs_grad:
+        raise ValueError("conv2d computes no input gradient, but its input needs one")
     xd, kd = _data(x), _data(kernel)
     kh, kw, cin, cout = kd.shape
     if (kh, kw) != (3, 3):
@@ -358,20 +364,13 @@ def conv2d(x, kernel, bias):
     out = (patches @ kmat + _data(bias)).reshape(xd.shape[:-3] + (Ho, Wo, cout))
     if not (type(x) is Tensor or type(kernel) is Tensor or type(bias) is Tensor):
         return out
-    x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
+    kernel, bias = _as_tensor(kernel), _as_tensor(bias)
 
     def vjp(g):     # rebuilds the patch copy from the view rather than holding it
         gmat = g.reshape(-1, cout)
         gk = ((windows.reshape(-1, 9 * C).T @ gmat).reshape(3, 3, C, cout)
               if kernel.needs_grad else None)
         gb = gmat.sum(axis=0) if bias.needs_grad else None
-        if not x.needs_grad:    # observations: skip the col2im input gradient
-            return (None, gk, gb)
-        gpatches = (gmat @ kmat.T).reshape(xd.shape[:-3] + (Ho, Wo, 3, 3, C))
-        gx = np.zeros_like(xd)
-        for i in range(3):
-            for j in range(3):
-                gx[..., i:i + Ho, j:j + Wo, :] += gpatches[..., i, j, :]
-        return (gx, gk, gb)
+        return (gk, gb)
 
-    return _make(out, (x, kernel, bias), vjp)
+    return _make(out, (kernel, bias), vjp)

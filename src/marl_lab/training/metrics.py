@@ -15,8 +15,6 @@ METRIC_COLUMNS = [
 
 
 def format_value(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return repr(float(v))   # plain-float repr even for numpy scalars
     return str(v)

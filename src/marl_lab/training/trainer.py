@@ -83,7 +83,11 @@ class Trainer:
         self._shuffle_rng = np.random.default_rng(
             np.random.SeedSequence([trainer_config.seed, 7919]))
         self.update_idx = 0
-        self.env_steps = 0
+
+    @property
+    def env_steps(self):
+        """Env steps collected so far: every update collects one batch."""
+        return self.update_idx * self.cfg.batch_steps
 
     def one_update(self):
         """Collect one batch, apply one update; returns (metrics row, buffer)."""
@@ -99,7 +103,6 @@ class Trainer:
                                     mode, self.optimizers)
 
         self.update_idx += 1
-        self.env_steps += cfg.batch_steps
         stats = buffer.episode_stats
         collective = (float(np.mean([s.collective_reward for s in stats]))
                       if stats else float("nan"))

@@ -343,16 +343,6 @@ class TestRun:
         assert sorted(os.listdir(tmp_path / "runs" / "tiny" / "baseline")) == ["1"]
         assert json.loads((run_dir / "summary.json").read_text())["updates"] == 1
 
-    @pytest.mark.parametrize("workers", ["3", "0"])
-    def test_bad_workers_override_exits_2_before_the_run(self, tmp_path, capsys,
-                                                         workers):
-        spec = write_tiny_spec(tmp_path)   # batch_steps = 40
-        capsys.readouterr()
-        assert main(["run", spec, "--workers", workers]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "--workers" in err
-        assert not (tmp_path / "runs").exists()
-
     def test_spawn_shortage_is_a_spec_error(self, tmp_path):
         path = tmp_path / "crowded.spec"
         path.write_text(TINY_SPEC.format(out=str(tmp_path), mode="baseline")
@@ -676,6 +666,39 @@ class TestReplay:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "--seed" in captured.err
         assert captured.out == ""
+
+    def test_out_holds_the_frames_the_sink_receives(self, tmp_path, capsys):
+        ckpt_dir, env_spec = self._trained_dir(tmp_path)
+        frames = []
+        results = replay(ckpt_dir, env_spec, episodes=2, seed=3, sink=frames.append)
+        out = tmp_path / "frames" / "frames.txt"
+        out.parent.mkdir()
+        out.write_bytes(b"earlier frames\n")
+        capsys.readouterr()
+        assert main(["replay", ckpt_dir, env_spec, "--episodes", "2", "--seed", "3",
+                     "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == "".join(f + "\n" for f in frames)
+        assert os.listdir(out.parent) == ["frames.txt"]
+        printed = capsys.readouterr().out.splitlines()
+        assert [json.loads(line) for line in printed] == results
+
+    @pytest.mark.parametrize("case", ["missing_checkpoints", "zero_episodes"])
+    def test_failed_replay_leaves_out_as_it_was(self, tmp_path, capsys, case):
+        # the frames go to a temporary name that only a finished replay renames
+        (tmp_path / "empty").mkdir()
+        ckpt_dir, episodes, blamed = {
+            "missing_checkpoints": (tmp_path / "nowhere", "1", "no agent checkpoints"),
+            "zero_episodes": (tmp_path / "empty", "0", "--episodes"),
+        }[case]
+        out = tmp_path / "frames" / "frames.txt"
+        out.parent.mkdir()
+        out.write_bytes(b"earlier frames\n")
+        capsys.readouterr()
+        assert main(["replay", str(ckpt_dir), write_tiny_spec(tmp_path), "--episodes",
+                     episodes, "--seed", "1", "--out", str(out)]) == 2
+        assert blamed in capsys.readouterr().err
+        assert out.read_bytes() == b"earlier frames\n"
+        assert os.listdir(out.parent) == ["frames.txt"]
 
     def test_env_mismatch_rejected(self, tmp_path):
         ckpt_dir, env_spec = self._trained_dir(tmp_path)

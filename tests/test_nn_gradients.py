@@ -148,23 +148,16 @@ def test_relative_error_uses_floor_denominator():
     assert relative_error(np.array([1e-12]), np.array([0.0])) == pytest.approx(1e-4, rel=1e-6)
 
 
-def test_conv_on_constant_input_gives_the_same_parameter_gradients(rng):
-    # The conv skips its input gradient when the input needs none; the kernel
-    # and bias gradients must not move by a bit.
-    x = rng.normal(size=(3, 6, 6, 4))
-
-    def grads(needs_grad):
-        conv = Conv2d("c", 4, 5, np.random.default_rng(2))
-        inp = Tensor(x, needs_grad=needs_grad)
-        out = conv.apply(inp)
-        leaves = T.tsum(T.mul(out, out)).backward()
-        return inp, leaves, leaves[id(conv.kernel)], leaves[id(conv.bias)]
-
-    const_in, leaves, gk, gb = grads(False)
-    var_in, leaves_ref, gk_ref, gb_ref = grads(True)
-    assert gk.tobytes() == gk_ref.tobytes() and gb.tobytes() == gb_ref.tobytes()
-    assert id(const_in) not in leaves
-    assert id(var_in) in leaves_ref
+def test_conv_rejects_an_input_that_needs_a_gradient(rng):
+    # The conv computes kernel and bias gradients only: its input is always
+    # observations. An input that needs a gradient fails in the forward pass
+    # rather than lose that gradient in backward.
+    conv = Conv2d("c", 4, 5, np.random.default_rng(2))
+    x = Tensor(rng.normal(size=(3, 6, 6, 4)), needs_grad=True)
+    with pytest.raises(ValueError, match="no input gradient"):
+        T.conv2d(x, conv.kernel, conv.bias)
+    with pytest.raises(ValueError, match="no input gradient"):
+        conv.apply(x)
 
 
 def test_matmul_skips_gradients_of_constant_operands(rng):

@@ -1,4 +1,5 @@
-"""Rules over the library's source text, checked with `ast`.
+"""Rules over the library's source text, checked with `ast`, and over its
+command line.
 
 Each agent's optimizer holds its parameters as one flat vector, and every
 parameter Tensor's `.data` is a view into it. Assigning a new array to a
@@ -7,14 +8,20 @@ array the optimizer never steps, and the checkpoint saves it. So only the two
 places that bind `.data` by design may assign it; everyone else writes into
 the array (`tensor.data[...] = values`).
 
-A run's settings come only from its spec and the command-line flags, which
-the run directory's snapshot records. So the library reads no environment
-variable, except where it holds BLAS at one thread before numpy loads."""
+A run's settings come only from its spec, which the run directory's
+snapshot records. So the library reads no environment variable, except where
+it holds BLAS at one thread before numpy loads, and of the spec's keys the
+flags of `marl-lab run` name only paths: a flag that overrode any other key
+would write a run whose numbers its spec and seed do not define into that
+spec's own directory."""
 
+import argparse
 import ast
 import os
 
 import marl_lab
+from marl_lab.cli.experiment import _KEYS
+from marl_lab.cli.main import build_parser
 
 SRC = os.path.dirname(marl_lab.__file__)
 
@@ -27,6 +34,9 @@ BINDS_DATA = {
 # (file relative to the package, function) allowed to use the environment.
 USES_ENVIRON = {("__init__.py", "_hold_blas_at_one_thread")}
 ENVIRON_NAMES = ("environ", "getenv")
+
+# Spec keys a `run` flag may name: where the run directories go is a path.
+RUN_FLAGS_MAY_SET = {"output_dir"}
 
 
 def _targets(node):
@@ -128,3 +138,27 @@ def test_the_check_sees_every_environment_form():
             "    os.getenv('C')\n"
             "    os.path.join('d', 'e')\n")
     assert sorted(environ_uses(ast.parse(code))) == [(2, None), (4, "f"), (5, "f"), (6, "f")]
+
+
+def spec_keys_set_by(parser):
+    """The spec keys, in any section, that an argument of parser's `run`
+    subcommand stores into."""
+    keys = {key for hints in _KEYS.values() for key in hints}
+    sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sorted({a.dest for a in sub.choices["run"]._actions} & keys)
+
+
+def test_run_flags_name_only_paths():
+    bad = sorted(set(spec_keys_set_by(build_parser())) - RUN_FLAGS_MAY_SET)
+    assert not bad, f"`marl-lab run` flags override spec keys {bad}"
+
+
+def test_the_check_sees_a_flag_of_any_section():
+    parser = argparse.ArgumentParser()
+    run = parser.add_subparsers(dest="command").add_parser("run")
+    run.add_argument("spec")
+    run.add_argument("--force", action="store_true")
+    run.add_argument("--batch-steps", type=int)
+    run.add_argument("--lanes", dest="workers", type=int)
+    run.add_argument("--output-dir")
+    assert spec_keys_set_by(parser) == ["batch_steps", "output_dir", "workers"]

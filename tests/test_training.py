@@ -729,6 +729,15 @@ def metric_rows(trainer, updates):
     return [trainer.one_update()[0] for _ in range(updates)]
 
 
+def test_env_steps_is_derived_from_the_update_count():
+    trainer = mini_trainer("baseline", algo="a2c_sync")
+    rows = metric_rows(trainer, 2)
+    batch = trainer.cfg.batch_steps
+    assert [row["env_steps"] for row in rows] == [batch, 2 * batch]
+    assert trainer.env_steps == 2 * batch
+    assert "env_steps" not in vars(trainer)
+
+
 class TestDeterminism:
     def test_two_trainers_produce_identical_metrics(self):
         rows_a = metric_rows(mini_trainer("emurel", seed=5), 2)

@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import typing
 from dataclasses import dataclass, field
 
 from ..agents import NetSizes
-from ..envs import ConfigError, EnvConfig
+from ..envs import BUILTIN_MAPS, ConfigError, EnvConfig
 from ..shaping import ShapingConfig
 from ..training import Trainer, TrainerConfig
 from .rundir import RunDirectory
@@ -163,8 +164,14 @@ def _build(cls, section, doc, path, **extra):
 
 
 def resolve_spec(path):
+    """The spec of a file. A relative `[env] map` path is read from the spec
+    file's directory, and the snapshot records it as an absolute path."""
     doc = parse_spec_file(path)
     _check(doc, str(path))
+    env = doc.get("env", {})
+    if "map" in env and env["map"][0] not in BUILTIN_MAPS:
+        rel, line = env["map"]
+        env["map"] = (os.path.join(os.path.dirname(os.path.abspath(path)), rel), line)
     sections = {name: _build(cls, name, doc, path) for name, cls in _SECTIONS.items()}
     return _build(ExperimentSpec, None, doc, path, **sections)
 

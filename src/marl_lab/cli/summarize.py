@@ -9,7 +9,7 @@ import os
 
 import numpy as np
 
-from ..training import read_metrics_csv
+from ..training.metrics import format_value, read_metrics_csv
 from .rundir import METRICS, SNAPSHOT, SUMMARY, window_mean
 from .specfile import parse_spec_text
 
@@ -103,10 +103,6 @@ def summarize(run_dirs, last_steps, trim=False):
 
 
 def format_table(rows):
-    header = ",".join(TABLE_COLUMNS)
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(
-            repr(float(row[c])) if isinstance(row[c], float) else str(row[c])
-            for c in TABLE_COLUMNS))
+    lines = [",".join(TABLE_COLUMNS)]
+    lines += [",".join(format_value(row[c]) for c in TABLE_COLUMNS) for row in rows]
     return "\n".join(lines) + "\n"

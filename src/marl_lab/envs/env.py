@@ -2,8 +2,9 @@
 
 Step order: beams resolve, agents move under a per-step random permutation,
 apples are picked up, resources regrow, Cleanup waste spawns, time advances.
-Every random draw comes from the state's counter-based stream, so a fixed
-(config, seed, actions) triple replays bit-identically.
+A step counts each agent's EVENTS, and its extrinsic rewards are those counts
+through EVENT_REWARDS. Every random draw comes from the state's counter-based
+stream, so a fixed (config, seed, actions) triple replays bit-identically.
 """
 
 from __future__ import annotations
@@ -42,17 +43,19 @@ _CELL_BITS = np.array([1 << _CELL_CHANNEL[code] for code in range(len(_CELL_CHAN
 _NEIGHBOURHOOD = [(dr, dc) for dr in range(-2, 3) for dc in range(-2, 3)
                   if 0 < abs(dr) + abs(dc) <= 2]
 
-PUNISH_HIT_REWARD = -50.0
-PUNISH_FIRE_COST = -1.0
-APPLE_REWARD = 1.0
+# What a step counts for each agent; agent_hit counts the hits it takes.
+EVENTS = ("apple_collected", "punish_fired", "agent_hit", "clean_fired", "waste_cleaned")
+APPLE_COLLECTED, PUNISH_FIRED, AGENT_HIT, CLEAN_FIRED, WASTE_CLEANED = range(len(EVENTS))
+# The extrinsic reward of one event, in EVENTS order: counts @ EVENT_REWARDS.
+EVENT_REWARDS = np.array([1.0, -1.0, -50.0, 0.0, 0.0])
 
 _WALKABLE = (EMPTY, APPLE, SPAWN)
 
 
 @dataclass
 class StepOutcome:
-    extrinsic: np.ndarray
-    events: list = field(default_factory=list)
+    extrinsic: np.ndarray   # (N,) float64, counts @ EVENT_REWARDS
+    counts: np.ndarray      # (N, len(EVENTS)) int64
 
 
 @dataclass
@@ -189,31 +192,27 @@ class SSDEnv:
         grid = st.grid
         positions = [tuple(p) for p in st.positions.tolist()]
         orientations = st.orientations.tolist()
-        rewards = [0.0] * cfg.num_agents
-        events = []
+        counts = np.zeros((cfg.num_agents, len(EVENTS)), dtype=np.int64)
         st.beam_cells = set()
 
         # Phase 1: beams, simultaneous from current poses.
         for k, a in enumerate(actions):
             if a == FIRE_PUNISH:
-                rewards[k] += PUNISH_FIRE_COST
+                counts[k, PUNISH_FIRED] += 1
                 cells = self._beam_footprint(positions[k], orientations[k])
                 st.beam_cells.update(cells)
-                events.append({"kind": "beam_fired", "agent": k, "beam": "punish"})
                 cellset = set(cells)
                 for j in range(cfg.num_agents):
                     if j != k and positions[j] in cellset:
-                        rewards[j] += PUNISH_HIT_REWARD
-                        events.append({"kind": "agent_hit", "agent": j, "by": k})
+                        counts[j, AGENT_HIT] += 1
             elif a == FIRE_CLEAN:
+                counts[k, CLEAN_FIRED] += 1
                 cells = self._beam_footprint(positions[k], orientations[k])
                 st.beam_cells.update(cells)
-                events.append({"kind": "beam_fired", "agent": k, "beam": "clean"})
                 for cell in cells:
                     if grid[cell] == WASTE:
                         grid[cell] = RIVER
-                        events.append({"kind": "waste_cleaned", "agent": k,
-                                       "cell": cell})
+                        counts[k, WASTE_CLEANED] += 1
 
         # Phase 2: movement in a per-step random permutation; a move into an
         # occupied or just-claimed cell becomes a noop.
@@ -247,8 +246,7 @@ class SSDEnv:
         for k, cell in enumerate(positions):
             if grid[cell] == APPLE:
                 grid[cell] = EMPTY
-                rewards[k] += APPLE_REWARD
-                events.append({"kind": "apple_collected", "agent": k, "cell": cell})
+                counts[k, APPLE_COLLECTED] += 1
 
         # Phase 4: regrowth on unoccupied empty orchard cells, one draw each in
         # orchard order. Harvest counts apples as they stand before regrowth.
@@ -275,7 +273,7 @@ class SSDEnv:
                 grid.put(clean[int(st.rng.integers(len(clean)))], WASTE)
 
         st.t += 1
-        return st, StepOutcome(extrinsic=np.array(rewards), events=events)
+        return st, StepOutcome(extrinsic=counts @ EVENT_REWARDS, counts=counts)
 
     def _apple_counts(self, apple_mask):
         """Apples of `apple_mask` in each orchard cell's L1 radius-2

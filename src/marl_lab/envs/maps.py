@@ -74,7 +74,7 @@ def load_map(spec, kind):
         return ParsedMap([str(r) for r in spec], kind)
     if spec in BUILTIN_MAPS:
         path = os.path.join(_MAPS_DIR, spec + ".txt")
-    elif os.path.exists(spec):
+    elif os.path.isfile(spec):
         path = spec
     else:
         raise ConfigError(f"unknown map {spec!r}: not a built-in name or readable path")

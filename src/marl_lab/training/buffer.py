@@ -22,7 +22,7 @@ class EpisodeStat:
     collective_reward: float
     equality: float
     per_agent_returns: np.ndarray
-    events: dict        # episode event counts, keyed by rollout.EVENT_COUNTS
+    events: dict        # {envs.EVENTS name: episode count, summed over agents}
 
 
 class RolloutBuffer:

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..agents.nets import joint_one_hot
 from ..eicm import impact_row
-from ..envs import NUM_CHANNELS, SSDEnv
+from ..envs import EVENT_REWARDS, EVENTS, NUM_CHANNELS, SSDEnv
 from ..shaping import RewardShaper, ShapingConfig, gini_equality
 from .buffer import EpisodeStat, RolloutBuffer
 
@@ -39,10 +39,6 @@ _REPLAY_ENV_STREAM = 41
 _REPLAY_ACTION_STREAM = 43
 
 
-# Episode event counts, tallied from the env's step events.
-EVENT_COUNTS = ("apple_collected", "beam_fired", "agent_hit", "waste_cleaned",
-                "clean_beams")
-
 # The LSTM states a worker carries, named as the RolloutBuffer fields that
 # store them: actor-critic (v) and MOA (u), hidden and cell.
 LSTM_STATE = ("v_h", "v_c", "u_h", "u_c")
@@ -53,8 +49,8 @@ class RolloutWorkers:
     `envs[w]` and row w of each state array: `obs` (W, N, V, V, C) uint8, one
     (W, N, U) array per name in `lstm_state` (the MOA's only in emurel mode,
     the one mode that reads it), the running episode's `episode_idx`,
-    `episode_returns`, `smoothed` (the shaper's smoothed extrinsic rewards)
-    and `episode_events` (counts in EVENT_COUNTS order), and agent k's action
+    `smoothed` (the shaper's smoothed extrinsic rewards) and `episode_events`
+    (W, N, len(EVENTS)), each agent's event counts, and agent k's action
     Generator `action_rngs[k][w]`. State persists across collections so
     episodes may span batch boundaries; only `reset` zeros a row's state and
     only `lockstep_step` advances it."""
@@ -73,9 +69,8 @@ class RolloutWorkers:
             setattr(self, name, np.zeros((W, N, lstm_units)))
         self.obs = np.zeros((W, N, V, V, NUM_CHANNELS), dtype=np.uint8)
         self.episode_idx = np.full(W, -1)
-        self.episode_returns = np.zeros((W, N))
         self.smoothed = np.zeros((W, N))
-        self.episode_events = np.zeros((W, len(EVENT_COUNTS)), dtype=np.int64)
+        self.episode_events = np.zeros((W, N, len(EVENTS)), dtype=np.int64)
         self.action_rngs = [[None] * W for _ in range(N)]
         self.shaper = RewardShaper(shaping_config)
 
@@ -95,7 +90,6 @@ class RolloutWorkers:
         for rngs, seed in zip(self.action_rngs, action_seeds):
             rngs[w] = np.random.default_rng(np.random.SeedSequence(seed))
         self.obs[w] = self.envs[w].observe()
-        self.episode_returns[w] = 0.0
         self.smoothed[w] = 0.0
         self.episode_events[w] = 0
 
@@ -111,14 +105,15 @@ class RolloutWorkers:
         return starts
 
     def episode_stat(self, w):
-        """The stats of row w's episode, which has just ended."""
-        returns = self.episode_returns[w].copy()
+        """The stats of row w's episode, which has just ended: the returns
+        its event counts earned, and each event's total over the agents."""
+        returns = self.episode_events[w] @ EVENT_REWARDS
         return EpisodeStat(
             worker=self.ids[w], episode=int(self.episode_idx[w]),
             collective_reward=float(returns.sum()),
             equality=gini_equality(np.maximum(returns, 0.0)),
             per_agent_returns=returns,
-            events=dict(zip(EVENT_COUNTS, self.episode_events[w].tolist())))
+            events=dict(zip(EVENTS, self.episode_events[w].sum(axis=0).tolist())))
 
 
 def lockstep_step(workers, agents, greedy=False):
@@ -162,15 +157,10 @@ def lockstep_step(workers, agents, greedy=False):
     for w, env in enumerate(workers.envs):
         _, outcome = env.step(actions[w])
         extrinsic[w] = outcome.extrinsic
-        tally = workers.episode_events[w]
-        for event in outcome.events:
-            tally[EVENT_COUNTS.index(event["kind"])] += 1
-            if event["kind"] == "beam_fired" and event["beam"] == "clean":
-                tally[EVENT_COUNTS.index("clean_beams")] += 1
+        workers.episode_events[w] += outcome.counts
         workers.obs[w] = env.observe()
     workers.smoothed, extrinsic, intrinsic, reshaped = workers.shaper.step(
         workers.smoothed, extrinsic, impacts)
-    workers.episode_returns += extrinsic
     dones = np.array([env.done for env in workers.envs])
     stats = [workers.episode_stat(w) if done else None for w, done in enumerate(dones)]
     arrays.update(
@@ -183,8 +173,8 @@ def collect_rollouts(workers, agents, batch_steps):
     """Step every worker batch_steps/len(workers) times in lockstep into one
     buffer (`TrainerConfig` requires the division to be exact); worker w
     fills slice [w]. Each step records `lockstep_step`'s arrays plus
-    `episode_starts` and, in emurel mode, whose auxiliary losses read it,
-    `next_obs`."""
+    `episode_starts` and, in emurel mode, whose auxiliary losses read them,
+    `next_obs` and the MOA targets."""
     W = len(workers)
     steps = batch_steps // W
     N = workers.num_agents
@@ -211,7 +201,8 @@ def collect_rollouts(workers, agents, batch_steps):
             buffer.bootstrap_values[live, k] = agent.value_only(
                 agent.window_features(workers.obs[live, k]),
                 workers.v_h[live, k], workers.v_c[live, k])
-    buffer.finalize_moa_targets()
+    if emurel:
+        buffer.finalize_moa_targets()
     return buffer
 
 

@@ -25,7 +25,8 @@ from ..nn import tensor as T
 
 
 # The per-agent buffer fields a loss reads, and the joint ones; baseline and IA
-# buffers hold no MOA state (u_h, u_c) and no next_obs.
+# buffers hold no MOA state (u_h, u_c), no next_obs and no MOA targets
+# (moa_targets, moa_valid).
 AGENT_FIELDS = ("obs", "next_obs", "behavior_logp", "v_h", "v_c", "u_h", "u_c", "moa_targets")
 JOINT_FIELDS = ("actions", "moa_valid")
 

@@ -5,11 +5,13 @@ import dataclasses
 import importlib.util
 import json
 import os
+import shutil
 import typing
 
 import numpy as np
 import pytest
 
+import marl_lab
 from marl_lab.cli import (
     ExperimentSpec, SpecError, SummarizeError, parse_spec_text, resolve_spec,
     run_experiment, summarize, write_spec_text,
@@ -241,6 +243,30 @@ class TestSpecfile:
         with pytest.raises(SpecError) as exc:
             resolve_spec(str(path))
         assert str(exc.value) == f"{path}:4: missing required key 'kind' in section [env]"
+
+    def test_relative_map_resolves_beside_the_spec(self, tmp_path, monkeypatch):
+        # From a sibling directory, a spec naming "maps/m.txt" and its
+        # snapshot both find the map beside the spec.
+        home, elsewhere = tmp_path / "home", tmp_path / "elsewhere"
+        (home / "maps").mkdir(parents=True)
+        elsewhere.mkdir()
+        shutil.copy(os.path.join(os.path.dirname(marl_lab.__file__), "envs", "maps",
+                                 "cleanup_mini.txt"), home / "maps" / "m.txt")
+        text = TINY_SPEC.format(out="runs", mode="baseline")
+        (home / "x.spec").write_text(text.replace('"cleanup_mini"', '"maps/m.txt"'))
+        monkeypatch.chdir(elsewhere)
+        spec = resolve_spec(os.path.join("..", "home", "x.spec"))
+        assert spec.env.map == str(home / "maps" / "m.txt")
+        (elsewhere / "snapshot.spec").write_text(spec.snapshot(seed=1))
+        assert resolve_spec("snapshot.spec").env == spec.env
+
+    @pytest.mark.parametrize("name", ["", "."])
+    def test_map_that_is_no_file_points_at_its_key(self, tmp_path, name):
+        # both name the spec's own directory once read from there
+        path, line = spec_with(tmp_path, "env", "map", name)
+        with pytest.raises(SpecError) as exc:
+            resolve_spec(path)
+        assert str(exc.value).startswith(f"{path}:{line}: [env] unknown map ")
 
     def test_shipped_specs_resolve(self):
         specs_dir = os.path.join(os.path.dirname(__file__), "..", "specs")

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from marl_lab.envs import (
-    APPLE, ConfigError, EMPTY, EnvConfig, EnvState, FIRE_CLEAN, FIRE_PUNISH,
-    MOVE_DOWN, MOVE_LEFT, MOVE_RIGHT, MOVE_UP, NOOP, RIVER, SSDEnv, TURN_CCW,
-    TURN_CW, WASTE, cleanup_spawn_rate, harvest_regrowth_prob, parse_render,
+    APPLE, ConfigError, EMPTY, EVENT_REWARDS, EVENTS, EnvConfig, EnvState, FIRE_CLEAN,
+    FIRE_PUNISH, MOVE_DOWN, MOVE_LEFT, MOVE_RIGHT, MOVE_UP, NOOP, RIVER, SSDEnv,
+    TURN_CCW, TURN_CW, WASTE, cleanup_spawn_rate, harvest_regrowth_prob, parse_render,
     render_ascii,
 )
 from marl_lab.envs import env as env_module, maps
@@ -132,7 +132,9 @@ class TestStepRewards:
         _, out = env.step([MOVE_UP])
         assert out.extrinsic[0] == 1.0
         assert env.state.grid[1, 2] == EMPTY
-        assert {"kind": "apple_collected", "agent": 0, "cell": (1, 2)} in out.events
+        assert dict(zip(EVENTS, out.counts[0].tolist())) == {
+            "apple_collected": 1, "punish_fired": 0, "agent_hit": 0, "clean_fired": 0,
+            "waste_cleaned": 0}
 
     def test_punish_beam_costs_and_hits(self):
         env = make_env(["#######", "#P  P #", "#     #", "#######"], n=2)
@@ -142,8 +144,9 @@ class TestStepRewards:
         _, out = env.step([FIRE_PUNISH, NOOP])
         assert out.extrinsic[0] == -1.0
         assert out.extrinsic[1] == -50.0
-        kinds = [e["kind"] for e in out.events]
-        assert kinds.count("beam_fired") == 1 and kinds.count("agent_hit") == 1
+        fired, hit = EVENTS.index("punish_fired"), EVENTS.index("agent_hit")
+        assert out.counts.sum() == 2
+        assert out.counts[0, fired] == 1 and out.counts[1, hit] == 1
 
     def test_simultaneous_hits_stack(self):
         env = make_env(["##########", "#P  P   P#", "#        #", "##########"], n=3)
@@ -154,6 +157,7 @@ class TestStepRewards:
         env.state.orientations[2] = WEST
         _, out = env.step([FIRE_PUNISH, NOOP, FIRE_PUNISH])
         assert out.extrinsic[1] == -100.0   # both beams cover the middle agent
+        assert out.counts[1, EVENTS.index("agent_hit")] == 2
         assert out.extrinsic[0] == -1.0 and out.extrinsic[2] == -1.0
 
     def test_saturated_cleanup_noop_spawns_nothing(self):
@@ -173,8 +177,8 @@ class TestStepRewards:
         before = int(np.sum(env.state.grid == WASTE))
         assert before == 2
         _, out = env.step([FIRE_CLEAN])
-        cleaned = [e for e in out.events if e["kind"] == "waste_cleaned"]
-        assert len(cleaned) == 2
+        assert out.counts[0, EVENTS.index("clean_fired")] == 1
+        assert out.counts[0, EVENTS.index("waste_cleaned")] == 2
         assert int(np.sum(env.state.grid == WASTE)) == 0
         assert env.state.grid[1, 1] == RIVER and env.state.grid[2, 1] == RIVER
         assert out.extrinsic[0] == 0.0   # cleaning costs nothing
@@ -435,39 +439,47 @@ class TestProperties:
             np.testing.assert_array_equal(a, b)
 
     def test_reward_closure_events_explain_rewards(self):
+        # The beam counts follow the step's actions, and the rewards are
+        # rebuilt from the paper's values, not from EVENT_REWARDS.
+        assert dict(zip(EVENTS, EVENT_REWARDS.tolist())) == {
+            "apple_collected": 1.0, "punish_fired": -1.0, "agent_hit": -50.0,
+            "clean_fired": 0.0, "waste_cleaned": 0.0}
         for kind, map_name in (("cleanup", "cleanup_mini"), ("harvest", "harvest_mini")):
             env = SSDEnv(EnvConfig(kind=kind, map=map_name, num_agents=2, seed=3,
                                    episode_length=1000))
             env.reset()
             rng = np.random.default_rng(42)
             for _ in range(80):
-                _, out = env.step(rng.integers(0, env.num_actions, size=2))
-                recon = np.zeros(2)
-                for e in out.events:
-                    if e["kind"] == "apple_collected":
-                        recon[e["agent"]] += 1.0
-                    elif e["kind"] == "agent_hit":
-                        recon[e["agent"]] += -50.0
-                    elif e["kind"] == "beam_fired" and e["beam"] == "punish":
-                        recon[e["agent"]] += -1.0
+                acts = rng.integers(0, env.num_actions, size=2)
+                _, out = env.step(acts)
+                assert out.counts.dtype == np.int64 and out.counts.shape == (2, len(EVENTS))
+                fired = out.counts[:, EVENTS.index("punish_fired")]
+                np.testing.assert_array_equal(fired, acts == FIRE_PUNISH)
+                np.testing.assert_array_equal(out.counts[:, EVENTS.index("clean_fired")],
+                                              acts == FIRE_CLEAN)
+                recon = (out.counts[:, EVENTS.index("apple_collected")] * 1.0
+                         - fired * 1.0 - out.counts[:, EVENTS.index("agent_hit")] * 50.0)
                 np.testing.assert_array_equal(recon, out.extrinsic)
 
     @pytest.mark.parametrize("map_name", BUILTIN_MAPS)
     def test_events_are_json_serialisable(self, map_name):
+        # An episode's counts as {name: count}, the form replay writes.
         env = SSDEnv(EnvConfig(kind=builtin_map_kind(map_name), map=map_name,
                                num_agents=2, seed=4, episode_length=300))
         env.reset()
         rng = np.random.default_rng(4)
-        kinds = set()
+        totals = np.zeros((2, len(EVENTS)), dtype=np.int64)
         while not env.done:
             _, out = env.step(rng.integers(0, env.num_actions, size=2))
-            assert json.loads(json.dumps(out.events)) == [
-                {key: list(v) if key == "cell" else v for key, v in event.items()}
-                for event in out.events]
-            kinds.update(event["kind"] for event in out.events)
-        assert {"apple_collected", "beam_fired"} <= kinds
+            totals += out.counts
+        per_agent = [dict(zip(EVENTS, row.tolist())) for row in totals]
+        assert json.loads(json.dumps(per_agent)) == per_agent
+        seen = {name for row in per_agent for name, count in row.items() if count}
+        assert {"apple_collected", "punish_fired"} <= seen
         if builtin_map_kind(map_name) == "cleanup":
-            assert "waste_cleaned" in kinds
+            assert {"clean_fired", "waste_cleaned"} <= seen
+        else:
+            assert "clean_fired" not in seen and "waste_cleaned" not in seen
 
     def test_occupancy_distinct_and_in_bounds(self):
         _, _, env = self._rollout(11, steps=100)

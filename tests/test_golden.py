@@ -22,7 +22,7 @@ the temporary output_dir and whose text SNAPSHOT_DIGESTS pins.
 
 The env alone is pinned on the two large maps, which no training cell runs:
 one digest per map over 1,500 seeded random-action steps, covering every
-observation, grid, pose, reward and event.
+observation, grid, pose, reward and event count.
 
 The snapshot each shipped spec (and the CLI tests' tiny spec) writes for seed
 1 is pinned too. `summarize` groups runs by those bytes, so a change to how a
@@ -131,8 +131,8 @@ EVAL_DIGESTS = {
 }
 
 REPLAY_DIGESTS = {
-    "sampled": "0505349743ecff4286ffadc9401a3de024636506ad7d733e3b3ce7dcfcb97a7e",
-    "greedy": "c15f717b7d24041e017a7c99f0eec8d54475f51d1cbef2af08417736b3d924c1",
+    "sampled": "b4bcdad2ac3cceeb616fe116da4811294426026772c95d04e0144f8cbf230101",
+    "greedy": "66f5a3c4081b436740a856462992a33b813d62c32e0a2d8b0fb324b825ac0e97",
 }
 
 # The run-directory cell: every file it writes, and the sha256 of each but
@@ -167,9 +167,9 @@ RUN_DIRECTORY_DIGESTS = {
 # 1,500 random-action steps of one env on each large map: (kind, agents, digest).
 ENV_DIGESTS = {
     "cleanup_large": ("cleanup", 5,
-                      "16e96ab274d89a6b1229b12a2be689a3797c6852678a9a6e9c4fd57eedf70cb9"),
+                      "f4cd34f882e3a0f083854e6de2afc8c92fdd816bbcbe7bf887fd2f60329d45c4"),
     "harvest_large": ("harvest", 4,
-                      "649fd2d2ef666b34a9eeb698cbb0a23cd71b6f84bd3946682efd5969eccb81c8"),
+                      "3e7f20f872b4824912622b5ace688d1db5de83db92457339108b94be9c66d5d1"),
 }
 
 # snapshot.spec text of seed 1, keyed by spec file name ("tiny": the CLI tests'
@@ -337,7 +337,7 @@ def run_directory_digests():
 def env_digest(map_name, kind, num_agents, steps=1500):
     """sha256 over a seeded random-action episode of one env: the observations
     after reset and after every step, and each step's grid, positions,
-    orientations, rewards and events (as JSON)."""
+    orientations, rewards and event counts."""
     env = SSDEnv(EnvConfig(kind=kind, map=map_name, num_agents=num_agents,
                            episode_length=steps, seed=3))
     env.reset()
@@ -346,9 +346,9 @@ def env_digest(map_name, kind, num_agents, steps=1500):
     for _ in range(steps):
         _, out = env.step(rng.integers(0, env.num_actions, size=num_agents))
         st = env.state
-        for part in (env.observe(), st.grid, st.positions, st.orientations, out.extrinsic):
+        for part in (env.observe(), st.grid, st.positions, st.orientations, out.extrinsic,
+                     out.counts):
             digest.update(part.tobytes())
-        digest.update(json.dumps(out.events, default=int).encode())
     return digest.hexdigest()
 
 

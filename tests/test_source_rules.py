@@ -13,7 +13,11 @@ snapshot records. So the library reads no environment variable, except where
 it holds BLAS at one thread before numpy loads, and of the spec's keys the
 flags of `marl-lab run` name only paths: a flag that overrode any other key
 would write a run whose numbers its spec and seed do not define into that
-spec's own directory."""
+spec's own directory.
+
+What a step did is counted in one place: the env names its events, and
+everyone else takes the names from `envs.EVENTS`, so no second taxonomy can
+drift from the one the rewards are computed from."""
 
 import argparse
 import ast
@@ -22,6 +26,7 @@ import os
 import marl_lab
 from marl_lab.cli.experiment import _KEYS
 from marl_lab.cli.main import build_parser
+from marl_lab.envs import EVENTS
 
 SRC = os.path.dirname(marl_lab.__file__)
 
@@ -37,6 +42,9 @@ ENVIRON_NAMES = ("environ", "getenv")
 
 # Spec keys a `run` flag may name: where the run directories go is a path.
 RUN_FLAGS_MAY_SET = {"output_dir"}
+
+# The one file that may spell an event name.
+NAMES_EVENTS = "envs/env.py"
 
 
 def _targets(node):
@@ -86,6 +94,12 @@ def environ_uses(tree):
                 and isinstance(node.value, ast.Name) and node.value.id == "os")
             or (isinstance(node, ast.ImportFrom) and node.module == "os"
                 and any(alias.name in ENVIRON_NAMES for alias in node.names))]
+
+
+def event_names(tree):
+    """Line of every string constant that is an `EVENTS` name."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in EVENTS]
 
 
 def source_files():
@@ -138,6 +152,22 @@ def test_the_check_sees_every_environment_form():
             "    os.getenv('C')\n"
             "    os.path.join('d', 'e')\n")
     assert sorted(environ_uses(ast.parse(code))) == [(2, None), (4, "f"), (5, "f"), (6, "f")]
+
+
+def test_only_the_env_names_events():
+    bad = []
+    for rel, path in source_files():
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read(), filename=path)
+        bad += [f"{rel}:{line}" for line in event_names(tree) if rel != NAMES_EVENTS]
+    assert not bad, f"event names spelt outside {NAMES_EVENTS}: {bad}"
+
+
+def test_the_check_sees_an_event_name_anywhere():
+    code = ("NAMES = ('apple_collected', 'apples')\n"
+            "def f(d):\n"
+            "    return d['agent_hit'], 'waste_cleaned '\n")
+    assert sorted(event_names(ast.parse(code))) == [1, 3]
 
 
 def spec_keys_set_by(parser):

@@ -13,7 +13,7 @@ import pytest
 from marl_lab.agents import AgentNets, NetSizes, joint_one_hot
 from marl_lab.cli import resolve_spec
 from marl_lab.eicm import forward_loss_tape, inverse_loss_tape, moa_loss_tape
-from marl_lab.envs import EnvConfig, SSDEnv
+from marl_lab.envs import EVENTS, EnvConfig, SSDEnv
 from marl_lab.nn import Optimizer, Tensor, gradients, load_checkpoint, save_checkpoint
 from marl_lab.nn import tensor as T
 from marl_lab.shaping import ShapingConfig
@@ -31,7 +31,7 @@ SPECS = os.path.join(os.path.dirname(__file__), "..", "specs")
 
 
 # Buffer fields recorded in emurel mode only.
-MOA_ONLY = ("u_h", "u_c", "next_obs")
+MOA_ONLY = ("u_h", "u_c", "next_obs", "moa_targets", "moa_valid")
 
 
 def mini_env_config(**kw):
@@ -89,7 +89,8 @@ class TestCollectRollouts:
             assert buffer.obs.dtype == np.uint8
             assert buffer.actions.shape == (2, 40, 2)
             buffer.consistency_check()
-            # only emurel's auxiliary losses read the MOA state and next_obs
+            # only emurel's auxiliary losses read the MOA state, next_obs and
+            # the MOA targets
             for name in MOA_ONLY:
                 assert hasattr(buffer, name) == (mode == "emurel"), (mode, name)
         assert buffer.next_obs.dtype == np.uint8
@@ -133,6 +134,30 @@ class TestCollectRollouts:
             assert stat.collective_reward == pytest.approx(
                 float(stat.per_agent_returns.sum()), abs=1e-12)
         assert not np.array_equal(buffer.reshaped, buffer.extrinsic)
+
+    @pytest.mark.parametrize("mode", ["baseline", "ia", "emurel"])
+    def test_episode_returns_are_their_extrinsic_rows_summed(self, mode):
+        # An episode's returns come from its event counts, not from the
+        # rewards the buffer stored; both must agree to the last bit.
+        env, shaping, agents = three_agent_cleanup(mode)
+        workers = RolloutWorkers(env, shaping, 9, range(3), SMALL.lstm_units)
+        checked = 0
+        for _ in range(2):      # the second collection resumes open episodes
+            buffer = collect_steps(workers, agents, 14)
+            for w in range(3):
+                stats = [s for s in buffer.episode_stats if s.worker == w]
+                ends = np.flatnonzero(buffer.dones[w])
+                assert len(stats) == len(ends)
+                for stat, end in zip(stats, ends):
+                    starts = np.flatnonzero(buffer.episode_starts[w, :end + 1])
+                    if not len(starts):
+                        continue    # began in the previous collection
+                    rows = buffer.extrinsic[w, starts[-1]:end + 1]
+                    assert stat.per_agent_returns.tobytes() == rows.sum(axis=0).tobytes()
+                    assert stat.collective_reward == float(rows.sum(axis=0).sum())
+                    assert list(stat.events) == list(EVENTS)
+                    checked += 1
+        assert checked == 6     # one per worker in each collection
 
     def test_moa_targets_are_next_step_actions(self):
         tr = mini_trainer("emurel")
@@ -185,8 +210,9 @@ class TestRolloutWorkers:
         workers = RolloutWorkers(env, shaping, 9, range(3), SMALL.lstm_units)
         workers.begin_step()
         rng = np.random.default_rng(0)
-        zeroed = ("smoothed", "episode_returns", "episode_events") + workers.lstm_state
+        zeroed = ("smoothed", "episode_events") + workers.lstm_state
         assert len(workers.lstm_state) == 4
+        assert workers.episode_events.shape == (3, 3, len(EVENTS))
         for name in zeroed:
             array = getattr(workers, name)
             array[...] = rng.integers(1, 9, size=array.shape)
@@ -598,12 +624,12 @@ class TestA2CUpdate:
     def _duplicated_worker_buffer(self):
         tr = mini_trainer("baseline", algo="a2c_sync")
         _, buffer = tr.one_update()
-        # a baseline buffer holds no MOA state and no next_obs
+        # a baseline buffer holds no MOA state, no next_obs and no MOA targets
         assert not any(hasattr(buffer, name) for name in MOA_ONLY)
         # copy worker 0's slice over worker 1 so the two are identical
         for name in ("obs", "actions", "behavior_logp", "values", "v_h", "v_c",
                      "extrinsic", "intrinsic", "reshaped", "impact_rows", "dones",
-                     "episode_starts", "moa_targets", "moa_valid", "bootstrap_values"):
+                     "episode_starts", "bootstrap_values"):
             arr = getattr(buffer, name)
             arr[1] = arr[0]
         return tr, buffer

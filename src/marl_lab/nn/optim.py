@@ -14,8 +14,8 @@ ADAM_EPSILON = 1e-8
 
 
 class Optimizer:
-    """Holds the parameters given as (name, Tensor) pairs as one float64
-    `vector`, in the order given, with Adam's moments `m` and `v` beside it.
+    """Holds the (name, Tensor) pairs given, in order, as `params`, and their
+    values as one float64 `vector`, with Adam's moments `m` and `v` beside it.
     Each Tensor's `.data` becomes a view of the vector, so what writes into
     the views (a checkpoint load, say) is what the next step moves. One
     optimizer steps each parameter: a second one over the same Tensors takes
@@ -29,32 +29,31 @@ class Optimizer:
         self.learning_rate = learning_rate
         self.grad_clip_norm = grad_clip_norm
         self.step_count = 0
-        params = list(params)
+        self.params = params = list(params)
         self.vector = np.concatenate([t.data.reshape(-1) for _, t in params])
         self.m = np.zeros(self.vector.size)
         self.v = np.zeros(self.vector.size)
         ends = np.cumsum([t.data.size for _, t in params])
         for (_, tensor), view in zip(params, np.split(self.vector, ends[:-1])):
             tensor.data = view.reshape(tensor.data.shape)
-        self._views = [(name, t.data) for name, t in params]   # the views, in order
 
     def step(self, grads):
         """Apply one update from {name: gradient}, one for every parameter.
         Returns the pre-clip global norm, summed per parameter in order."""
-        if len(grads) != len(self._views):
-            raise ValueError(f"{len(grads)} gradients for {len(self._views)} parameters")
+        if len(grads) != len(self.params):
+            raise ValueError(f"{len(grads)} gradients for {len(self.params)} parameters")
         sq = 0.0
-        for name, param in self._views:
+        for name, param in self.params:
             g = grads[name]
             if not np.isfinite(g).all():
                 raise FloatingPointError(
                     f"non-finite gradient for {name} at optimizer step {self.step_count}")
-            if g.shape != param.shape:
+            if g.shape != param.data.shape:
                 raise ValueError(f"gradient/parameter shape mismatch for {name}: "
-                                 f"{g.shape} != {param.shape}")
+                                 f"{g.shape} != {param.data.shape}")
             sq += float((g * g).sum())
         norm = float(np.sqrt(sq))
-        g = np.concatenate([grads[name].reshape(-1) for name, _ in self._views])
+        g = np.concatenate([grads[name].reshape(-1) for name, _ in self.params])
         if self.grad_clip_norm is not None and norm > self.grad_clip_norm:
             g *= self.grad_clip_norm / norm
         self.step_count += 1

@@ -77,7 +77,9 @@ class Trainer:
         self.workers = RolloutWorkers(env_config, shaping_config, trainer_config.seed,
                                       range(trainer_config.workers),
                                       self.agents[0].sizes.lstm_units)
-        self.optimizers = [Optimizer(a.parameters(), trainer_config.optimizer,
+        # Only emurel's losses reach the MOA and forward/inverse sections (none named: all).
+        trained = () if shaping_config.mode == "emurel" else ("encoder", "actor_critic")
+        self.optimizers = [Optimizer(a.parameters(*trained), trainer_config.optimizer,
                                      trainer_config.learning_rate,
                                      trainer_config.grad_clip_norm) for a in self.agents]
         self._shuffle_rng = np.random.default_rng(
@@ -94,13 +96,12 @@ class Trainer:
         cfg = self.cfg
         buffer = collect_rollouts(self.workers, self.agents, cfg.batch_steps)
         advantages, targets = compute_advantages(buffer, cfg.discount, cfg.gae_lambda)
-        mode = self.shaping_config.mode
         if cfg.algo == "ppo":
             terms = ppo_update(self.agents, buffer, advantages, targets, cfg,
-                               mode, self.optimizers, self._shuffle_rng)
+                               self.optimizers, self._shuffle_rng)
         else:
             terms = a2c_sync_update(self.agents, buffer, advantages, targets, cfg,
-                                    mode, self.optimizers)
+                                    self.optimizers)
 
         self.update_idx += 1
         stats = buffer.episode_stats

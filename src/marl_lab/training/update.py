@@ -4,7 +4,7 @@ both PPO-clip epochs and synchronous advantage actor-critic.
 The composite objective per agent is
     policy term + value_coef * value MSE - entropy_coef * entropy
     (+ moa_coef * MOA cross-entropy + forward_coef * L_F + inverse_coef * L_I
-     in emurel mode),
+     on buffers that record next_obs, which emurel's alone do),
 recomputed from stored observations and recurrent-state snapshots. PPO and
 A2C differ only in that policy term, in advantage normalization and in their
 schedule: a list of steps, each a list of index sets into the flat buffer.
@@ -47,11 +47,12 @@ def on_tape(view):
             for name, a in view.items()}
 
 
-def composite_loss(nets, k, view, adv, targets, cfg, mode):
+def composite_loss(nets, k, view, adv, targets, cfg):
     """Agent k's loss on its minibatch view (see `minibatch_views`), with the
-    policy term of `cfg.algo`. On an `on_tape` view it records on the tape
-    and returns a Tensor; on the plain view it returns the same value as an
-    ndarray and records nothing.
+    policy term of `cfg.algo`, and the auxiliary terms when the view holds
+    `next_obs`. On an `on_tape` view it records on the tape and returns a
+    Tensor; on the plain view it returns the same value as an ndarray and
+    records nothing.
 
     adv/targets: (B,) advantages and value targets for agent k.
     Returns (loss, {term: float}).
@@ -82,7 +83,7 @@ def composite_loss(nets, k, view, adv, targets, cfg, mode):
              "entropy": float(T._data(entropy)),
              "moa_loss": 0.0, "forward_loss": 0.0, "inverse_loss": 0.0}
 
-    if mode == "emurel":
+    if "next_obs" in view:
         joint = joint_one_hot(view["actions"], nets.num_actions)
         feat_next = nets.encode(view["next_obs"])
         u_h, u_c = view["u_h"], view["u_c"]
@@ -109,7 +110,7 @@ def normalize_advantages(adv):
     return (adv - adv.mean()) / (adv.std() + 1e-8)
 
 
-def ppo_update(agents, buffer, advantages, value_targets, cfg, mode, optimizers, rng):
+def ppo_update(agents, buffer, advantages, value_targets, cfg, optimizers, rng):
     """Clipped-surrogate epochs: one step per minibatch, cut from one
     permutation per epoch."""
     B = buffer.total_samples
@@ -118,27 +119,26 @@ def ppo_update(agents, buffer, advantages, value_targets, cfg, mode, optimizers,
         perm = rng.permutation(B)
         schedule += [[perm[lo:lo + cfg.minibatch_steps]]
                      for lo in range(0, B, cfg.minibatch_steps)]
-    return _run_schedule(agents, buffer, advantages, value_targets, cfg, mode,
-                         optimizers, schedule)
+    return _run_schedule(agents, buffer, advantages, value_targets, cfg, optimizers,
+                         schedule)
 
 
-def a2c_sync_update(agents, buffer, advantages, value_targets, cfg, mode, optimizers):
+def a2c_sync_update(agents, buffer, advantages, value_targets, cfg, optimizers):
     """One step on the mean of the W worker-slice gradients. Advantages enter
-    unnormalized (gae_lambda defaults to 1)."""
+    unnormalized (the A2C specs set gae_lambda to 1)."""
     S = buffer.steps
     schedule = [[slice(w * S, (w + 1) * S) for w in range(buffer.workers)]]
-    return _run_schedule(agents, buffer, advantages, value_targets, cfg, mode,
-                         optimizers, schedule)
+    return _run_schedule(agents, buffer, advantages, value_targets, cfg, optimizers,
+                         schedule)
 
 
-def _run_schedule(agents, buffer, advantages, value_targets, cfg, mode, optimizers,
-                  schedule):
+def _run_schedule(agents, buffer, advantages, value_targets, cfg, optimizers, schedule):
     """Each agent walks the whole schedule as one task (see `_each_agent`):
-    per step, the mean gradient over the step's index sets, then one
-    optimizer step; PPO normalizes each set's advantages. Each tape is freed
-    by its backward. Once one agent raises, the others stop at their next
-    step. Returns the loss terms averaged over (step, agent, set),
-    summed in that order, and the mean gradient norm."""
+    per step, the mean gradient over the step's index sets of the parameters
+    its optimizer holds, then one optimizer step; PPO normalizes each set's
+    advantages. Each tape is freed by its backward. Once one agent raises, the
+    others stop at their next step. Returns the loss terms averaged over
+    (step, agent, set), summed in that order, and the mean gradient norm."""
     B = buffer.total_samples
     adv_flat = advantages.reshape(B, -1)
     tgt_flat = value_targets.reshape(B, -1)
@@ -146,7 +146,7 @@ def _run_schedule(agents, buffer, advantages, value_targets, cfg, mode, optimize
     failed = threading.Event()
 
     def learn(k):
-        nets, steps = agents[k], []
+        nets, optimizer, steps = agents[k], optimizers[k], []
         try:
             for index_sets in schedule:
                 if failed.is_set():     # another agent raised; _each_agent raises it
@@ -156,13 +156,12 @@ def _run_schedule(agents, buffer, advantages, value_targets, cfg, mode, optimize
                     adv = adv_flat[idx, k]
                     adv = normalize_advantages(adv) if cfg.algo == "ppo" else adv
                     view = on_tape(minibatch_views(buffer, idx, k))
-                    loss, set_terms = composite_loss(nets, k, view, adv, tgt_flat[idx, k],
-                                                     cfg, mode)
-                    for name, g in gradients(nets.parameters(), loss).items():
+                    loss, set_terms = composite_loss(nets, k, view, adv, tgt_flat[idx, k], cfg)
+                    for name, g in gradients(optimizer.params, loss).items():
                         g = g / len(index_sets)
                         mean[name] = mean[name] + g if name in mean else g
                     terms.append(set_terms)
-                steps.append((terms, optimizers[k].step(mean)))
+                steps.append((terms, optimizer.step(mean)))
         except BaseException:
             failed.set()
             raise

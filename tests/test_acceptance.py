@@ -270,7 +270,7 @@ def test_gradient_suite():
             def loss_d(lift):
                 lifted = dict(view, obs=lift(view["obs"]),
                               next_obs=lift(view["next_obs"]))
-                loss, _ = composite_loss(nets, 0, lifted, adv, tgt, cfg, "emurel")
+                loss, _ = composite_loss(nets, 0, lifted, adv, tgt, cfg)
                 return loss
 
             err = finite_difference_check(loss_d, nets.parameters(), epsilon=1e-4)

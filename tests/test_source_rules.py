@@ -17,7 +17,11 @@ spec's own directory.
 
 What a step did is counted in one place: the env names its events, and
 everyone else takes the names from `envs.EVENTS`, so no second taxonomy can
-drift from the one the rewards are computed from."""
+drift from the one the rewards are computed from.
+
+The learner names no method: what an agent trains is what its optimizer
+holds, and the auxiliary losses run on the buffers that record their inputs.
+So a method's name cannot select a loss term the optimizer then never steps."""
 
 import argparse
 import ast
@@ -27,6 +31,7 @@ import marl_lab
 from marl_lab.cli.experiment import _KEYS
 from marl_lab.cli.main import build_parser
 from marl_lab.envs import EVENTS
+from marl_lab.shaping import MODES
 
 SRC = os.path.dirname(marl_lab.__file__)
 
@@ -45,6 +50,9 @@ RUN_FLAGS_MAY_SET = {"output_dir"}
 
 # The one file that may spell an event name.
 NAMES_EVENTS = "envs/env.py"
+
+# The learner: composite loss and update schedules.
+LEARNER = "training/update.py"
 
 
 def _targets(node):
@@ -100,6 +108,14 @@ def event_names(tree):
     """Line of every string constant that is an `EVENTS` name."""
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Constant) and node.value in EVENTS]
+
+
+def method_names(tree):
+    """Line of every string constant that is a `MODES` name, and of every
+    `.mode` attribute."""
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Constant) and node.value in MODES)
+            or (isinstance(node, ast.Attribute) and node.attr == "mode")]
 
 
 def source_files():
@@ -168,6 +184,21 @@ def test_the_check_sees_an_event_name_anywhere():
             "def f(d):\n"
             "    return d['agent_hit'], 'waste_cleaned '\n")
     assert sorted(event_names(ast.parse(code))) == [1, 3]
+
+
+def test_the_learner_names_no_method():
+    path = os.path.join(SRC, LEARNER)
+    with open(path, encoding="utf-8") as f:
+        lines = method_names(ast.parse(f.read(), filename=path))
+    assert not lines, f"{LEARNER} names a method at lines {lines}"
+
+
+def test_the_check_sees_a_method_name_and_a_mode_attribute():
+    code = ("def f(cfg, view):\n"
+            "    if cfg.mode == 'emurel':\n"
+            "        return 'ia', 'baseline '\n"
+            "    return view['mode']\n")
+    assert sorted(method_names(ast.parse(code))) == [2, 2, 3]
 
 
 def spec_keys_set_by(parser):

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from marl_lab.agents import AgentNets, NetSizes, joint_one_hot
-from marl_lab.cli import resolve_spec
+from marl_lab.cli import resolve_spec, run_experiment
+from marl_lab.cli.rundir import find_agent_checkpoints
 from marl_lab.eicm import forward_loss_tape, inverse_loss_tape, moa_loss_tape
 from marl_lab.envs import EVENTS, EnvConfig, SSDEnv
 from marl_lab.nn import Optimizer, Tensor, gradients, load_checkpoint, save_checkpoint
@@ -24,7 +25,9 @@ from marl_lab.training import (
 from marl_lab.training import update
 from marl_lab.training.update import _each_agent, on_tape
 
-from helpers import THREE_AGENT_CLEANUP, ScriptedPolicy, UniformRandomPolicy, run_python
+from helpers import (
+    THREE_AGENT_CLEANUP, TINY_SPEC, ScriptedPolicy, UniformRandomPolicy, run_python,
+)
 
 SMALL = NetSizes(conv_filters=2, fc_units=8, lstm_units=8, eicm_hidden=8)
 SPECS = os.path.join(os.path.dirname(__file__), "..", "specs")
@@ -414,9 +417,10 @@ class TestPPOUpdate:
         tgt = np.zeros(10)
         cfg_off = TrainerConfig(batch_steps=80, minibatch_steps=40, moa_coef=0.0,
                                 forward_coef=0.0, inverse_coef=0.0)
-        loss_off, _ = composite_loss(nets, 0, view, adv, tgt, cfg_off, "emurel")
+        loss_off, _ = composite_loss(nets, 0, view, adv, tgt, cfg_off)
         g_off = gradients(nets.parameters(), loss_off)
-        loss_plain, _ = composite_loss(nets, 0, view, adv, tgt, cfg_off, "baseline")
+        plain = {name: a for name, a in view.items() if name not in MOA_ONLY}
+        loss_plain, _ = composite_loss(nets, 0, plain, adv, tgt, cfg_off)
         g_plain = gradients(nets.parameters(), loss_plain)
         for name in g_off:
             np.testing.assert_array_equal(g_off[name], g_plain[name])
@@ -427,8 +431,7 @@ class TestPPOUpdate:
         view = on_tape(minibatch_views(buffer, np.arange(10), 0))
         nets = tr.agents[0]
         cfg = TrainerConfig(batch_steps=80, minibatch_steps=40, value_coef=0.0)
-        loss, _ = composite_loss(nets, 0, view, np.ones(10), np.ones(10), cfg,
-                                 "baseline")
+        loss, _ = composite_loss(nets, 0, view, np.ones(10), np.ones(10), cfg)
         grads = gradients(nets.parameters(), loss)
         np.testing.assert_array_equal(grads["value_head.weight"],
                                       np.zeros_like(grads["value_head.weight"]))
@@ -447,7 +450,7 @@ class TestOneTapeSwitch:
         B, idx = buffer.total_samples, np.arange(0, buffer.total_samples, 3)
         for k, nets in enumerate(tr.agents):
             view = minibatch_views(buffer, idx, k)
-            args = (adv.reshape(B, -1)[idx, k], tgt.reshape(B, -1)[idx, k], tr.cfg, mode)
+            args = (adv.reshape(B, -1)[idx, k], tgt.reshape(B, -1)[idx, k], tr.cfg)
             plain, plain_terms = composite_loss(nets, k, view, *args)
             taped, taped_terms = composite_loss(nets, k, on_tape(view), *args)
             assert type(plain) is not Tensor and type(taped) is Tensor
@@ -491,7 +494,7 @@ class TestThreadedLearner:
         view = on_tape(minibatch_views(buffer, np.arange(10), 0))
         nets = tr.agents[0]
         loss, _ = composite_loss(nets, 0, view, np.linspace(-1, 1, 10), np.ones(10),
-                                 tr.cfg, "emurel")
+                                 tr.cfg)
         refs = tape_refs(loss)
         assert len(refs) > 100
         gradients(nets.parameters(), loss)
@@ -508,7 +511,7 @@ class TestThreadedLearner:
             p.data[...] = np.nan
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match="for agent 1"):
-            ppo_update(tr.agents, buffer, adv, tgt, tr.cfg, "baseline", tr.optimizers,
+            ppo_update(tr.agents, buffer, adv, tgt, tr.cfg, tr.optimizers,
                        np.random.default_rng(0))
         assert threading.active_count() == before
 
@@ -553,7 +556,7 @@ class TestThreadedLearner:
         monkeypatch.setattr(update, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(update, "composite_loss", failing)
         with pytest.raises(FloatingPointError, match="for agent 1"):
-            ppo_update(tr.agents, buffer, adv, tgt, tr.cfg, "baseline", tr.optimizers,
+            ppo_update(tr.agents, buffer, adv, tgt, tr.cfg, tr.optimizers,
                        np.random.default_rng(0))
         assert calls.count(1) == 1 and calls.count(0) <= 2
 
@@ -643,8 +646,7 @@ class TestA2CUpdate:
         for w in range(2):
             idx = np.arange(w * buffer.steps, (w + 1) * buffer.steps)
             view = on_tape(minibatch_views(buffer, idx, 0))
-            loss, _ = composite_loss(nets, 0, view, adv[w, :, 0], tgt[w, :, 0],
-                                     cfg, "baseline")
+            loss, _ = composite_loss(nets, 0, view, adv[w, :, 0], tgt[w, :, 0], cfg)
             grads.append(gradients(nets.parameters(), loss))
         for name in grads[0]:
             avg = 0.5 * (grads[0][name] + grads[1][name])
@@ -661,13 +663,10 @@ class TestA2CUpdate:
                  for w in range(2)]
         per_worker = []
         for w in range(2):
-            loss, _ = composite_loss(nets, 0, views[w], adv[w, :, 0], tgt[w, :, 0],
-                                     cfg, "baseline")
+            loss, _ = composite_loss(nets, 0, views[w], adv[w, :, 0], tgt[w, :, 0], cfg)
             per_worker.append(gradients(nets.parameters(), loss))
-        l0, _ = composite_loss(nets, 0, views[0], adv[0, :, 0], tgt[0, :, 0],
-                               cfg, "baseline")
-        l1, _ = composite_loss(nets, 0, views[1], adv[1, :, 0], tgt[1, :, 0],
-                               cfg, "baseline")
+        l0, _ = composite_loss(nets, 0, views[0], adv[0, :, 0], tgt[0, :, 0], cfg)
+        l1, _ = composite_loss(nets, 0, views[1], adv[1, :, 0], tgt[1, :, 0], cfg)
         combined = T.add(T.mul(l0, 0.5), T.mul(l1, 0.5))
         g_comb = gradients(nets.parameters(), combined)
         for name in g_comb:
@@ -682,22 +681,70 @@ class TestA2CUpdate:
         cfg0 = TrainerConfig(algo="a2c_sync", batch_steps=80, minibatch_steps=40,
                              entropy_coef=0.0)
         nets = tr.agents[0]
-        loss0, terms0 = composite_loss(nets, 0, view, np.zeros(10), np.zeros(10),
-                                       cfg0, "baseline")
+        loss0, terms0 = composite_loss(nets, 0, view, np.zeros(10), np.zeros(10), cfg0)
         # with zero advantages and entropy_coef 0 only the value term remains
         assert float(loss0.data) == pytest.approx(
             cfg0.value_coef * terms0["value_loss"], abs=1e-12)
 
 
 def test_each_agent_parameters_are_views_of_its_optimizer_vector():
-    trainer = mini_trainer(mode="emurel")
-    for nets, opt in zip(trainer.agents, trainer.optimizers):
-        params = nets.parameters()
-        assert opt.vector.size == sum(p.data.size for _, p in params)
-        assert all(np.shares_memory(p.data, opt.vector) for _, p in params)
-        for other in trainer.optimizers:
-            if other is not opt:
-                assert not any(np.shares_memory(p.data, other.vector) for _, p in params)
+    # Each agent's optimizer holds, in order, exactly the parameters one
+    # backward of its composite loss reaches, and each of them is a view of
+    # that optimizer's vector and of no other's.
+    for mode in ("baseline", "ia", "emurel"):
+        for algo in ("ppo", "a2c_sync"):
+            trainer = mini_trainer(mode, algo=algo)
+            buffer = collect_rollouts(trainer.workers, trainer.agents, trainer.cfg.batch_steps)
+            adv, tgt = compute_advantages(buffer, trainer.cfg.discount, trainer.cfg.gae_lambda)
+            B = buffer.total_samples
+            for k, (nets, opt) in enumerate(zip(trainer.agents, trainer.optimizers)):
+                view = on_tape(minibatch_views(buffer, np.arange(B), k))
+                loss, _ = composite_loss(nets, k, view, adv.reshape(B, -1)[:, k],
+                                         tgt.reshape(B, -1)[:, k], trainer.cfg)
+                reached = loss.backward()
+                assert [(name, id(p)) for name, p in opt.params] == [
+                    (name, id(p)) for name, p in nets.parameters() if id(p) in reached
+                ], (mode, algo)
+                params = [p for _, p in opt.params]
+                assert opt.vector.size == sum(p.data.size for p in params)
+                assert all(np.shares_memory(p.data, opt.vector) for p in params)
+                for other in trainer.optimizers:
+                    if other is not opt:
+                        assert not any(np.shares_memory(p.data, other.vector)
+                                       for p in params)
+
+
+@pytest.mark.parametrize("mode", ["baseline", "ia"])
+def test_sections_no_loss_reaches_keep_their_initial_bytes(mode, tmp_path):
+    # Baseline and IA train the encoder and the actor-critic alone: the MOA
+    # and forward/inverse arrays stay as a fresh net of the same seed draws
+    # them, in the live nets and in the run's final checkpoint.
+    untrained = ("moa", "forward", "inverse")
+
+    def assert_untrained_bytes(nets, fresh):
+        for (name, p), (_, want) in zip(nets.parameters(*untrained),
+                                        fresh.parameters(*untrained)):
+            assert p.data.tobytes() == want.data.tobytes(), name
+
+    trainer = mini_trainer(mode)
+    metric_rows(trainer, 2)
+    for nets in trainer.agents:
+        assert_untrained_bytes(nets, AgentNets(nets.view_size, nets.num_actions,
+                                               nets.num_agents, seed=nets.seed, sizes=SMALL))
+
+    spec_path = tmp_path / "tiny.spec"
+    spec_path.write_text(TINY_SPEC.format(out=str(tmp_path / "runs"), mode=mode))
+    spec = resolve_spec(str(spec_path))
+    (run_dir, _), = run_experiment(str(spec_path))
+    paths = find_agent_checkpoints(os.path.join(run_dir, "checkpoints"))
+    env = spec.env
+    assert len(paths) == env.num_agents
+    for k, path in enumerate(paths):
+        loaded, fresh = (AgentNets(env.view_size, env.num_actions, env.num_agents,
+                                   seed=[seed, k], sizes=spec.net)
+                         for seed in (99, spec.seeds[0]))
+        load_checkpoint(path, loaded.sections)
+        assert_untrained_bytes(loaded, fresh)
 
 
 def test_optimizer_steps_the_parameters_a_checkpoint_loaded(tmp_path):
